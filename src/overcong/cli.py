@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 from . import prover, sturm
 from .halfint import GAMMA0, GAMMA1, SpaceLabel, decompose
-from .modseries import (ResidueRing, TruncSeries, cache_filename, load_series,
-                        save_series)
+# load_series stays bound here: perfbench's tracer self-test checks that the
+# tracer rebinds it at every import site, this one included.
+from .modseries import ResidueRing, TruncSeries, load_series  # noqa: F401
 from .qgen import (EtaQuotient, eta_quotient, overpartition_series,
                    r_m_series, theta_phi, weight2_form)
 
@@ -45,40 +46,37 @@ def _emit(config: RunConfig, payload: dict, text: str) -> None:
         print(text)
 
 
-def _cache_path(cache_dir: str, generator: str, modulus: int, trunc: int) -> str:
-    return os.path.join(cache_dir, cache_filename(generator, modulus, trunc))
-
-
-def _build_generator(name: str, trunc: int, ring: ResidueRing) -> TruncSeries:
+def _generator(name: str, ring: ResidueRing):
+    """(shift, build) for a named generator: build(trunc, ring, known) gives
+    its series through q^trunc, which runs `shift` terms past the requested
+    truncation (an eta quotient's leading q-power)."""
     if name == "phi":
-        return theta_phi(trunc, ring)
+        return 0, lambda t, r, known: theta_phi(t, r)
     if name == "F":
-        return weight2_form(trunc, ring)
+        return 0, lambda t, r, known: weight2_form(t, r)
     if name == "overpartition":
-        return overpartition_series(trunc, ring)
+        return 0, overpartition_series
     if name.startswith("rm:"):
-        return r_m_series(int(name[3:]), trunc, ring)
+        m_exp = int(name[3:])
+        return 0, lambda t, r, known: r_m_series(m_exp, t, r)
     if name.startswith("eta:"):
         factors = []
         for part in name[4:].split(","):
             delta, _, power = part.partition("^")
             factors.append((int(delta), int(power) if power else 1))
         factors.sort()
-        return eta_quotient(EtaQuotient(tuple(factors)), trunc, ring).to_series()
+        quotient = EtaQuotient(tuple(factors))
+        # The empty expansion reports the leading power, or why it is not
+        # an integral, nonnegative one.
+        shift = eta_quotient(quotient, 0, ring).to_series().trunc
+        return shift, lambda t, r, known: eta_quotient(quotient, t - shift, r).to_series()
     raise ValueError(f"unknown generator {name!r}")
 
 
-def _generator_series(config: RunConfig, name: str, trunc: int,
-                      ring: ResidueRing) -> TruncSeries:
-    if config.cache_dir:
-        os.makedirs(config.cache_dir, exist_ok=True)
-        path = _cache_path(config.cache_dir, name, ring.modulus, trunc)
-        if os.path.exists(path):
-            return load_series(path)
-        series = _build_generator(name, trunc, ring)
-        save_series(series, path)
-        return series
-    return _build_generator(name, trunc, ring)
+def _generator_series(name: str, trunc: int, ring: ResidueRing) -> TruncSeries:
+    shift, build = _generator(name, ring)
+    coeffs = prover.STORE.coefficients(name, ring, trunc + shift, build)
+    return TruncSeries(ring, coeffs, trunc + shift)
 
 
 def _report_exit(config: RunConfig, report: prover.ProofReport) -> int:
@@ -97,7 +95,7 @@ def _report_exit(config: RunConfig, report: prover.ProofReport) -> int:
 
 def _cmd_expand(config: RunConfig, args) -> int:
     ring = ResidueRing(args.mod)
-    series = _generator_series(config, args.generator, args.trunc, ring)
+    series = _generator_series(args.generator, args.trunc, ring)
     coeffs = [int(c) for c in series.coeffs]
     _emit(config, {"generator": args.generator, "modulus": args.mod,
                    "trunc": series.trunc, "coefficients": coeffs},
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="overcong",
         description="q-series congruence prover for the overpartition function")
     parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_positive, default=1)
     parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -201,18 +199,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("generator",
                    help="phi | F | overpartition | rm:<m> | eta:<delta^r,...>")
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--trunc", type=int, required=True)
+    p.add_argument("--trunc", type=_nonnegative, required=True)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("decompose", help="monomial-basis coordinates of a series")
-    p.add_argument("--k2", type=int, required=True)
+    p.add_argument("--k2", type=_positive, required=True)
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--input", help="file of whitespace-separated coefficients (default stdin)")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("bound", help="group index and verification bound")
-    p.add_argument("--weight2", type=int, required=True, help="twice the weight")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--weight2", type=_positive, required=True, help="twice the weight")
+    p.add_argument("--level", type=_positive, required=True)
     p.add_argument("--group", choices=("g0", "g1"), required=True)
     p.add_argument("--progression", type=_parse_progression, metavar="A,B")
     p.set_defaults(func=_cmd_bound)
@@ -223,38 +221,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identity", help="desk-scale identity check")
     p.add_argument("modulus", type=int, choices=(17, 23))
-    p.add_argument("--trunc", type=int, default=2000)
+    p.add_argument("--trunc", type=_nonnegative, default=2000)
     p.set_defaults(func=_cmd_verify_identity)
 
     p = sub.add_parser("lemma1", help="Euler-product prime-power congruence")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--trunc", type=int, default=500)
+    p.add_argument("--p", type=_positive, required=True)
+    p.add_argument("--alpha", type=_positive, default=1)
+    p.add_argument("--trunc", type=_nonnegative, default=500)
     p.set_defaults(func=_cmd_lemma1)
 
     p = sub.add_parser("scan", help="search for vanishing residue classes")
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--d", type=_parse_int_list, required=True, metavar="D[,D...]")
-    p.add_argument("--A", type=_parse_int_list, required=True, metavar="A[,A...]")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--min-support", type=int, default=prover.DEFAULT_MIN_SUPPORT)
-    p.add_argument("--max-index", type=int, default=None)
+    p.add_argument("--d", type=_positive_list, required=True, metavar="D[,D...]")
+    p.add_argument("--A", type=_positive_list, required=True, metavar="A[,A...]")
+    p.add_argument("--nmax", type=_nonnegative, required=True)
+    p.add_argument("--min-support", type=_nonnegative, default=prover.DEFAULT_MIN_SUPPORT)
+    p.add_argument("--max-index", type=_nonnegative, default=None)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("check", help="test a claim against the coefficient stream")
     p.add_argument("--claim", required=True, help="claim as JSON")
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_nonnegative, required=True)
     p.set_defaults(func=_cmd_check)
     return parser
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
+
+
 def _parse_progression(text: str) -> tuple[int, int]:
     a, _, b = text.partition(",")
-    return int(a), int(b)
+    return _positive(a), _nonnegative(b)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",")]
+def _positive_list(text: str) -> list[int]:
+    return [_positive(tok) for tok in text.split(",")]
 
 
 def main(argv=None) -> int:
@@ -265,7 +279,7 @@ def main(argv=None) -> int:
                        truncation=getattr(args, "trunc", None),
                        output=args.output, threads=args.threads,
                        cache_dir=args.cache_dir)
-    prover.set_disk_cache(config.cache_dir)
+    prover.STORE.reset(config.cache_dir)
     try:
         return args.func(config, args)
     except ValueError as exc:

@@ -13,7 +13,9 @@ Reading a coefficient past the truncation is an error, never a zero.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -28,6 +30,8 @@ _SOLVE_BASE = 192
 
 _MAGIC = b"QSER"
 _FORMAT_VERSION = 1
+# Magic, version byte, u64 modulus, u64 truncation.
+_HEADER_SIZE = 21
 
 
 class ResidueRing:
@@ -218,7 +222,8 @@ def ring_pow(f: TruncSeries, e: int) -> TruncSeries:
 
 
 def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
-                       rhs: np.ndarray, t: int, m: int) -> np.ndarray:
+                       rhs: np.ndarray, t: int, m: int,
+                       known: np.ndarray | None = None) -> np.ndarray:
     """Solve den*c = rhs through q^t where den has unit constant term f0 and
     nonzero higher coefficients taps_val at exponents taps_exp (sorted, >= 1):
 
@@ -226,12 +231,23 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
 
     Divide-and-conquer online convolution: contributions of a solved half are
     pushed into the accumulator with one vectorised update per tap, and only
-    taps below the base block size run in scalar code.
+    taps below the base block size run in scalar code.  A known prefix
+    c[0..s) is taken as solved: its contributions to [s, t] are pushed in
+    one update per tap, and only [s, t] is recursed on.
     """
     c = np.zeros(t + 1, np.int64)
     acc = rhs[:t + 1].astype(np.int64) % m
     if len(acc) < t + 1:
         acc = np.concatenate([acc, np.zeros(t + 1 - len(acc), np.int64)])
+    start = 0
+    if known is not None:
+        start = min(len(known), t + 1)
+        c[:start] = known[:start]
+        for j, v in zip(taps_exp.tolist(), taps_val.tolist()):
+            t0 = max(start, j)
+            t1 = min(t + 1, start + j)
+            if t0 < t1:
+                acc[t0:t1] -= v * c[t0 - j:t1 - j]
     small_taps = [(int(j), int(v)) for j, v in zip(taps_exp, taps_val) if j < _SOLVE_BASE]
 
     def rec(lo: int, hi: int):
@@ -260,15 +276,20 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
                 acc[t0:t1] -= v * c[t0 - j:t1 - j]
         rec(mid, hi)
 
-    rec(0, t + 1)
+    rec(start, t + 1)
     return c
 
 
 def _solve_linear_py(taps: list[tuple[int, int]], f0inv: int,
-                     rhs: np.ndarray, t: int, m: int) -> np.ndarray:
+                     rhs: np.ndarray, t: int, m: int,
+                     known: np.ndarray | None = None) -> np.ndarray:
     # Exact fallback for moduli too large for int64 accumulation.
     c = [0] * (t + 1)
-    for n in range(t + 1):
+    start = 0
+    if known is not None:
+        start = min(len(known), t + 1)
+        c[:start] = [int(x) for x in known[:start]]
+    for n in range(start, t + 1):
         s = int(rhs[n]) if n < len(rhs) else 0
         for j, v in taps:
             if j > n:
@@ -278,7 +299,8 @@ def _solve_linear_py(taps: list[tuple[int, int]], f0inv: int,
     return np.array(c, np.int64)
 
 
-def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int) -> TruncSeries:
+def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int,
+                  known: np.ndarray | None = None) -> TruncSeries:
     ring = den.ring
     m = ring.modulus
     f0inv = ring.inverse(den.coeffs[0])
@@ -288,22 +310,24 @@ def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int) -> TruncSeries:
     # Accumulator entries are bounded by (#taps) * (m-1)^2.
     if (len(taps_exp) + 1) * (m - 1) * (m - 1) >= 1 << 62:
         out = _solve_linear_py(list(zip(taps_exp.tolist(), taps_val.tolist())),
-                               f0inv, rhs, t, m)
+                               f0inv, rhs, t, m, known)
     else:
-        out = _solve_linear_core(taps_exp, taps_val, f0inv, rhs, t, m)
+        out = _solve_linear_core(taps_exp, taps_val, f0inv, rhs, t, m, known)
     return TruncSeries(ring, out, t)
 
 
-def ring_invert(f: TruncSeries) -> TruncSeries:
+def ring_invert(f: TruncSeries, known: np.ndarray | None = None) -> TruncSeries:
     """Multiplicative inverse through the truncation.
 
     Requires a unit constant term.  The recurrence iterates only over the
     nonzero support of f, so inverting a series with O(sqrt(T)) support
-    costs O(T^1.5).
+    costs O(T^1.5).  `known`, if given, must be the first coefficients of
+    the inverse (for instance a shorter inversion of the same f); only the
+    coefficients past it are computed.
     """
     rhs = np.zeros(f.trunc + 1, np.int64)
     rhs[0] = 1
-    return _solve_linear(f, rhs, f.trunc)
+    return _solve_linear(f, rhs, f.trunc, known)
 
 
 def ring_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -359,36 +383,67 @@ def extract_progression(f: TruncSeries, a: int, b: int, compact: bool = False) -
     return TruncSeries(f.ring, out, f.trunc)
 
 
-def cache_filename(generator: str, modulus: int, trunc: int) -> str:
-    """Cache files are keyed by a hash of (generator, modulus, truncation)."""
+def cache_filename(generator: str, modulus: int) -> str:
+    """Cache files are keyed by a hash of (generator, modulus); one file
+    holds the longest expansion computed so far."""
     import hashlib
-    key = hashlib.sha256(f"{generator}:{modulus}:{trunc}".encode()).hexdigest()[:24]
+    key = hashlib.sha256(f"{generator}:{modulus}".encode()).hexdigest()[:24]
     return f"{key}.qser"
 
 
 def save_series(f: TruncSeries, path) -> None:
     """Write the cache format: magic, version byte, modulus and truncation as
-    little-endian u64, then trunc+1 little-endian u32 residues."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", _FORMAT_VERSION))
-        fh.write(struct.pack("<Q", f.ring.modulus))
-        fh.write(struct.pack("<Q", f.trunc))
-        fh.write(f.coeffs.astype("<u4").tobytes())
+    little-endian u64, then trunc+1 little-endian u32 residues.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path`, so a reader never sees a partly written file."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<B", _FORMAT_VERSION))
+            fh.write(struct.pack("<Q", f.ring.modulus))
+            fh.write(struct.pack("<Q", f.trunc))
+            fh.write(f.coeffs.astype("<u4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def load_series(path) -> TruncSeries:
+def load_series(path, modulus: int | None = None,
+                trunc: int | None = None) -> TruncSeries:
+    """Read a cache file, checking it before any residue is read: magic,
+    version, the modulus (against `modulus` when given), a truncation within
+    TRUNC_CAP and a file size that matches it.  With `trunc`, only the
+    residues through q^min(trunc, stored truncation) are read.  Every
+    residue read must lie in [0, modulus).  Any mismatch is a ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"bad cache magic {magic!r}")
-        (version,) = struct.unpack("<B", fh.read(1))
+        header = fh.read(_HEADER_SIZE - 4)
+        if len(header) != _HEADER_SIZE - 4:
+            raise ValueError("cache file truncated in its header")
+        version, stored_modulus, stored_trunc = struct.unpack("<BQQ", header)
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported cache format version {version}")
-        (modulus,) = struct.unpack("<Q", fh.read(8))
-        (trunc,) = struct.unpack("<Q", fh.read(8))
-        data = fh.read(4 * (trunc + 1))
-        if len(data) != 4 * (trunc + 1):
-            raise ValueError("cache file truncated")
-        coeffs = np.frombuffer(data, dtype="<u4").astype(np.int64)
-    return TruncSeries(ResidueRing(modulus), coeffs, trunc)
+        if modulus is not None and stored_modulus != modulus:
+            raise ValueError(f"cache file holds modulus {stored_modulus}, not {modulus}")
+        if stored_trunc > TRUNC_CAP:
+            raise ValueError(f"cache truncation {stored_trunc} exceeds {TRUNC_CAP}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER_SIZE + 4 * (stored_trunc + 1)
+        if size < expected:
+            raise ValueError(f"cache file truncated: {size} bytes, expected {expected}")
+        if size > expected:
+            raise ValueError(f"cache file has {size - expected} trailing bytes")
+        ring = ResidueRing(stored_modulus)
+        keep = stored_trunc if trunc is None else min(int(trunc), stored_trunc)
+        coeffs = np.frombuffer(fh.read(4 * (keep + 1)), dtype="<u4").astype(np.int64)
+    if len(coeffs) != keep + 1:
+        raise ValueError("cache file truncated")
+    if coeffs.max() >= stored_modulus:
+        raise ValueError(f"cache file holds a residue >= {stored_modulus}")
+    return TruncSeries(ring, coeffs, keep)

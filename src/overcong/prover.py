@@ -13,18 +13,20 @@ timings are kept out of the serialised form.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import chars
 from .halfint import (GAMMA0, Decomposition, SpaceLabel, apply_U,
                       basis_monomials, decompose, hecke_T, sieve_progression)
-from .modseries import (ResidueRing, TruncSeries, extract_progression,
-                        ring_invert, ring_mul, ring_pow, transform)
+from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, cache_filename,
+                        extract_progression, load_series, ring_invert,
+                        ring_mul, ring_pow, save_series, transform)
 from .qgen import overpartition_series, pochhammer, r_m_series, theta_phi
 from .sturm import progression_limit, sturm_bound
 
@@ -58,12 +60,17 @@ class CongruenceClaim:
     support: int = 0
 
     def __post_init__(self):
+        if self.modulus < 1 or self.multiplier < 1:
+            raise ValueError(f"modulus and multiplier must be >= 1, "
+                             f"got {self.modulus}, {self.multiplier}")
         a, b = self.progression
         if a < 1 or not 0 <= b < a:
             raise ValueError(f"progression must satisfy A >= 1, 0 <= B < A, got {a}, {b}")
         for cond in self.conditions:
             if cond[0] not in ("residue", "kronecker"):
                 raise ValueError(f"unknown condition {cond!r}")
+            if cond[0] == "residue" and cond[1] < 1:
+                raise ValueError(f"residue condition modulus must be >= 1, got {cond[1]}")
 
     def condition_holds(self, n: int) -> bool:
         for cond in self.conditions:
@@ -103,17 +110,46 @@ class CongruenceClaim:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CongruenceClaim":
+        """Inverse of to_dict; input of any other shape raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("a claim must be a JSON object")
+        for key in ("modulus", "progression"):
+            if key not in data:
+                raise ValueError(f"claim has no {key!r}")
+        progression = data["progression"]
+        if not isinstance(progression, list) or len(progression) != 2:
+            raise ValueError("claim progression must be a list [A, B]")
+        conditions = data.get("conditions", [])
+        if not isinstance(conditions, list):
+            raise ValueError("claim conditions must be a list")
         conds = []
-        for c in data.get("conditions", ()):
-            if c["type"] == "residue":
-                conds.append(("residue", int(c["modulus"]), tuple(sorted(c["residues"]))))
-            elif c["type"] == "kronecker":
-                conds.append(("kronecker", int(c["p"]), int(c["sign"])))
+        for c in conditions:
+            kind = c.get("type") if isinstance(c, dict) else None
+            if kind == "residue":
+                residues = c.get("residues")
+                if not isinstance(residues, list):
+                    raise ValueError("a residue condition needs a list of residues")
+                conds.append(("residue", _claim_int(c.get("modulus"), "modulus"),
+                              tuple(sorted(_claim_int(r, "residue") for r in residues))))
+            elif kind == "kronecker":
+                conds.append(("kronecker", _claim_int(c.get("p"), "p"),
+                              _claim_int(c.get("sign"), "sign")))
             else:
-                raise ValueError(f"unknown condition type {c['type']!r}")
-        return cls(int(data["modulus"]), int(data.get("multiplier", 1)),
-                   tuple(int(x) for x in data["progression"]), tuple(conds),
-                   data.get("status", "unchecked"), int(data.get("support", 0)))
+                raise ValueError(f"unknown condition {c!r}")
+        status = data.get("status", "unchecked")
+        if not isinstance(status, str):
+            raise ValueError("claim status must be a string")
+        return cls(_claim_int(data["modulus"], "modulus"),
+                   _claim_int(data.get("multiplier", 1), "multiplier"),
+                   tuple(_claim_int(x, "progression") for x in progression),
+                   tuple(conds), status,
+                   _claim_int(data.get("support", 0), "support"))
+
+
+def _claim_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"claim field {name!r} must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -174,38 +210,75 @@ class _StepTimer:
 # ---------------------------------------------------------------------------
 # shared coefficient streams
 
-_disk_cache_dir: str | None = None
+class CoefficientStore:
+    """Per (generator, modulus), the longest coefficient array computed so
+    far, in memory and, with a cache directory, on disk.
+
+    A request up to the held truncation is answered with a read-only slice.
+    A longer one first looks for a longer stream on disk, then hands the
+    held prefix to the build function, which computes only the coefficients
+    past it (or everything, if it cannot extend a prefix); the result
+    becomes the held array and is written back.  A cache file that fails validation is a
+    miss: it is recomputed and overwritten.  One lock serialises lookups, so
+    concurrent scans share a single computation.
+    """
+
+    def __init__(self, cache_dir: str | None = None):
+        self.cache_dir = cache_dir
+        self._held: dict[tuple[str, int], np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def reset(self, cache_dir: str | None = None) -> None:
+        """Drop every held array and use `cache_dir` from now on."""
+        with self._lock:
+            self._held.clear()
+            self.cache_dir = cache_dir
+
+    def coefficients(self, generator: str, ring: ResidueRing, trunc: int,
+                     build) -> np.ndarray:
+        """Coefficients of `generator` mod ring.modulus through q^trunc (int32,
+        read-only).  build(trunc, ring, known) returns the TruncSeries through
+        q^trunc; `known` is a prefix of it, or None."""
+        trunc = int(trunc)
+        if not 0 <= trunc <= TRUNC_CAP:
+            raise ValueError(f"truncation must lie in [0, {TRUNC_CAP}], got {trunc}")
+        key = (generator, ring.modulus)
+        with self._lock:
+            held = self._held.get(key)
+            if held is not None and len(held) > trunc:
+                return held[:trunc + 1]
+            path = None
+            if self.cache_dir:
+                path = os.path.join(self.cache_dir, cache_filename(*key))
+                stored = None
+                if os.path.exists(path):
+                    try:
+                        stored = load_series(path, ring.modulus, trunc).coeffs.astype(np.int32)
+                    except (OSError, ValueError):
+                        pass  # damaged or foreign: a miss, overwritten below
+                if stored is not None and (held is None or len(stored) > len(held)):
+                    stored.setflags(write=False)
+                    held = self._held[key] = stored
+                    if len(held) > trunc:
+                        return held
+            series = build(trunc, ring, held)
+            if path is not None:
+                os.makedirs(self.cache_dir, exist_ok=True)
+                save_series(series, path)
+            held = series.coeffs.astype(np.int32)
+            held.setflags(write=False)
+            self._held[key] = held
+            return held
 
 
-def set_disk_cache(path: str | None) -> None:
-    """Directory for persisting coefficient streams across invocations."""
-    global _disk_cache_dir
-    _disk_cache_dir = path
+STORE = CoefficientStore()
 
 
-@lru_cache(maxsize=8)
 def _pbar_mod(modulus: int, trunc: int) -> np.ndarray:
     """Overpartition counts mod `modulus` through index `trunc` (int32,
-    read-only); memoised in-process, and on disk when a cache directory is
-    configured, so scans and checks share one inversion."""
-    import os
-
-    from .modseries import cache_filename, load_series, save_series
-    path = None
-    if _disk_cache_dir:
-        path = os.path.join(_disk_cache_dir,
-                            cache_filename("overpartition", modulus, trunc))
-        if os.path.exists(path):
-            arr = load_series(path).coeffs.astype(np.int32)
-            arr.setflags(write=False)
-            return arr
-    series = overpartition_series(trunc, ResidueRing(modulus))
-    if path is not None:
-        os.makedirs(_disk_cache_dir, exist_ok=True)
-        save_series(series, path)
-    arr = series.coeffs.astype(np.int32)
-    arr.setflags(write=False)
-    return arr
+    read-only), served from the coefficient store."""
+    return STORE.coefficients("overpartition", ResidueRing(modulus), trunc,
+                              overpartition_series)
 
 
 def _signed_compacted_pbar(modulus: int, d: int, trunc: int) -> TruncSeries:
@@ -430,11 +503,10 @@ def check_claim_direct(claim: CongruenceClaim, n_max: int,
     if top > INDEX_HARD_CAP:
         raise ValueError(f"budget exceeded: index {top} > {INDEX_HARD_CAP}")
     pb = _pbar_mod(claim.modulus, top)
-    ts = np.arange(n_max + 1, dtype=np.int64)
-    ns = a * ts + b
+    # Every t with d*(a*t + b) <= top, so nothing past the budget is built.
+    t_hi = min(n_max, (top // d - b) // a)
+    ns = a * np.arange(max(t_hi + 1, 0), dtype=np.int64) + b
     idx = d * ns
-    keep = idx <= top
-    ts, ns, idx = ts[keep], ns[keep], idx[keep]
     if claim.conditions:
         mask = np.array([claim.condition_holds(int(n)) for n in ns], dtype=bool)
         ns, idx = ns[mask], idx[mask]

@@ -168,12 +168,15 @@ def r_m_exact(m_exp: int, trunc: int) -> list[int]:
     return out
 
 
-def overpartition_series(trunc: int, ring: ResidueRing) -> TruncSeries:
+def overpartition_series(trunc: int, ring: ResidueRing,
+                         known: np.ndarray | None = None) -> TruncSeries:
     """The overpartition generating function 1/phi(-q) through q^trunc.
 
     phi(-q) has O(sqrt(trunc)) support, so the inversion runs in O(trunc^1.5).
+    `known`, if given, holds the first coefficients of the stream (mod the
+    same modulus); only the ones past it are computed.
     """
-    return ring_invert(transform(theta_phi(trunc, ring), 1, -1))
+    return ring_invert(transform(theta_phi(trunc, ring), 1, -1), known)
 
 
 @lru_cache(maxsize=16)

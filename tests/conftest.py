@@ -4,6 +4,6 @@ import overcong.prover as prover
 
 
 @pytest.fixture(autouse=True)
-def _reset_disk_cache():
+def _reset_store():
     yield
-    prover.set_disk_cache(None)
+    prover.STORE.reset()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from overcong import ResidueRing, expand_monomial
+from overcong import ResidueRing, expand_monomial, load_series
 from overcong.cli import main
 
 
@@ -183,14 +183,50 @@ def test_scan_reuses_disk_cache(capsys, tmp_path, monkeypatch):
             "--nmax", "1000", "--max-index", "50000")
     code, out1, _ = run(capsys, *argv)
     assert code == 0 and list((tmp_path / "cache").glob("*.qser"))
-    # A fresh process would miss the in-memory memo; the stream must come
-    # back from disk without being recomputed.
-    prover._pbar_mod.cache_clear()
+    # A fresh process starts with an empty store; the stream must come back
+    # from disk without being recomputed.
+    prover.STORE.reset(cache)
     monkeypatch.setattr(prover, "overpartition_series",
                         lambda *a: (_ for _ in ()).throw(AssertionError("recomputed")))
     code, out2, _ = run(capsys, *argv)
     assert code == 0 and out2 == out1
-    prover.set_disk_cache(None)
+    # A shorter budget is a prefix of the file; a longer one must compute.
+    code, _, _ = run(capsys, *argv[:-1], "20000")
+    assert code == 0
+    with pytest.raises(AssertionError, match="recomputed"):
+        run(capsys, *argv[:-1], "60000")
+
+
+def test_cache_file_serves_shorter_truncations_and_grows(capsys, tmp_path):
+    cache = str(tmp_path / "cache")
+    expand = ("--cache-dir", cache, "expand", "overpartition", "--mod", "13", "--trunc")
+    _, long_out, _ = run(capsys, *expand, "60")
+    _, short_out, _ = run(capsys, *expand, "20")
+    assert short_out.split() == long_out.split()[:21]
+    _, grown_out, _ = run(capsys, *expand, "90")
+    assert grown_out.split()[:61] == long_out.split()
+    files = list((tmp_path / "cache").iterdir())
+    assert len(files) == 1 and load_series(files[0]).trunc == 90
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "phi", "--mod", "11", "--trunc", "-1"),
+    ("scan", "--mod", "5", "--d", "0", "--A", "40", "--nmax", "100"),
+    ("scan", "--mod", "5", "--d", "1", "--A", "0", "--nmax", "100"),
+    ("check", "--claim", "{}", "--nmax", "10"),
+    ("check", "--claim", "[1]", "--nmax", "10"),
+    ("lemma1", "--p", "3", "--trunc", "-2"),
+], ids=["expand-negative-trunc", "scan-d-zero", "scan-A-zero", "check-empty-claim",
+        "check-list-claim", "lemma1-negative-trunc"])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "negative dimensions" not in err
+    assert "error" in err
 
 
 def test_stdout_identical_across_runs(capsys):

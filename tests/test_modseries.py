@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from overcong import (ResidueRing, TruncSeries, coefficient_at,
                       extract_progression, load_series, one_series, ring_add,
                       ring_div, ring_invert, ring_mul, ring_pow, ring_sub,
                       save_series, scalar_mul, theta_phi, transform,
                       zero_series)
-from overcong.modseries import TRUNC_CAP
+from overcong.modseries import _SOLVE_BASE, TRUNC_CAP
 
 
 def random_series(rng, ring, trunc, density=1.0, unit_constant=False):
@@ -373,3 +375,68 @@ def test_cache_rejects_corrupt_headers(tmp_path):
     bad.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(ValueError, match="truncated"):
         load_series(bad)
+
+
+def test_cache_load_reads_only_the_requested_prefix(tmp_path):
+    rng = np.random.default_rng(53)
+    f = random_series(rng, ResidueRing(101), 500)
+    path = tmp_path / "series.qser"
+    save_series(f, path)
+    head = load_series(path, 101, 40)
+    assert head.trunc == 40 and list(head.coeffs) == list(f.coeffs[:41])
+    assert load_series(path, 101, 10 ** 6) == f
+    assert [p.name for p in tmp_path.iterdir()] == ["series.qser"]
+
+
+def test_cache_rejects_forged_and_foreign_files(tmp_path):
+    f = one_series(ResidueRing(7), 3)
+    path = tmp_path / "series.qser"
+    save_series(f, path)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.qser"
+    with pytest.raises(ValueError, match="modulus 7, not 11"):
+        load_series(path, 11)
+    # A forged truncation must be refused before any residue is read.
+    bad.write_bytes(raw[:13] + (1 << 60).to_bytes(8, "little") + raw[21:])
+    with pytest.raises(ValueError, match="exceeds"):
+        load_series(bad)
+    bad.write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match="trailing"):
+        load_series(bad)
+    bad.write_bytes(raw[:-4] + (7).to_bytes(4, "little"))
+    with pytest.raises(ValueError, match="residue"):
+        load_series(bad)
+    bad.write_bytes(raw[:10])
+    with pytest.raises(ValueError, match="truncated"):
+        load_series(bad)
+
+
+_GROWTH_MODULI = (2, 4, 7, 65521, (1 << 31) - 1)
+
+
+@st.composite
+def _unit_series_and_split(draw):
+    m = draw(st.sampled_from(_GROWTH_MODULI))
+    # The largest modulus takes the exact Python solver, which is quadratic.
+    top = 3 * _SOLVE_BASE + 2 if m < 1 << 20 else _SOLVE_BASE + 2
+    trunc = draw(st.integers(0, top))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    density = draw(st.sampled_from((0.02, 0.2, 1.0)))
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, m, trunc + 1)
+    coeffs[rng.random(trunc + 1) > density] = 0
+    coeffs[0] = draw(st.integers(1, m - 1).filter(lambda u: np.gcd(u, m) == 1))
+    splits = [0, trunc] + [k * _SOLVE_BASE + e for k in (1, 2, 3) for e in (-1, 0, 1)]
+    split = draw(st.sampled_from([s for s in splits if 0 <= s <= trunc]
+                                 + [draw(st.integers(0, trunc))]))
+    return TruncSeries(ResidueRing(m), coeffs, trunc), split
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_unit_series_and_split())
+def test_invert_extends_a_known_prefix(case):
+    f, split = case
+    short = TruncSeries(f.ring, f.coeffs[:split + 1], split)
+    grown = ring_invert(f, known=ring_invert(short).coeffs)
+    assert grown == ring_invert(f)
+    assert ring_mul(f, grown) == one_series(f.ring, f.trunc)

@@ -1,11 +1,19 @@
 """Proof pipelines, direct claim checks, and the congruence scanner."""
 
-import pytest
+import tempfile
+from pathlib import Path
 
-from overcong import (CongruenceClaim, ProofReport, check_claim_direct,
-                      kronecker, prove_theorem_mod11, scan, verify_identity,
-                      verify_lemma1)
-from overcong.prover import _compress_residues
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from overcong import (CongruenceClaim, ProofReport, ResidueRing,
+                      check_claim_direct, kronecker, load_series,
+                      overpartition_series, prove_theorem_mod11, scan,
+                      verify_identity, verify_lemma1)
+from overcong.modseries import cache_filename
+from overcong.prover import CoefficientStore, _compress_residues
 
 
 def test_lemma1_prime_power_suite():
@@ -63,6 +71,19 @@ def test_check_claim_with_side_conditions():
     assert support == expected
 
 
+def test_check_claim_range_follows_the_budget():
+    # The t-range comes from max_index, so a huge n_max builds nothing more.
+    claims = (CongruenceClaim(5, 1, (40, 35)), CongruenceClaim(5, 1, (40, 3)),
+              CongruenceClaim(7, 16, (56, 11),
+                              (("residue", 8, (3,)), ("kronecker", 7, 1))))
+    for claim in claims:
+        a, b = claim.progression
+        t_hi = (20_000 // claim.multiplier - b) // a
+        assert (check_claim_direct(claim, 10 ** 12, max_index=20_000)
+                == check_claim_direct(claim, t_hi, max_index=20_000)
+                == check_claim_direct(claim, t_hi))
+
+
 def test_claim_validation_and_serialisation():
     with pytest.raises(ValueError):
         CongruenceClaim(5, 1, (4, 4))
@@ -71,6 +92,107 @@ def test_claim_validation_and_serialisation():
                             status="observed", support=30)
     assert CongruenceClaim.from_dict(claim.to_dict()) == claim
     assert "pbar(16*(56n+11))" in claim.describe()
+    with pytest.raises(ValueError):
+        CongruenceClaim(5, 0, (4, 1))
+
+
+@pytest.mark.parametrize("data", [
+    {}, [1], "claim", {"modulus": 5}, {"progression": [4, 1]},
+    {"modulus": "5", "progression": [4, 1]},
+    {"modulus": 5, "progression": [4]},
+    {"modulus": 5, "progression": [4, 1.5]},
+    {"modulus": 0, "progression": [4, 1]},
+    {"modulus": 5, "multiplier": -2, "progression": [4, 1]},
+    {"modulus": 5, "progression": [4, 1], "conditions": {}},
+    {"modulus": 5, "progression": [4, 1], "conditions": [7]},
+    {"modulus": 5, "progression": [4, 1], "conditions": [{"type": "parity"}]},
+    {"modulus": 5, "progression": [4, 1],
+     "conditions": [{"type": "residue", "modulus": 0, "residues": [1]}]},
+    {"modulus": 5, "progression": [4, 1],
+     "conditions": [{"type": "residue", "modulus": 8, "residues": 3}]},
+    {"modulus": 5, "progression": [4, 1], "conditions": [{"type": "kronecker", "p": 7}]},
+    {"modulus": 5, "progression": [4, 1], "status": 3},
+])
+def test_claim_from_dict_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        CongruenceClaim.from_dict(data)
+
+
+def _fresh(modulus, trunc):
+    return overpartition_series(trunc, ResidueRing(modulus)).coeffs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((2, 7, 17, 65521)),
+       st.lists(st.integers(0, 3000), min_size=1, max_size=6),
+       st.booleans())
+def test_store_grow_shrink_grow_matches_fresh(modulus, truncs, on_disk):
+    ring = ResidueRing(modulus)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CoefficientStore(tmp if on_disk else None)
+        for trunc in truncs:
+            got = store.coefficients("overpartition", ring, trunc, overpartition_series)
+            assert not got.flags.writeable
+            assert np.array_equal(got, _fresh(modulus, trunc))
+        if on_disk:
+            # A new process starts from the file and grows it further.
+            store = CoefficientStore(tmp)
+            top = max(truncs) + 500
+            got = store.coefficients("overpartition", ring, top, overpartition_series)
+            assert np.array_equal(got, _fresh(modulus, top))
+            assert load_series(Path(tmp) / cache_filename("overpartition", modulus)).trunc == top
+
+
+def test_store_extends_the_held_prefix():
+    calls = []
+
+    def build(trunc, ring, known):
+        calls.append((trunc, None if known is None else len(known)))
+        return overpartition_series(trunc, ring, known)
+
+    store = CoefficientStore()
+    ring = ResidueRing(7)
+    for trunc in (400, 100, 900, 900, 50):
+        assert np.array_equal(store.coefficients("overpartition", ring, trunc, build),
+                              _fresh(7, trunc))
+    assert calls == [(400, None), (900, 401)]
+    with pytest.raises(ValueError, match="truncation"):
+        store.coefficients("overpartition", ring, -1, build)
+
+
+def _damage(raw: bytes, how: str) -> bytes:
+    if how == "truncated":
+        return raw[:len(raw) // 2]
+    if how == "empty":
+        return b""
+    # Byte 21 + 4*100 + 3 is the high byte of the residue of q^100.
+    flip = {"magic": 0, "version": 4, "modulus": 5, "trunc": 13,
+            "residue": 21 + 4 * 100 + 3}[how]
+    # The top bit of a residue, or any header bit, breaks a checked field.
+    bit = 0x80 if how == "residue" else 0x01
+    return raw[:flip] + bytes([raw[flip] ^ bit]) + raw[flip + 1:]
+
+
+@pytest.mark.parametrize("how", ["truncated", "empty", "magic", "version",
+                                 "modulus", "trunc", "residue", "other-modulus"])
+def test_store_recomputes_a_damaged_cache_file(tmp_path, how):
+    ring = ResidueRing(11)
+    CoefficientStore(str(tmp_path)).coefficients(
+        "overpartition", ring, 600, overpartition_series)
+    path = tmp_path / cache_filename("overpartition", 11)
+    if how == "other-modulus":
+        CoefficientStore(str(tmp_path)).coefficients(
+            "overpartition", ResidueRing(13), 600, overpartition_series)
+        (tmp_path / cache_filename("overpartition", 13)).replace(path)
+    else:
+        path.write_bytes(_damage(path.read_bytes(), how))
+    with pytest.raises(ValueError):
+        load_series(path, 11)
+    got = CoefficientStore(str(tmp_path)).coefficients(
+        "overpartition", ring, 300, overpartition_series)
+    assert np.array_equal(got, _fresh(11, 300))
+    # The damaged file was overwritten with a valid one.
+    assert np.array_equal(load_series(path, 11).coeffs, _fresh(11, 300))
 
 
 def test_scan_rediscovers_chen_xia_mod5():
