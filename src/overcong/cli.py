@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 from . import prover, sturm
 from .halfint import GAMMA0, GAMMA1, SpaceLabel, decompose
-# load_series stays bound here: perfbench's tracer self-test checks that the
-# tracer rebinds it at every import site, this one included.
-from .modseries import ResidueRing, TruncSeries, load_series  # noqa: F401
-from .qgen import (EtaQuotient, eta_quotient, overpartition_series,
-                   r_m_series, theta_phi, weight2_form)
+from .modseries import ResidueRing, TruncSeries
+from .qgen import EtaQuotient, eta_quotient, r_m_series, theta_phi, weight2_form
+# Bound here although cli does not call them: perfbench's tracer self-test
+# checks that the tracer rebinds them at every import site, this one included.
+from .modseries import load_series  # noqa: F401
+from .qgen import overpartition_series  # noqa: F401
 
 CACHE_ENV = "OVERCONG_CACHE_DIR"
 
@@ -54,8 +55,6 @@ def _generator(name: str, ring: ResidueRing):
         return 0, lambda t, r, known: theta_phi(t, r)
     if name == "F":
         return 0, lambda t, r, known: weight2_form(t, r)
-    if name == "overpartition":
-        return 0, overpartition_series
     if name.startswith("rm:"):
         m_exp = int(name[3:])
         return 0, lambda t, r, known: r_m_series(m_exp, t, r)
@@ -74,6 +73,8 @@ def _generator(name: str, ring: ResidueRing):
 
 
 def _generator_series(name: str, trunc: int, ring: ResidueRing) -> TruncSeries:
+    if name == "overpartition":
+        return TruncSeries(ring, prover._pbar_mod(ring.modulus, trunc), trunc)
     shift, build = _generator(name, ring)
     coeffs = prover.STORE.coefficients(name, ring, trunc + shift, build)
     return TruncSeries(ring, coeffs, trunc + shift)

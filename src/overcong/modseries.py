@@ -13,9 +13,11 @@ Reading a coefficient past the truncation is an error, never a zero.
 
 from __future__ import annotations
 
+import bisect
 import os
 import struct
 import tempfile
+import zlib
 
 import numpy as np
 
@@ -29,13 +31,15 @@ TRUNC_CAP = 1 << 27
 _SOLVE_BASE = 192
 
 _MAGIC = b"QSER"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 # Magic, version byte, u64 modulus, u64 truncation.
 _HEADER_SIZE = 21
+# Residues per checksummed block of a cache file.
+_CRC_BLOCK = 1 << 16
 
 
 class ResidueRing:
-    """The coefficient ring Z/mZ for a fixed modulus m (prime or prime power)."""
+    """The coefficient ring Z/mZ for a fixed modulus 2 <= m < 2^31."""
 
     __slots__ = ("modulus",)
 
@@ -234,26 +238,43 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     taps below the base block size run in scalar code.  A known prefix
     c[0..s) is taken as solved: its contributions to [s, t] are pushed in
     one update per tap, and only [s, t] is recursed on.
+
+    Exact for every m < 2^31.  taps_val holds signed least residues, so
+    |v| <= vmax <= m/2 and one tap update changes an accumulator entry by at
+    most vmax*(m-1) < 2^61.  An entry starts in [0, m), so after p updates
+    |acc| <= (m-1) + p*vmax*(m-1), which stays below 2^63 for p <= `every`;
+    the pending slice is reduced mod m before the (every+1)-th update.
     """
     c = np.zeros(t + 1, np.int64)
     acc = rhs[:t + 1].astype(np.int64) % m
     if len(acc) < t + 1:
         acc = np.concatenate([acc, np.zeros(t + 1 - len(acc), np.int64)])
+    exps = taps_exp.tolist()
+    vals = taps_val.tolist()
+    vmax = max(map(abs, vals), default=1)
+    every = ((1 << 63) - m) // (vmax * (m - 1))
     start = 0
+    pending = 0
     if known is not None:
         start = min(len(known), t + 1)
         c[:start] = known[:start]
-        for j, v in zip(taps_exp.tolist(), taps_val.tolist()):
+        for j, v in zip(exps, vals):
             t0 = max(start, j)
             t1 = min(t + 1, start + j)
             if t0 < t1:
+                if pending == every:
+                    acc[start:] %= m
+                    pending = 0
                 acc[t0:t1] -= v * c[t0 - j:t1 - j]
-    small_taps = [(int(j), int(v)) for j, v in zip(taps_exp, taps_val) if j < _SOLVE_BASE]
+                pending += 1
+    small_taps = [(j, v) for j, v in zip(exps, vals) if j < _SOLVE_BASE]
 
-    def rec(lo: int, hi: int):
+    def rec(lo: int, hi: int, pending: int):
+        # Every entry of acc[lo:hi] carries at most `pending` unreduced updates.
         n = hi - lo
         if n <= _SOLVE_BASE:
-            ablk = acc[lo:hi].tolist()
+            # Reduced first, so the scalar loop runs on small Python ints.
+            ablk = (acc[lo:hi] % m).tolist()
             cblk = [0] * n
             for i in range(n):
                 s = ablk[i]
@@ -265,38 +286,21 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
             c[lo:hi] = cblk
             return
         mid = (lo + hi) // 2
-        rec(lo, mid)
-        k = int(np.searchsorted(taps_exp, hi - lo, side="left"))
-        for idx in range(k):
-            j = int(taps_exp[idx])
-            v = int(taps_val[idx])
+        rec(lo, mid, pending)
+        for idx in range(bisect.bisect_left(exps, n)):
+            j = exps[idx]
             t0 = max(mid, lo + j)
             t1 = min(hi, mid + j)
             if t0 < t1:
-                acc[t0:t1] -= v * c[t0 - j:t1 - j]
-        rec(mid, hi)
+                if pending == every:
+                    acc[mid:hi] %= m
+                    pending = 0
+                acc[t0:t1] -= vals[idx] * c[t0 - j:t1 - j]
+                pending += 1
+        rec(mid, hi, pending)
 
-    rec(start, t + 1)
+    rec(start, t + 1, pending)
     return c
-
-
-def _solve_linear_py(taps: list[tuple[int, int]], f0inv: int,
-                     rhs: np.ndarray, t: int, m: int,
-                     known: np.ndarray | None = None) -> np.ndarray:
-    # Exact fallback for moduli too large for int64 accumulation.
-    c = [0] * (t + 1)
-    start = 0
-    if known is not None:
-        start = min(len(known), t + 1)
-        c[:start] = [int(x) for x in known[:start]]
-    for n in range(start, t + 1):
-        s = int(rhs[n]) if n < len(rhs) else 0
-        for j, v in taps:
-            if j > n:
-                break
-            s -= v * c[n - j]
-        c[n] = (f0inv * s) % m
-    return np.array(c, np.int64)
 
 
 def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int,
@@ -307,12 +311,8 @@ def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int,
     taps_exp = np.flatnonzero(den.coeffs[:t + 1])
     taps_exp = taps_exp[taps_exp >= 1]
     taps_val = den.coeffs[taps_exp]
-    # Accumulator entries are bounded by (#taps) * (m-1)^2.
-    if (len(taps_exp) + 1) * (m - 1) * (m - 1) >= 1 << 62:
-        out = _solve_linear_py(list(zip(taps_exp.tolist(), taps_val.tolist())),
-                               f0inv, rhs, t, m, known)
-    else:
-        out = _solve_linear_core(taps_exp, taps_val, f0inv, rhs, t, m, known)
+    taps_val = np.where(taps_val > m // 2, taps_val - m, taps_val)
+    out = _solve_linear_core(taps_exp, taps_val, f0inv, rhs, t, m, known)
     return TruncSeries(ring, out, t)
 
 
@@ -391,21 +391,30 @@ def cache_filename(generator: str, modulus: int) -> str:
     return f"{key}.qser"
 
 
+def _crc_blocks(count: int) -> int:
+    """Number of CRC blocks covering `count` residues."""
+    return -(-count // _CRC_BLOCK)
+
+
 def save_series(f: TruncSeries, path) -> None:
     """Write the cache format: magic, version byte, modulus and truncation as
-    little-endian u64, then trunc+1 little-endian u32 residues.
+    little-endian u64, then trunc+1 little-endian u32 residues, then one
+    little-endian u32 zlib.crc32 per block of _CRC_BLOCK residues (the last
+    block may be short).
 
     The bytes go to a temporary file in the same directory, which then
     replaces `path`, so a reader never sees a partly written file."""
     path = os.fspath(path)
+    data = memoryview(f.coeffs.astype("<u4").tobytes())
+    step = 4 * _CRC_BLOCK
+    crcs = [zlib.crc32(data[i:i + step]) for i in range(0, len(data), step)]
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<B", _FORMAT_VERSION))
-            fh.write(struct.pack("<Q", f.ring.modulus))
-            fh.write(struct.pack("<Q", f.trunc))
-            fh.write(f.coeffs.astype("<u4").tobytes())
+            fh.write(struct.pack("<BQQ", _FORMAT_VERSION, f.ring.modulus, f.trunc))
+            fh.write(data)
+            fh.write(struct.pack(f"<{len(crcs)}I", *crcs))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -417,8 +426,9 @@ def load_series(path, modulus: int | None = None,
     """Read a cache file, checking it before any residue is read: magic,
     version, the modulus (against `modulus` when given), a truncation within
     TRUNC_CAP and a file size that matches it.  With `trunc`, only the
-    residues through q^min(trunc, stored truncation) are read.  Every
-    residue read must lie in [0, modulus).  Any mismatch is a ValueError."""
+    residues through q^min(trunc, stored truncation) are kept, and only the
+    blocks holding them are read and checked against their CRCs.  Every
+    residue kept must lie in [0, modulus).  Any mismatch is a ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -434,16 +444,26 @@ def load_series(path, modulus: int | None = None,
         if stored_trunc > TRUNC_CAP:
             raise ValueError(f"cache truncation {stored_trunc} exceeds {TRUNC_CAP}")
         size = os.fstat(fh.fileno()).st_size
-        expected = _HEADER_SIZE + 4 * (stored_trunc + 1)
+        count = stored_trunc + 1
+        expected = _HEADER_SIZE + 4 * count + 4 * _crc_blocks(count)
         if size < expected:
             raise ValueError(f"cache file truncated: {size} bytes, expected {expected}")
         if size > expected:
             raise ValueError(f"cache file has {size - expected} trailing bytes")
         ring = ResidueRing(stored_modulus)
         keep = stored_trunc if trunc is None else min(int(trunc), stored_trunc)
-        coeffs = np.frombuffer(fh.read(4 * (keep + 1)), dtype="<u4").astype(np.int64)
-    if len(coeffs) != keep + 1:
+        blocks = _crc_blocks(keep + 1)
+        data = memoryview(fh.read(4 * min(count, blocks * _CRC_BLOCK)))
+        fh.seek(_HEADER_SIZE + 4 * count)
+        trailer = fh.read(4 * blocks)
+    if len(data) < 4 * (keep + 1) or len(trailer) != 4 * blocks:
         raise ValueError("cache file truncated")
+    crcs = struct.unpack(f"<{blocks}I", trailer)
+    step = 4 * _CRC_BLOCK
+    for i, crc in enumerate(crcs):
+        if zlib.crc32(data[i * step:(i + 1) * step]) != crc:
+            raise ValueError(f"cache block {i} fails its CRC check")
+    coeffs = np.frombuffer(data, dtype="<u4")[:keep + 1].astype(np.int64)
     if coeffs.max() >= stored_modulus:
         raise ValueError(f"cache file holds a residue >= {stored_modulus}")
     return TruncSeries(ring, coeffs, keep)

@@ -273,12 +273,26 @@ class CoefficientStore:
 
 STORE = CoefficientStore()
 
+# 23# = 2*3*5*7*11*13*17*19*23.  Every modulus the paper works with divides
+# it, and it is the largest primorial below 2^31, the word limit of
+# ResidueRing, the int32 store and the u32 cache file.
+PRIMORIAL_23 = 223_092_870
+
 
 def _pbar_mod(modulus: int, trunc: int) -> np.ndarray:
     """Overpartition counts mod `modulus` through index `trunc` (int32,
-    read-only), served from the coefficient store."""
-    return STORE.coefficients("overpartition", ResidueRing(modulus), trunc,
-                              overpartition_series)
+    read-only), served from the coefficient store.  The one place that
+    picks the stream modulus: every modulus dividing 23# reads the shared
+    stream mod 23#, reduced here; any other modulus keeps its own stream."""
+    modulus = ResidueRing(modulus).modulus
+    stream = PRIMORIAL_23 if PRIMORIAL_23 % modulus == 0 else modulus
+    coeffs = STORE.coefficients("overpartition", ResidueRing(stream), trunc,
+                                overpartition_series)
+    if stream == modulus:
+        return coeffs
+    reduced = coeffs % modulus
+    reduced.setflags(write=False)
+    return reduced
 
 
 def _signed_compacted_pbar(modulus: int, d: int, trunc: int) -> TruncSeries:
@@ -566,6 +580,10 @@ def scan(modulus: int, d_list, a_list, n_max: int,
     as one claim per offset, annotated with their compressed description when
     the whole set is exactly a mod-8 class cut by Kronecker signs.
     """
+    d_list = [int(d) for d in d_list]
+    a_list = [int(a) for a in a_list]
+    if min(d_list, default=1) < 1 or min(a_list, default=1) < 1:
+        raise ValueError(f"multipliers and steps must be >= 1, got {d_list}, {a_list}")
     if max_index is None:
         max_index = default_scan_index(modulus)
     if max_index > INDEX_HARD_CAP:
@@ -591,7 +609,7 @@ def scan(modulus: int, d_list, a_list, n_max: int,
                                 status="observed", support=supports[b])
                 for b in hits]
 
-    pairs = [(int(d), int(a)) for d in d_list for a in a_list]
+    pairs = [(d, a) for d in d_list for a in a_list]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             grouped = list(pool.map(scan_pair, pairs))

@@ -1,5 +1,7 @@
 """Ring arithmetic on truncated series: laws, oracles, and error contracts."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -351,10 +353,12 @@ def test_cache_roundtrip(tmp_path):
     assert load_series(path) == f
     raw = path.read_bytes()
     assert raw[:4] == b"QSER"
-    assert raw[4] == 1
+    assert raw[4] == 2
     assert int.from_bytes(raw[5:13], "little") == 65521
     assert int.from_bytes(raw[13:21], "little") == 300
-    assert len(raw) == 21 + 4 * 301
+    assert len(raw) == 21 + 4 * 301 + 4
+    # One CRC block: the crc32 of every residue's bytes closes the file.
+    assert int.from_bytes(raw[-4:], "little") == zlib.crc32(raw[21:-4])
 
 
 def test_cache_rejects_corrupt_headers(tmp_path):
@@ -388,6 +392,23 @@ def test_cache_load_reads_only_the_requested_prefix(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["series.qser"]
 
 
+def test_cache_prefix_load_checks_only_its_blocks(tmp_path):
+    block = 1 << 16
+    f = random_series(np.random.default_rng(59), ResidueRing(65521), 3 * block - 5)
+    path = tmp_path / "series.qser"
+    save_series(f, path)
+    raw = bytearray(path.read_bytes())
+    assert len(raw) == 21 + 4 * (3 * block - 4) + 4 * 3
+    # Bit 0 of a residue in the second block: the value stays below m, so
+    # only that block's CRC can see it.
+    raw[21 + 4 * (block + 7)] ^= 1
+    path.write_bytes(bytes(raw))
+    assert load_series(path, 65521, block - 1) == TruncSeries(f.ring, f.coeffs[:block])
+    for trunc in (block, None):
+        with pytest.raises(ValueError, match="block 1 fails its CRC"):
+            load_series(path, 65521, trunc)
+
+
 def test_cache_rejects_forged_and_foreign_files(tmp_path):
     f = one_series(ResidueRing(7), 3)
     path = tmp_path / "series.qser"
@@ -403,7 +424,9 @@ def test_cache_rejects_forged_and_foreign_files(tmp_path):
     bad.write_bytes(raw + b"\0")
     with pytest.raises(ValueError, match="trailing"):
         load_series(bad)
-    bad.write_bytes(raw[:-4] + (7).to_bytes(4, "little"))
+    # A residue >= m is refused even when its block's CRC matches.
+    body = raw[21:-8] + (7).to_bytes(4, "little")
+    bad.write_bytes(raw[:21] + body + zlib.crc32(body).to_bytes(4, "little"))
     with pytest.raises(ValueError, match="residue"):
         load_series(bad)
     bad.write_bytes(raw[:10])
@@ -417,9 +440,7 @@ _GROWTH_MODULI = (2, 4, 7, 65521, (1 << 31) - 1)
 @st.composite
 def _unit_series_and_split(draw):
     m = draw(st.sampled_from(_GROWTH_MODULI))
-    # The largest modulus takes the exact Python solver, which is quadratic.
-    top = 3 * _SOLVE_BASE + 2 if m < 1 << 20 else _SOLVE_BASE + 2
-    trunc = draw(st.integers(0, top))
+    trunc = draw(st.integers(0, 3 * _SOLVE_BASE + 2))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     density = draw(st.sampled_from((0.02, 0.2, 1.0)))
     rng = np.random.default_rng(seed)
@@ -440,3 +461,28 @@ def test_invert_extends_a_known_prefix(case):
     grown = ring_invert(f, known=ring_invert(short).coeffs)
     assert grown == ring_invert(f)
     assert ring_mul(f, grown) == one_series(f.ring, f.trunc)
+
+
+def schoolbook_inverse(coeffs, m):
+    # Independent oracle: the defining recurrence in Python integers.
+    f = [int(x) for x in coeffs]
+    f0inv = pow(f[0], -1, m)
+    g = [f0inv]
+    for n in range(1, len(f)):
+        g.append(-f0inv * sum(f[j] * g[n - j] for j in range(1, n + 1)) % m)
+    return g
+
+
+@pytest.mark.parametrize("m", [65521, 223_092_870, (1 << 31) - 1])
+def test_invert_matches_schoolbook_oracle(m):
+    rng = np.random.default_rng(m % 1000)
+    trunc = 4 * _SOLVE_BASE + 17
+    cases = [random_series(rng, ResidueRing(m), trunc, density, unit_constant=True)
+             for density in (1.0, 0.3, 0.02)]
+    # Taps at the extremes of the signed range, m//2 and m//2 + 1, and m - 1.
+    for value in (m // 2, m // 2 + 1, m - 1):
+        coeffs = np.full(trunc + 1, value)
+        coeffs[0] = m - 1
+        cases.append(TruncSeries(ResidueRing(m), coeffs, trunc))
+    for f in cases:
+        assert ring_invert(f).coeffs.tolist() == schoolbook_inverse(f.coeffs, m)

@@ -13,7 +13,8 @@ from overcong import (CongruenceClaim, ProofReport, ResidueRing,
                       overpartition_series, prove_theorem_mod11, scan,
                       verify_identity, verify_lemma1)
 from overcong.modseries import cache_filename
-from overcong.prover import CoefficientStore, _compress_residues
+from overcong.prover import (PRIMORIAL_23, STORE, CoefficientStore,
+                             _compress_residues, _pbar_mod)
 
 
 def test_lemma1_prime_power_suite():
@@ -122,25 +123,37 @@ def _fresh(modulus, trunc):
     return overpartition_series(trunc, ResidueRing(modulus)).coeffs
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from((2, 7, 17, 65521)),
+# Divisors of 23# share its stream; 29, 121 and 65521 keep their own.
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 7, 17, 23, 35, PRIMORIAL_23, 29, 121, 65521)),
        st.lists(st.integers(0, 3000), min_size=1, max_size=6),
        st.booleans())
 def test_store_grow_shrink_grow_matches_fresh(modulus, truncs, on_disk):
-    ring = ResidueRing(modulus)
+    stream = PRIMORIAL_23 if PRIMORIAL_23 % modulus == 0 else modulus
     with tempfile.TemporaryDirectory() as tmp:
-        store = CoefficientStore(tmp if on_disk else None)
+        STORE.reset(tmp if on_disk else None)
         for trunc in truncs:
-            got = store.coefficients("overpartition", ring, trunc, overpartition_series)
+            got = _pbar_mod(modulus, trunc)
             assert not got.flags.writeable
             assert np.array_equal(got, _fresh(modulus, trunc))
         if on_disk:
             # A new process starts from the file and grows it further.
-            store = CoefficientStore(tmp)
+            STORE.reset(tmp)
             top = max(truncs) + 500
-            got = store.coefficients("overpartition", ring, top, overpartition_series)
-            assert np.array_equal(got, _fresh(modulus, top))
-            assert load_series(Path(tmp) / cache_filename("overpartition", modulus)).trunc == top
+            assert np.array_equal(_pbar_mod(modulus, top), _fresh(modulus, top))
+            assert [p.name for p in Path(tmp).iterdir()] == [
+                cache_filename("overpartition", stream)]
+            assert load_series(Path(tmp) / cache_filename("overpartition", stream)).trunc == top
+
+
+def test_divisors_of_the_primorial_share_one_stream(tmp_path):
+    STORE.reset(str(tmp_path))
+    for modulus in (7, 17, 23, 5):
+        assert np.array_equal(_pbar_mod(modulus, 2000), _fresh(modulus, 2000))
+    assert [p.name for p in tmp_path.iterdir()] == [
+        cache_filename("overpartition", PRIMORIAL_23)]
+    with pytest.raises(ValueError, match="modulus"):
+        _pbar_mod(1, 10)
 
 
 def test_store_extends_the_held_prefix():
@@ -165,16 +178,23 @@ def _damage(raw: bytes, how: str) -> bytes:
         return raw[:len(raw) // 2]
     if how == "empty":
         return b""
-    # Byte 21 + 4*100 + 3 is the high byte of the residue of q^100.
+    if how == "format-v1":
+        # The version 1 layout: the same header and residues, no CRC trailer.
+        return raw[:4] + b"\x01" + raw[5:-4]
+    # Byte 21 + 4*100 is the low byte of the residue of q^100, byte
+    # 21 + 4*100 + 3 its high byte; the last four bytes are the CRC.
     flip = {"magic": 0, "version": 4, "modulus": 5, "trunc": 13,
-            "residue": 21 + 4 * 100 + 3}[how]
-    # The top bit of a residue, or any header bit, breaks a checked field.
+            "residue": 21 + 4 * 100 + 3, "residue-bit-0": 21 + 4 * 100,
+            "crc": len(raw) - 4}[how]
+    # The top bit of a residue breaks its range; bit 0 keeps the residue of
+    # q^100 below 11 (8 becomes 9), so only the CRC catches it.
     bit = 0x80 if how == "residue" else 0x01
     return raw[:flip] + bytes([raw[flip] ^ bit]) + raw[flip + 1:]
 
 
 @pytest.mark.parametrize("how", ["truncated", "empty", "magic", "version",
-                                 "modulus", "trunc", "residue", "other-modulus"])
+                                 "modulus", "trunc", "residue", "residue-bit-0",
+                                 "crc", "format-v1", "other-modulus"])
 def test_store_recomputes_a_damaged_cache_file(tmp_path, how):
     ring = ResidueRing(11)
     CoefficientStore(str(tmp_path)).coefficients(
@@ -211,6 +231,16 @@ def test_scan_mod7_with_compression():
         assert claim.status == "observed"
         status, _, counterexample = check_claim_direct(claim, 500)
         assert status == "verified" and counterexample is None
+
+
+def test_scan_rejects_a_multiplier_below_one():
+    with pytest.raises(ValueError, match="multipliers and steps"):
+        scan(5, [0], [8], 10, max_index=100)
+
+
+def test_scan_rejects_a_step_below_one():
+    with pytest.raises(ValueError, match="multipliers and steps"):
+        scan(5, [1], [0], 10, max_index=100)
 
 
 def test_scan_min_support_filters():
