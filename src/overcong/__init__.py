@@ -1,14 +1,14 @@
 """Truncated q-series arithmetic over Z/mZ and congruence pipelines for the
 overpartition function."""
 
-from .chars import DirichletChar, char_group, kronecker, orthogonality_sum
+from .chars import DirichletChar, kronecker
 from .halfint import (GAMMA0, GAMMA1, Decomposition, MonomialBasis, SpaceLabel,
-                      apply_twist, apply_U, apply_V, basis_monomials, decompose,
-                      expand_monomial, hecke_T, sieve_progression)
-from .modseries import (ResidueRing, TruncSeries, coefficient_at,
-                        extract_progression, load_series, ring_add, ring_div,
-                        ring_invert, ring_mul, ring_pow, ring_sub, save_series,
-                        scalar_mul, transform, zero_series, one_series)
+                      apply_U, basis_monomials, decompose, expand_monomial,
+                      hecke_T, sieve_progression)
+from .modseries import (ResidueRing, TruncSeries, extract_progression,
+                        load_series, ring_add, ring_div, ring_invert, ring_mul,
+                        ring_pow, save_series, scalar_mul, transform,
+                        zero_series, one_series)
 from .prover import (CongruenceClaim, ProofReport, ProofStep, check_claim_direct,
                      prove_theorem_mod11, prove_theorem_mod13, scan,
                      verify_identity, verify_lemma1)
@@ -21,14 +21,13 @@ __all__ = [
     "CongruenceClaim", "Decomposition", "DirichletChar", "EtaQuotient",
     "GAMMA0", "GAMMA1", "MonomialBasis", "ProofReport", "ProofStep",
     "QExpansion", "ResidueRing", "SpaceLabel", "SturmBudget", "TruncSeries",
-    "apply_U", "apply_V", "apply_twist", "basis_monomials", "char_group",
-    "check_claim_direct", "coefficient_at", "decompose", "eta_quotient",
-    "expand_monomial", "extract_progression", "hecke_T", "index_sl2",
-    "kronecker", "load_series", "one_series", "orthogonality_sum",
+    "apply_U", "basis_monomials", "check_claim_direct", "decompose",
+    "eta_quotient", "expand_monomial", "extract_progression", "hecke_T",
+    "index_sl2", "kronecker", "load_series", "one_series",
     "overpartition_series", "pochhammer", "progression_limit",
     "prove_theorem_mod11", "prove_theorem_mod13", "r_m_bruteforce",
     "r_m_exact", "r_m_series", "ring_add", "ring_div", "ring_invert",
-    "ring_mul", "ring_pow", "ring_sub", "save_series", "scalar_mul", "scan",
+    "ring_mul", "ring_pow", "save_series", "scalar_mul", "scan",
     "sieve_progression", "sturm_bound", "theta_phi", "transform",
     "verify_identity", "verify_lemma1", "weight2_form", "zero_series",
 ]

@@ -1,19 +1,11 @@
-"""Kronecker symbols and Dirichlet character groups for small moduli.
-
-Character values are roots of unity stored exactly as rational angles
-(value = exp(2*pi*i*angle)), never floats, so orthogonality sums can be
-evaluated exactly by reduction modulo a cyclotomic polynomial.  All the
-characters the congruence pipelines consume are real; the group
-construction itself is general.
+"""Kronecker symbols, primality and factorisation, and the real Dirichlet
+characters the Hecke operator takes, tabulated as integers in {-1, 0, +1}.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
-
-CHAR_GROUP_BUDGET = 10_000
+from dataclasses import dataclass
+from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -47,13 +39,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def kronecker(a: int, n: int) -> int:
@@ -92,249 +77,29 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+@dataclass(frozen=True)
 class DirichletChar:
-    """A Dirichlet character mod A, tabulated by exact root-of-unity angles.
+    """A real Dirichlet character mod `modulus`: values[n] is its value at n,
+    in {-1, 0, +1}, for n in [0, modulus)."""
 
-    angles[n] is the Fraction t with value(n) = exp(2*pi*i*t), or None where
-    the character vanishes (n not a unit).
-    """
-
-    __slots__ = ("modulus", "angles", "conductor")
-
-    def __init__(self, modulus: int, angles):
-        self.modulus = int(modulus)
-        norm = tuple(None if t is None else Fraction(t) % 1 for t in angles)
-        if len(norm) != self.modulus:
-            raise ValueError("angle table must have one entry per residue")
-        self.angles = norm
-        self.conductor = self._conductor()
+    modulus: int
+    values: tuple[int, ...]
 
     @classmethod
     def principal(cls, modulus: int) -> "DirichletChar":
-        angles = [Fraction(0) if gcd(n, modulus) == 1 else None for n in range(modulus)]
-        return cls(modulus, angles)
+        return cls(modulus, tuple(int(gcd(n, modulus) == 1) for n in range(modulus)))
 
     @classmethod
     def from_kronecker(cls, numer: int, modulus: int) -> "DirichletChar":
         """The real character n -> (numer/n) read mod `modulus`; the symbol must
         actually be periodic with that period."""
-        table = [kronecker(numer, n) for n in range(modulus)]
+        table = tuple(kronecker(numer, n) for n in range(modulus))
         for n in range(modulus):
             if (gcd(n, modulus) == 1) != (table[n] != 0):
                 raise ValueError(f"({numer}/.) is not a character mod {modulus}")
             if kronecker(numer, n + modulus) != table[n]:
                 raise ValueError(f"({numer}/.) is not periodic mod {modulus}")
-        angles = [None if v == 0 else Fraction(0) if v == 1 else Fraction(1, 2)
-                  for v in table]
-        return cls(modulus, angles)
-
-    def angle(self, n: int) -> Fraction | None:
-        return self.angles[n % self.modulus]
+        return cls(modulus, table)
 
     def value_int(self, n: int) -> int:
-        """Value as an integer in {-1, 0, +1}; only real characters have one."""
-        t = self.angle(n)
-        if t is None:
-            return 0
-        if t == 0:
-            return 1
-        if t == Fraction(1, 2):
-            return -1
-        raise ValueError(f"character value exp(2*pi*i*{t}) is not real")
-
-    @property
-    def is_real(self) -> bool:
-        return all(t is None or t in (0, Fraction(1, 2)) for t in self.angles)
-
-    @property
-    def is_principal(self) -> bool:
-        return all(t is None or t == 0 for t in self.angles)
-
-    @property
-    def order(self) -> int:
-        return lcm(*[t.denominator for t in self.angles if t is not None] or [1])
-
-    def conjugate(self) -> "DirichletChar":
-        return DirichletChar(self.modulus, [None if t is None else -t for t in self.angles])
-
-    def __mul__(self, other: "DirichletChar") -> "DirichletChar":
-        if not isinstance(other, DirichletChar):
-            return NotImplemented
-        if other.modulus != self.modulus:
-            raise ValueError("can only multiply characters of the same modulus")
-        angles = [None if (a is None or b is None) else a + b
-                  for a, b in zip(self.angles, other.angles)]
-        return DirichletChar(self.modulus, angles)
-
-    def _conductor(self) -> int:
-        # Smallest f | A with the character trivial on units congruent to 1 mod f.
-        a = self.modulus
-        for f in sorted(_divisors(a)):
-            if all(self.angles[x] == 0 for x in range(a)
-                   if gcd(x, a) == 1 and x % f == 1 % f):
-                return f
-        return a
-
-    def __eq__(self, other):
-        return (isinstance(other, DirichletChar)
-                and other.modulus == self.modulus and other.angles == self.angles)
-
-    def __hash__(self):
-        return hash((self.modulus, self.angles))
-
-    def __repr__(self):
-        kind = "real" if self.is_real else f"order {self.order}"
-        return f"DirichletChar(mod {self.modulus}, conductor {self.conductor}, {kind})"
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return divs
-
-
-def _primitive_root(p: int, e: int) -> int:
-    """A generator of the cyclic group (Z/p^e)^* for odd prime p."""
-    phi_p = p - 1
-    prime_parts = factorize(phi_p)
-    g = 2
-    while any(pow(g, phi_p // q, p) == 1 for q in prime_parts):
-        g += 1
-    if e > 1 and pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
-
-
-def _unit_group_generators(a: int) -> list[tuple[int, int]]:
-    """Generators of (Z/aZ)^* as (generator lifted mod a, order) pairs."""
-    gens: list[tuple[int, int]] = []
-    for p, e in factorize(a).items():
-        q = p ** e
-        rest = a // q
-        if p == 2:
-            if e == 1:
-                continue
-            locals_: list[tuple[int, int]] = [(q - 1, 2)]
-            if e >= 3:
-                locals_.append((5, 2 ** (e - 2)))
-            if e == 2:
-                locals_ = [(3, 2)]
-        else:
-            locals_ = [(_primitive_root(p, e), (p - 1) * p ** (e - 1))]
-        for g, order in locals_:
-            # CRT lift: g on the p-part, 1 on the rest.
-            if rest == 1:
-                lifted = g % a
-            else:
-                inv_q = pow(q, -1, rest)
-                inv_rest = pow(rest, -1, q)
-                lifted = (g * rest * inv_rest + 1 * q * inv_q) % a
-            gens.append((lifted, order))
-    return gens
-
-
-@lru_cache(maxsize=128)
-def char_group(a: int) -> tuple[DirichletChar, ...]:
-    """All phi(a) Dirichlet characters mod a, principal character first."""
-    a = int(a)
-    if a < 1:
-        raise ValueError("modulus must be >= 1")
-    if a > CHAR_GROUP_BUDGET:
-        raise ValueError(f"character group budget exceeded: {a} > {CHAR_GROUP_BUDGET}")
-    units = [n for n in range(a) if gcd(n, a) == 1]
-    gens = _unit_group_generators(a)
-    # Discrete logs of every unit with respect to the generator tuple.
-    dlog: dict[int, tuple[int, ...]] = {1 % a: (0,) * len(gens)}
-    for i, (g, order) in enumerate(gens):
-        known = list(dlog.items())
-        for x, exps in known:
-            y = x
-            for k in range(1, order):
-                y = y * g % a
-                exps_k = list(exps)
-                exps_k[i] = k
-                dlog[y] = tuple(exps_k)
-    if len(dlog) != len(units):
-        raise RuntimeError(f"unit group enumeration failed for modulus {a}")
-    chars = []
-    choices = [(0,) * len(gens)]
-    for i, (_, order) in enumerate(gens):
-        choices = [c[:i] + (k,) + c[i + 1:] for c in choices for k in range(order)]
-    choices.sort()
-    for choice in choices:
-        angles: list[Fraction | None] = [None] * a
-        for x in units:
-            exps = dlog[x]
-            t = sum((Fraction(e * k, order) for e, k, (_, order)
-                     in zip(choice, exps, gens)), Fraction(0))
-            angles[x] = t % 1
-        chars.append(DirichletChar(a, angles))
-    # Deterministic order: principal first, then by angle table.
-    chars.sort(key=lambda ch: (not ch.is_principal,
-                               tuple((-1, 1) if t is None else (t.numerator, t.denominator)
-                                     for t in ch.angles)))
-    return tuple(chars)
-
-
-def all_real_characters(a: int) -> bool:
-    return all(ch.is_real for ch in char_group(a))
-
-
-@lru_cache(maxsize=256)
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d == n:
-            continue
-        poly = _polydiv_exact(poly, list(_cyclotomic(d)))
-    return tuple(poly)
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, divisor monic.
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num[:len(den) - 1]):
-        raise ArithmeticError("polynomial division was not exact")
-    return out
-
-
-def orthogonality_sum(a: int, b: int, n: int) -> Fraction:
-    """(1/phi(a)) * sum over characters mod a of conjugate(psi)(b) * psi(n).
-
-    Evaluated exactly: the root-of-unity terms are collected by angle and the
-    resulting integer combination is reduced modulo the cyclotomic polynomial.
-    Equals 1 when n = b mod a and 0 otherwise.
-    """
-    a = int(a)
-    if gcd(b, a) != 1:
-        raise ValueError(f"{b} is not coprime to {a}")
-    chars = char_group(a)
-    order = lcm(*[ch.order for ch in chars])
-    counts = [0] * order
-    for ch in chars:
-        tn = ch.angle(n)
-        if tn is None:
-            continue
-        t = (tn - ch.angle(b)) % 1
-        counts[int(t * order)] += 1
-    # Reduce sum(counts[k] * zeta^k) modulo the minimal polynomial of zeta.
-    phi_poly = list(_cyclotomic(order))
-    deg = len(phi_poly) - 1
-    rem = list(counts)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            for j, pj in enumerate(phi_poly):
-                rem[i - deg + j] -= c * pj
-    if any(rem[1:deg]):
-        raise ArithmeticError("character sum is not rational")
-    return Fraction(rem[0], euler_phi(a))
+        return self.values[n % self.modulus]

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import prover, sturm
 from .halfint import GAMMA0, GAMMA1, SpaceLabel, decompose
@@ -30,18 +29,8 @@ from .qgen import overpartition_series  # noqa: F401
 CACHE_ENV = "OVERCONG_CACHE_DIR"
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    modulus: int | None = None
-    truncation: int | None = None
-    output: str = "text"
-    threads: int = 1
-    cache_dir: str | None = None
-
-
-def _emit(config: RunConfig, payload: dict, text: str) -> None:
-    if config.output == "json":
+def _emit(args, payload: dict, text: str) -> None:
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -80,9 +69,9 @@ def _generator_series(name: str, trunc: int, ring: ResidueRing) -> TruncSeries:
     return TruncSeries(ring, coeffs, trunc + shift)
 
 
-def _report_exit(config: RunConfig, report: prover.ProofReport) -> int:
+def _report_exit(args, report: prover.ProofReport) -> int:
     payload = report.to_dict()
-    if config.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"claim: {report.claim}")
@@ -94,17 +83,17 @@ def _report_exit(config: RunConfig, report: prover.ProofReport) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_expand(config: RunConfig, args) -> int:
+def _cmd_expand(args) -> int:
     ring = ResidueRing(args.mod)
     series = _generator_series(args.generator, args.trunc, ring)
     coeffs = [int(c) for c in series.coeffs]
-    _emit(config, {"generator": args.generator, "modulus": args.mod,
-                   "trunc": series.trunc, "coefficients": coeffs},
+    _emit(args, {"generator": args.generator, "modulus": args.mod,
+                 "trunc": series.trunc, "coefficients": coeffs},
           " ".join(str(c) for c in coeffs))
     return 0
 
 
-def _cmd_decompose(config: RunConfig, args) -> int:
+def _cmd_decompose(args) -> int:
     if args.input:
         with open(args.input) as fh:
             data = fh.read()
@@ -115,15 +104,15 @@ def _cmd_decompose(config: RunConfig, args) -> int:
     try:
         dec = decompose(series, args.k2)
     except ValueError as exc:
-        _emit(config, {"k2": args.k2, "pass": False, "witness": str(exc)},
+        _emit(args, {"k2": args.k2, "pass": False, "witness": str(exc)},
               f"FAIL: {exc}")
         return 1
-    _emit(config, {"k2": args.k2, "pass": True, "coefficients": list(dec.coeffs)},
+    _emit(args, {"k2": args.k2, "pass": True, "coefficients": list(dec.coeffs)},
           " ".join(str(c) for c in dec.coeffs))
     return 0
 
 
-def _cmd_bound(config: RunConfig, args) -> int:
+def _cmd_bound(args) -> int:
     group = GAMMA0 if args.group == "g0" else GAMMA1
     label = SpaceLabel(args.weight2, args.level, group)
     budget = sturm.sturm_bound(label)
@@ -140,42 +129,42 @@ def _cmd_bound(config: RunConfig, args) -> int:
         limit = sturm.progression_limit(budget, a, b if group == GAMMA0 else None)
         payload["progression"] = {"A": a, "B": b, "max_n": limit}
         text += f", progression {a}n+{b}: n <= {limit}"
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return 0
 
 
-def _cmd_prove(config: RunConfig, args) -> int:
+def _cmd_prove(args) -> int:
     if args.theorem == "thm11":
         report = prover.prove_theorem_mod11()
     else:
         report = prover.prove_theorem_mod13()
-    return _report_exit(config, report)
+    return _report_exit(args, report)
 
 
-def _cmd_verify_identity(config: RunConfig, args) -> int:
+def _cmd_verify_identity(args) -> int:
     report = prover.verify_identity(args.modulus, args.trunc)
-    return _report_exit(config, report)
+    return _report_exit(args, report)
 
 
-def _cmd_lemma1(config: RunConfig, args) -> int:
+def _cmd_lemma1(args) -> int:
     ok = prover.verify_lemma1(args.p, args.alpha, args.trunc)
-    _emit(config, {"p": args.p, "alpha": args.alpha, "trunc": args.trunc, "pass": ok},
+    _emit(args, {"p": args.p, "alpha": args.alpha, "trunc": args.trunc, "pass": ok},
           f"lemma1 p={args.p} alpha={args.alpha} trunc={args.trunc}: "
           f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def _cmd_scan(config: RunConfig, args) -> int:
+def _cmd_scan(args) -> int:
     claims = prover.scan(args.mod, args.d, args.A, args.nmax,
                          min_support=args.min_support, max_index=args.max_index,
-                         threads=config.threads)
+                         threads=args.threads)
     payload = {"modulus": args.mod, "claims": [c.to_dict() for c in claims]}
     lines = [c.describe() + f"  [support {c.support}]" for c in claims]
-    _emit(config, payload, "\n".join(lines) if lines else "no congruences found")
+    _emit(args, payload, "\n".join(lines) if lines else "no congruences found")
     return 0
 
 
-def _cmd_check(config: RunConfig, args) -> int:
+def _cmd_check(args) -> int:
     claim = prover.CongruenceClaim.from_dict(json.loads(args.claim))
     status, support, counterexample = prover.check_claim_direct(claim, args.nmax)
     payload = {"claim": claim.to_dict(), "status": status, "support": support,
@@ -183,7 +172,7 @@ def _cmd_check(config: RunConfig, args) -> int:
     text = f"{claim.describe()}: {status} (support {support})"
     if counterexample is not None:
         text += f", counterexample at index {counterexample}"
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return 0 if status == "verified" else 1
 
 
@@ -265,7 +254,10 @@ _nonnegative = _int_at_least(0)
 
 def _parse_progression(text: str) -> tuple[int, int]:
     a, _, b = text.partition(",")
-    return _positive(a), _nonnegative(b)
+    a, b = _positive(a), _nonnegative(b)
+    if b >= a:
+        raise argparse.ArgumentTypeError(f"offset must satisfy 0 <= B < A, got {a},{b}")
+    return a, b
 
 
 def _positive_list(text: str) -> list[int]:
@@ -275,14 +267,9 @@ def _positive_list(text: str) -> list[int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(subcommand=args.subcommand,
-                       modulus=getattr(args, "mod", None),
-                       truncation=getattr(args, "trunc", None),
-                       output=args.output, threads=args.threads,
-                       cache_dir=args.cache_dir)
-    prover.STORE.reset(config.cache_dir)
+    prover.STORE.reset(args.cache_dir)
     try:
-        return args.func(config, args)
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,8 @@
 
 Monomial bases F^b * phi^a of the graded ring generated by the theta series
 phi and the weight-2 block F, triangular decomposition of q-expansions in
-those bases, and the coefficient operators (Hecke, U, V, twist, progression
-sieve) with their level/character bookkeeping.
+those bases, and the coefficient operators (Hecke, U, progression sieve)
+with their level/character bookkeeping.
 
 The space labels are metadata carried alongside the q-expansions: the code
 tracks how weight, level, group and character transform under each operator,
@@ -22,8 +22,7 @@ import numpy as np
 
 from . import chars
 from .modseries import (ResidueRing, TruncSeries, extract_progression,
-                        ring_add, ring_mul, scalar_mul, transform,
-                        zero_series)
+                        ring_add, ring_mul, scalar_mul, zero_series)
 from .qgen import theta_phi, weight2_form
 
 GAMMA0 = "Gamma0"
@@ -52,9 +51,6 @@ class SpaceLabel:
     def weight_str(self) -> str:
         k2 = self.twice_weight
         return f"{k2 // 2}" if k2 % 2 == 0 else f"{k2}/2"
-
-    def character_value(self, n: int) -> int:
-        return chars.kronecker(self.char_numer, n)
 
     def describe(self) -> str:
         g = "Gamma0" if self.group == GAMMA0 else "Gamma1"
@@ -212,33 +208,6 @@ def apply_U(f: TruncSeries, label: SpaceLabel, d: int) -> tuple[TruncSeries, Spa
     return series, new
 
 
-def apply_V(f: TruncSeries, label: SpaceLabel, d: int) -> tuple[TruncSeries, SpaceLabel]:
-    """Exponent dilation (f|V(d))[d*n] = f[n]; level and character pick up d."""
-    d = int(d)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d == 1:
-        return f, label
-    series = transform(f, d, 1)
-    new = replace(label, level=label.level * d,
-                  char_numer=label.char_numer * 4 * d)
-    return series, new
-
-
-def apply_twist(f: TruncSeries, label: SpaceLabel,
-                psi: chars.DirichletChar) -> tuple[TruncSeries, SpaceLabel]:
-    """Coefficientwise twist (f x psi)[n] = psi(n) * f[n] for a real character
-    psi; the level is multiplied by the square of psi's conductor."""
-    m = f.ring.modulus
-    values = np.array([psi.value_int(n) for n in range(psi.modulus)], np.int64)
-    table = values[np.arange(f.trunc + 1) % psi.modulus]
-    series = TruncSeries(f.ring, (f.coeffs * table) % m, f.trunc)
-    cond = psi.conductor
-    new = replace(label, level=label.level * cond * cond,
-                  char_numer=label.char_numer * cond * cond)
-    return series, new
-
-
 def sieve_progression(f: TruncSeries, label: SpaceLabel, d: int, a: int,
                       b: int) -> tuple[TruncSeries, SpaceLabel]:
     """Keep the coefficients f[d*(a*n+b)] at exponents a*n+b.
@@ -246,7 +215,8 @@ def sieve_progression(f: TruncSeries, label: SpaceLabel, d: int, a: int,
     Computed as U(d) followed by progression extraction; the label follows
     the character-averaging construction, landing on Gamma1(level*d*a^2),
     downgraded to Gamma0 with character (4d/.)*chi when every character
-    mod a is real.
+    mod a is real, which is exactly when a divides 24 (every unit mod a
+    squares to 1).
     """
     a = int(a)
     b = int(b)
@@ -257,7 +227,7 @@ def sieve_progression(f: TruncSeries, label: SpaceLabel, d: int, a: int,
     series = extract_progression(u, a, b)
     new_level = label.level * d * a * a
     new_numer = label.char_numer * 4 * d if d > 1 else label.char_numer
-    if chars.all_real_characters(a):
+    if 24 % a == 0:
         new = SpaceLabel(label.twice_weight, new_level, GAMMA0, new_numer)
     else:
         new = SpaceLabel(label.twice_weight, new_level, GAMMA1)

@@ -137,10 +137,6 @@ def one_series(ring: ResidueRing, trunc: int) -> TruncSeries:
     return TruncSeries(ring, c, trunc)
 
 
-def coefficient_at(f: TruncSeries, n: int) -> int:
-    return f.coefficient_at(n)
-
-
 def _check_rings(f: TruncSeries, g: TruncSeries):
     if f.ring != g.ring:
         raise ValueError(f"mismatched rings: mod {f.ring.modulus} vs mod {g.ring.modulus}")
@@ -150,12 +146,6 @@ def ring_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     _check_rings(f, g)
     t = min(f.trunc, g.trunc)
     return TruncSeries(f.ring, (f.coeffs[:t + 1] + g.coeffs[:t + 1]) % f.ring.modulus, t)
-
-
-def ring_sub(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    _check_rings(f, g)
-    t = min(f.trunc, g.trunc)
-    return TruncSeries(f.ring, (f.coeffs[:t + 1] - g.coeffs[:t + 1]) % f.ring.modulus, t)
 
 
 def scalar_mul(c: int, f: TruncSeries) -> TruncSeries:

@@ -25,8 +25,11 @@ from . import chars
 from .halfint import (GAMMA0, Decomposition, SpaceLabel, apply_U,
                       basis_monomials, decompose, hecke_T, sieve_progression)
 from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, cache_filename,
-                        extract_progression, load_series, ring_invert,
-                        ring_mul, ring_pow, save_series, transform)
+                        extract_progression, load_series, ring_div, ring_pow,
+                        save_series, transform)
+# Bound here although prover does not call it: perfbench's tracer self-test
+# checks that the tracer rebinds it at every import site, this one included.
+from .modseries import ring_mul  # noqa: F401
 from .qgen import overpartition_series, pochhammer, r_m_series, theta_phi
 from .sturm import progression_limit, sturm_bound
 
@@ -69,8 +72,12 @@ class CongruenceClaim:
         for cond in self.conditions:
             if cond[0] not in ("residue", "kronecker"):
                 raise ValueError(f"unknown condition {cond!r}")
-            if cond[0] == "residue" and cond[1] < 1:
-                raise ValueError(f"residue condition modulus must be >= 1, got {cond[1]}")
+            if cond[0] == "residue" and (cond[1] < 1 or any(
+                    not 0 <= r < cond[1] for r in cond[2])):
+                raise ValueError(f"residue condition needs modulus s >= 1 and "
+                                 f"residues in [0, s), got {cond[1:]}")
+            if cond[0] == "kronecker" and cond[2] not in (-1, 1):
+                raise ValueError(f"Kronecker sign must be -1 or +1, got {cond[2]}")
 
     def condition_holds(self, n: int) -> bool:
         for cond in self.conditions:
@@ -181,13 +188,6 @@ class ProofReport:
                           for s in self.steps],
                 "pass": self.passed,
                 "limits": self.limits}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProofReport":
-        report = cls(data["claim"], limits=dict(data["limits"]))
-        for s in data["steps"]:
-            report.steps.append(ProofStep(s["name"], s["anchor"], s["witness"], s["pass"]))
-        return report
 
     def timing_summary(self) -> str:
         total = sum(s.seconds for s in self.steps)
@@ -346,12 +346,11 @@ def _prove_theorem(modulus: int, u_chain: int, progression_b: int,
     timer.add("decompose", f"mod{modulus}.basis-coordinates",
               list(dec.coeffs), dec.coeffs == expected)
 
-    # Cancel phi: multiply by its inverse (phi has unit constant term and the
+    # Cancel phi: divide by it (phi has unit constant term and the
     # coefficient-stream ring has no zero divisors), then confirm the result
     # recombines from the lowered monomial coordinates.
     dec_low = dec.cancel_phi()
-    phi = theta_phi(t_work, ring)
-    comb = ring_mul(u_image, ring_invert(phi))
+    comb = ring_div(u_image, theta_phi(t_work, ring))
     recombines = comb == dec_low.recombine(t_work)
     timer.add("cancel-phi", f"mod{modulus}.weight-drop",
               {"coefficients": list(dec_low.coeffs), "recombines": recombines},

@@ -3,8 +3,8 @@
 Everything here produces a TruncSeries in a caller-supplied residue ring:
 Euler products (q^d; q^d)_inf, eta quotients with their q-power prefactor,
 the theta series phi(q) = sum q^(n^2), its powers, the weight-2 block
-F = eta(4z)^8/eta(2z)^4, and the overpartition generating function
-1/phi(-q).
+F = eta(4z)^8/eta(2z)^4 (built from its divisor-sum closed form), and the
+overpartition generating function 1/phi(-q).
 
 The Euler products are generated straight from their pentagonal-number
 support rather than by multiplying out the product, which keeps every
@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modseries import (ResidueRing, TruncSeries, ring_div, ring_invert,
-                        ring_mul, ring_pow, transform)
+from .modseries import (ResidueRing, TruncSeries, ring_invert, ring_mul,
+                        ring_pow, transform)
 
 R_M_BRUTE_MAX_N = 50
 R_M_BRUTE_MAX_M = 12
@@ -181,24 +181,15 @@ def overpartition_series(trunc: int, ring: ResidueRing,
 
 @lru_cache(maxsize=16)
 def _weight2_cached(trunc: int, modulus: int) -> TruncSeries:
-    ring = ResidueRing(modulus)
-    # q * (q^4;q^4)^8 / (q^2;q^2)^4: build the numerator by repeated
-    # sparse-side multiplication, then divide out (q^2;q^2) four times so the
-    # solver works against the sparse Euler product each time.
-    if trunc == 0:
-        return TruncSeries(ring, [0], 0)
-    poch4 = pochhammer(4, trunc - 1, ring)
-    acc = poch4
-    for _ in range(7):
-        acc = ring_mul(acc, poch4)
-    poch2 = pochhammer(2, trunc - 1, ring)
-    for _ in range(4):
-        acc = ring_div(acc, poch2)
+    # F = sum over odd n of sigma(n) q^n: each odd d adds d at its odd
+    # multiples.  sigma(n) <= n*(1 + ln n) stays far inside int64.
     out = np.zeros(trunc + 1, np.int64)
-    out[1:] = acc.coeffs
-    return TruncSeries(ring, out, trunc)
+    for d in range(1, trunc + 1, 2):
+        out[d::2 * d] += d
+    return TruncSeries(ResidueRing(modulus), out, trunc)
 
 
 def weight2_form(trunc: int, ring: ResidueRing) -> TruncSeries:
-    """The weight-2 block F = eta(4z)^8/eta(2z)^4 = q + ... through q^trunc."""
+    """The weight-2 block F = eta(4z)^8/eta(2z)^4 = q + ... through q^trunc,
+    from its closed form: the sum over odd n of sigma(n) q^n."""
     return _weight2_cached(int(trunc), ring.modulus)

@@ -50,7 +50,6 @@ class SturmBudget:
     effective_weight: int
     index: int
     bound: int
-    per_progression: tuple[int, int, int] | None = None  # (A, B, max_n)
 
 
 def sturm_bound(label: SpaceLabel) -> SturmBudget:
@@ -81,9 +80,3 @@ def progression_limit(budget: SturmBudget, a: int, b: int | None = None) -> int:
     if not 0 <= b < a:
         raise ValueError(f"offset must satisfy 0 <= b < a, got {b}")
     return (budget.bound - b) // a
-
-
-def with_progression(budget: SturmBudget, a: int, b: int | None) -> SturmBudget:
-    limit = progression_limit(budget, a, b)
-    return SturmBudget(budget.label, budget.effective_weight, budget.index,
-                       budget.bound, (a, -1 if b is None else b, limit))

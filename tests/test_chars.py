@@ -1,12 +1,21 @@
-"""Kronecker symbol and character-group behaviour, checked against brute force."""
+"""Kronecker symbols and real characters, checked against brute force."""
 
-from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
-from overcong import DirichletChar, char_group, kronecker, orthogonality_sum
-from overcong.chars import all_real_characters, euler_phi, factorize, is_prime
+from overcong import (GAMMA0, DirichletChar, ResidueRing, SpaceLabel,
+                      TruncSeries, kronecker, sieve_progression)
+from overcong.chars import factorize, is_prime
+
+
+def real_chars():
+    # The characters the Hecke operator takes: principal ones and real
+    # Kronecker characters (c/.) with their period.
+    return ([DirichletChar.principal(a) for a in (1, 4, 8, 11, 12, 24)]
+            + [DirichletChar.from_kronecker(c, a) for c, a in
+               ((-4, 4), (2, 8), (-2, 8), (12, 12), (-3, 3), (5, 5))])
 
 
 def legendre_bruteforce(a, p):
@@ -63,82 +72,34 @@ def test_kronecker_periodicity():
             assert kronecker(a, n) == kronecker(a, n + period)
 
 
-def test_char_group_sizes_and_principal_first():
-    for a in range(1, 25):
-        group = char_group(a)
-        assert len(group) == euler_phi(a)
-        assert group[0].is_principal
-
-
-def test_char_group_mod4():
-    group = char_group(4)
-    assert len(group) == 2
-    nontrivial = group[1]
-    for n in range(8):
-        assert nontrivial.value_int(n) == kronecker(-4, n)
-    assert nontrivial.conductor == 4
-
-
-def test_char_group_mod8_all_real():
-    group = char_group(8)
-    assert len(group) == 4
-    assert all(ch.is_real for ch in group)
-    assert sorted(ch.conductor for ch in group) == [1, 4, 8, 8]
-    tables = {tuple(ch.value_int(n) for n in range(8)) for ch in group}
-    assert tuple(kronecker(2, n) for n in range(8)) in tables
-    assert tuple(kronecker(-2, n) for n in range(8)) in tables
-
-
-def test_char_group_mod5_has_complex_characters():
-    group = char_group(5)
-    assert len(group) == 4
-    assert not all_real_characters(5)
-    orders = sorted(ch.order for ch in group)
-    assert orders == [1, 2, 4, 4]
-    complex_char = next(ch for ch in group if ch.order == 4)
-    with pytest.raises(ValueError, match="not real"):
-        complex_char.value_int(2)
-
-
 def test_all_real_characters_exactly_for_divisors_of_24():
-    for a in range(1, 30):
-        assert all_real_characters(a) == (24 % a == 0)
+    # Every character mod a is real exactly when every unit mod a squares
+    # to 1; the sieve keeps a Gamma0 label exactly then.
+    f = TruncSeries(ResidueRing(11), np.arange(401) % 11, 400)
+    for a in range(1, 200):
+        real = all(x * x % a == 1 % a for x in range(a) if gcd(x, a) == 1)
+        assert real == (24 % a == 0)
+        _, label = sieve_progression(f, SpaceLabel(9, 4), 1, a, 1 % a)
+        assert (label.group == GAMMA0) == real
 
 
 def test_characters_are_completely_multiplicative():
-    for a in range(1, 25):
-        for ch in char_group(a):
-            for x in range(a):
-                for y in range(a):
-                    tx, ty, txy = ch.angle(x), ch.angle(y), ch.angle(x * y)
-                    if tx is None or ty is None:
-                        assert txy is None
-                    else:
-                        assert txy == (tx + ty) % 1
+    for ch in real_chars():
+        a = ch.modulus
+        for x in range(a):
+            for y in range(a):
+                assert ch.value_int(x * y) == ch.value_int(x) * ch.value_int(y)
 
 
 def test_character_zero_exactly_off_units():
-    for a in (4, 8, 12, 11):
-        for ch in char_group(a):
-            for n in range(a):
-                assert (ch.angle(n) is None) == (gcd(n, a) != 1)
-
-
-def test_conductor_induction_property():
-    # Values factor through residues mod the conductor; no smaller divisor works.
-    for a in (8, 9, 12, 15, 16, 24):
-        for ch in char_group(a):
-            f = ch.conductor
-            assert a % f == 0
-            units = [x for x in range(a) if gcd(x, a) == 1]
-            for x in units:
-                for y in units:
-                    if x % f == y % f:
-                        assert ch.angle(x) == ch.angle(y)
-            smaller = [d for d in range(1, f) if f % d == 0 and a % d == 0]
-            for d in smaller:
-                assert any(ch.angle(x) != ch.angle(y)
-                           for x in units for y in units if x % d == y % d)
+    for ch in real_chars():
+        a = ch.modulus
+        for n in range(3 * a):
+            assert (ch.value_int(n) == 0) == (gcd(n, a) != 1)
+            assert ch.value_int(n) in (-1, 0, 1)
+    for c, a in ((-4, 4), (2, 8), (12, 12)):
+        ch = DirichletChar.from_kronecker(c, a)
+        assert all(ch.value_int(n) == kronecker(c, n) for n in range(1, 5 * a))
 
 
 def test_from_kronecker_rejects_wrong_period():
@@ -146,29 +107,6 @@ def test_from_kronecker_rejects_wrong_period():
         DirichletChar.from_kronecker(2, 4)  # (2/.) needs period 8
 
 
-def test_orthogonality_literals():
-    assert orthogonality_sum(8, 5, 13) == 1
-    assert orthogonality_sum(8, 5, 7) == 0
-    assert orthogonality_sum(11, 3, 25) == 1
-
-
-def test_orthogonality_indicator_contract():
-    for a in range(1, 25):
-        for b in range(a):
-            if gcd(b, a) != 1:
-                continue
-            for n in range(201):
-                expected = 1 if (n - b) % a == 0 else 0
-                got = orthogonality_sum(a, b, n)
-                assert got == Fraction(expected)
-
-
-def test_orthogonality_requires_coprime_offset():
-    with pytest.raises(ValueError):
-        orthogonality_sum(8, 6, 3)
-
-
 def test_factorize_and_phi():
     assert factorize(340736) == {2: 8, 11: 3}
     assert factorize(562432) == {2: 8, 13: 3}
-    assert euler_phi(88) == 40

@@ -216,8 +216,10 @@ def test_cache_file_serves_shorter_truncations_and_grows(capsys, tmp_path):
     ("check", "--claim", "{}", "--nmax", "10"),
     ("check", "--claim", "[1]", "--nmax", "10"),
     ("lemma1", "--p", "3", "--trunc", "-2"),
+    ("bound", "--weight2", "15", "--level", "30976", "--group", "g1",
+     "--progression", "88,200"),
 ], ids=["expand-negative-trunc", "scan-d-zero", "scan-A-zero", "check-empty-claim",
-        "check-list-claim", "lemma1-negative-trunc"])
+        "check-list-claim", "lemma1-negative-trunc", "bound-g1-offset-past-step"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     try:
         code = main(list(argv))

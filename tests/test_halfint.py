@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from overcong import (GAMMA0, GAMMA1, Decomposition, DirichletChar,
-                      ResidueRing, SpaceLabel, TruncSeries, apply_twist,
-                      apply_U, apply_V, basis_monomials, decompose,
-                      expand_monomial, extract_progression, hecke_T, kronecker,
-                      r_m_series, ring_mul, sieve_progression, theta_phi,
-                      zero_series)
+                      ResidueRing, SpaceLabel, TruncSeries, apply_U,
+                      basis_monomials, decompose, expand_monomial,
+                      extract_progression, hecke_T, r_m_series, ring_mul,
+                      sieve_progression, theta_phi, transform, zero_series)
 
 BIG = ResidueRing(1_000_003)
 
@@ -118,11 +117,10 @@ def test_u_after_v_is_identity():
     rng = np.random.default_rng(7)
     ring = ResidueRing(13)
     f = TruncSeries(ring, rng.integers(0, 13, 201), 200)
-    label = SpaceLabel(9, 4)
-    dilated, label_v = apply_V(f, label, 7)
-    assert label_v.level == 28
-    restored, _ = apply_U(dilated, label_v, 7)
+    dilated = transform(f, 7, 1)
+    restored, label = apply_U(dilated, SpaceLabel(9, 28), 7)
     assert restored == f
+    assert label.level == 28
 
 
 def test_u_v_identity_cases():
@@ -130,7 +128,6 @@ def test_u_v_identity_cases():
     f = theta_phi(50, ring)
     label = SpaceLabel(1, 4)
     assert apply_U(f, label, 1) == (f, label)
-    assert apply_V(f, label, 1) == (f, label)
 
 
 def test_u_matches_compacted_extraction():
@@ -149,14 +146,6 @@ def test_u_inflates_level_when_needed():
     assert again.level == 44  # no further inflation once 11 | N
 
 
-def test_v_on_theta_series():
-    ring = ResidueRing(11)
-    series, label = apply_V(theta_phi(10, ring), SpaceLabel(1, 4), 11)
-    assert set(series.support.tolist()) == {0, 11, 44, 99}
-    assert label.level == 44
-    assert label.char_numer == 44
-
-
 def test_six_u2_steps_track_level_and_character():
     ring = ResidueRing(13)
     f = TruncSeries(ring, np.arange(641) % 13, 640)
@@ -170,44 +159,6 @@ def test_six_u2_steps_track_level_and_character():
     assert label.char_numer == 8 ** 6
     assert series.trunc == 10
     assert series[1] == f[64]
-
-
-def test_twist_by_principal_is_identity():
-    ring = ResidueRing(13)
-    f = theta_phi(100, ring)
-    label = SpaceLabel(1, 4)
-    out, out_label = apply_twist(f, label, DirichletChar.principal(1))
-    assert out == f and out_label == label
-
-
-def test_twist_by_real_character_mod8():
-    ring = ResidueRing(13)
-    f = theta_phi(100, ring)
-    psi = DirichletChar.from_kronecker(2, 8)
-    out, label = apply_twist(f, SpaceLabel(1, 4), psi)
-    for n in range(101):
-        assert out[n] == f[n] * kronecker(2, n) % 13
-    assert label.level == 4 * 64
-    assert label.char_numer == 64
-
-
-def test_double_twist_restores_units():
-    ring = ResidueRing(13)
-    rng = np.random.default_rng(9)
-    f = TruncSeries(ring, rng.integers(0, 13, 101), 100)
-    psi = DirichletChar.from_kronecker(-4, 4)
-    once, label = apply_twist(f, SpaceLabel(2, 4), psi)
-    twice, _ = apply_twist(once, label, psi)
-    for n in range(101):
-        if n % 2 == 1:
-            assert twice[n] == f[n]
-
-
-def test_twist_rejects_complex_characters():
-    from overcong import char_group
-    psi = next(ch for ch in char_group(5) if ch.order == 4)
-    with pytest.raises(ValueError, match="not real"):
-        apply_twist(theta_phi(10, ResidueRing(13)), SpaceLabel(1, 4), psi)
 
 
 def test_sieve_keeps_progression_coefficients():

@@ -81,14 +81,19 @@ def test_eta_quotient_alternating_theta_identity():
 
 
 def test_eta_quotient_weight2_block():
-    # eta(4z)^8/eta(2z)^4 carries prefactor q^1 and matches the fast route.
-    ring = ResidueRing(13)
-    expansion = eta_quotient(EtaQuotient(((2, -4), (4, 8))), 2000, ring)
-    assert expansion.prefactor24 == 24
-    shifted = expansion.to_series()
-    fast = weight2_form(2000, ring)
-    assert list(shifted.coeffs[:2001]) == list(fast.coeffs)
-    assert fast[1] == 1 and fast[2] == 0
+    # eta(4z)^8/eta(2z)^4 carries prefactor q^1 and is the oracle for the
+    # divisor-sum closed form weight2_form computes.
+    quotient = EtaQuotient(((2, -4), (4, 8)))
+    for m in (2, 13, 223092870, 2**31 - 1):
+        ring = ResidueRing(m)
+        for trunc in (0, 1, 2000):
+            expansion = eta_quotient(quotient, trunc, ring)
+            assert expansion.prefactor24 == 24
+            shifted = expansion.to_series()
+            fast = weight2_form(trunc, ring)
+            assert fast.trunc == trunc
+            assert list(shifted.coeffs[:trunc + 1]) == list(fast.coeffs), (m, trunc)
+        assert fast[1] == 1 and fast[2] == 0
 
 
 def test_eta_quotient_fractional_prefactor_is_error():

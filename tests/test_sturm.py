@@ -6,7 +6,6 @@ import pytest
 
 from overcong import (GAMMA0, GAMMA1, SpaceLabel, index_sl2, progression_limit,
                       sturm_bound)
-from overcong.sturm import with_progression
 
 
 def sl2_order_bruteforce(n):
@@ -81,11 +80,6 @@ def test_progression_checked_counts():
     assert progression_limit(b9, 8, 5) + 1 == 36
     b11 = sturm_bound(SpaceLabel(11, 512, GAMMA0))
     assert progression_limit(b11, 8, 7) + 1 == 88
-
-
-def test_with_progression_attaches_limit():
-    budget = with_progression(sturm_bound(SpaceLabel(9, 256, GAMMA0)), 8, 5)
-    assert budget.per_progression == (8, 5, 35)
 
 
 def test_progression_limit_validation():
