@@ -5,7 +5,8 @@ ring and an optional support list (the sorted nonzero exponents), recorded
 whenever the density drops to 1/8 or below.  The sparse support drives
 subquadratic convolution and inversion: the generating series used here
 (theta series, Euler products) have O(sqrt(T)) nonzero terms, so division
-by them costs O(T^1.5) instead of O(T^2).
+by them costs O(T^1.5) instead of O(T^2).  A product of two dense series
+is an exact float FFT product in O(T log T), checked for rounding error.
 
 Values are immutable after construction and safe to share across threads.
 Reading a coefficient past the truncation is an error, never a zero.
@@ -29,6 +30,14 @@ TRUNC_CAP = 1 << 27
 
 # Block size below which the linear-recurrence solver runs scalar code.
 _SOLVE_BASE = 192
+
+# Every exact output of one float product in a dense ring_mul is planned to
+# stay below this in magnitude, so float64 FFT error stays well under 0.25.
+_FFT_BOUND = 1 << 50
+# Below 2^50 a float64 resolves eighths, so an error of 0.25 or more shows
+# as a fractional part; from 2^52 on every float is an integer and the
+# rounding check could see nothing.
+_FRACTION_VISIBLE = float(1 << 50)
 
 _MAGIC = b"QSER"
 _FORMAT_VERSION = 2
@@ -94,8 +103,9 @@ class TruncSeries:
         self.ring = ring
         self.trunc = trunc
         self.coeffs = arr
-        nz = np.flatnonzero(arr)
-        if len(nz) <= (trunc + 1) * SPARSE_DENSITY:
+        # Counting first spares a dense array its index list.
+        if np.count_nonzero(arr) <= (trunc + 1) * SPARSE_DENSITY:
+            nz = np.flatnonzero(arr)
             nz.setflags(write=False)
             self.support = nz
         else:
@@ -171,9 +181,100 @@ def _sparse_side_mul(dense: np.ndarray, sup: np.ndarray, vals: np.ndarray,
     return out % m
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 2^a * 3^b >= n."""
+    best = 1 << (n - 1).bit_length()
+    p3 = 3
+    while p3 < best:
+        p = p3
+        while p < n:
+            p <<= 1
+        best = min(best, p)
+        p3 *= 3
+    return best
+
+
+def _limb_pass(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,
+               w: int) -> np.ndarray | None:
+    """(a*b)[:n] mod m for residue vectors a, b, taking their balanced
+    residues in k signed w-bit limbs (digits in [-2^(w-1), 2^(w-1))), one
+    float product per limb pair; None if any product fails its check.
+
+    Digit i of x is bits [w*i, w*(i+1)) of x + offset, less 2^(w-1), where
+    offset puts 2^(w-1) in every digit, so each limb is built on its own.
+    A limb product is accepted only if every irfft output lies within 0.25
+    of an integer and that integer lies below _FRACTION_VISIBLE.
+    """
+    half = 1 << (w - 1)
+    k, rep = 1, 1
+    while (half - 1) * rep < m // 2:
+        k, rep = k + 1, (rep << w) | 1
+
+    def limb_spectrum(x, i):
+        y = x + half * rep
+        np.subtract(y, m, out=y, where=x > m // 2)
+        y >>= w * i
+        y &= (1 << w) - 1
+        y -= half
+        y = y.astype(np.float64)
+        return np.fft.rfft(y, size)
+
+    # Each buffer is dropped once spent, so at most one spectrum pair and
+    # one irfft output are alive at a time.
+    out = None
+    for i in range(k):
+        fa = limb_spectrum(a, i)
+        for j in range(k):
+            spec = limb_spectrum(b, j)
+            spec *= fa
+            if k == 1:
+                del fa
+            r = np.fft.irfft(spec, size)[:n]
+            del spec
+            q = np.rint(r)
+            r -= q
+            if max(r.max(), -r.min()) >= 0.25 or np.abs(q).max() >= _FRACTION_VISIBLE:
+                return None
+            del r
+            np.fmod(q, m, out=q)
+            part = q.astype(np.int64)
+            del q
+            part *= pow(2, w * (i + j), m)
+            if out is None:
+                out = part
+            else:
+                out += part
+            out %= m
+    return out
+
+
+def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(a*b)[:n] mod m for residue vectors a, b, exactly, by float FFTs.
+
+    Residues are taken in balanced form (-m/2, m/2].  One float product
+    suffices when min(len a, len b) * (m//2)^2 < _FFT_BOUND; otherwise both
+    sides are split into signed limbs of w bits, w the widest with
+    min(len a, len b) * 4^(w-1) < _FFT_BOUND.  A product that fails its
+    rounding check is redone with limbs one bit narrower; a value that
+    failed the check is never returned.
+    """
+    h = m // 2
+    terms = min(len(a), len(b))
+    size = _fft_size(len(a) + len(b) - 1)
+    w = h.bit_length() + 1  # one limb: the balanced residues themselves
+    if terms * h * h >= _FFT_BOUND:
+        while w > 2 and terms << (2 * w - 2) >= _FFT_BOUND:
+            w -= 1
+    for width in range(w, 1, -1):
+        out = _limb_pass(a, b, n, m, size, width)
+        if out is not None:
+            return out
+    raise ArithmeticError(f"FFT product mod {m} failed its rounding check at every limb width")
+
+
 def ring_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """Product through min(f.trunc, g.trunc); iterates the sparser side when
-    a support list is available, otherwise falls back to dense convolution."""
+    a support list is available, otherwise takes the exact FFT product."""
     _check_rings(f, g)
     ring = f.ring
     m = ring.modulus
@@ -189,14 +290,7 @@ def ring_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
         s, d = sparse
         out = _sparse_side_mul(d.coeffs, s.support, s.coeffs[s.support], t, m)
         return TruncSeries(ring, out, t)
-    if (t + 1) * (m - 1) * (m - 1) < 1 << 62:
-        out = np.convolve(f.coeffs[:t + 1], g.coeffs[:t + 1])[:t + 1] % m
-    else:
-        # Exact big-integer convolution; only reachable for very large moduli.
-        out = np.convolve(f.coeffs[:t + 1].astype(object),
-                          g.coeffs[:t + 1].astype(object))[:t + 1] % m
-        out = out.astype(np.int64)
-    return TruncSeries(ring, out, t)
+    return TruncSeries(ring, _fft_mul(f.coeffs[:t + 1], g.coeffs[:t + 1], t + 1, m), t)
 
 
 def ring_pow(f: TruncSeries, e: int) -> TruncSeries:

@@ -279,15 +279,23 @@ STORE = CoefficientStore()
 PRIMORIAL_23 = 223_092_870
 
 
-def _pbar_mod(modulus: int, trunc: int) -> np.ndarray:
-    """Overpartition counts mod `modulus` through index `trunc` (int32,
-    read-only), served from the coefficient store.  The one place that
-    picks the stream modulus: every modulus dividing 23# reads the shared
-    stream mod 23#, reduced here; any other modulus keeps its own stream."""
+def _pbar_stream(modulus: int, trunc: int) -> tuple[np.ndarray, int]:
+    """(stream, stream modulus): the stored overpartition stream that
+    `modulus` reads, through index `trunc` (int32, read-only), not yet
+    reduced mod `modulus`.  The one place that picks the stream modulus:
+    every modulus dividing 23# reads the shared stream mod 23#; any other
+    modulus keeps its own stream."""
     modulus = ResidueRing(modulus).modulus
     stream = PRIMORIAL_23 if PRIMORIAL_23 % modulus == 0 else modulus
     coeffs = STORE.coefficients("overpartition", ResidueRing(stream), trunc,
                                 overpartition_series)
+    return coeffs, stream
+
+
+def _pbar_mod(modulus: int, trunc: int) -> np.ndarray:
+    """Overpartition counts mod `modulus` through index `trunc` (int32,
+    read-only), served from the coefficient store."""
+    coeffs, stream = _pbar_stream(modulus, trunc)
     if stream == modulus:
         return coeffs
     reduced = coeffs % modulus
@@ -514,8 +522,11 @@ def check_claim_direct(claim: CongruenceClaim, n_max: int,
     if max_index is not None:
         top = min(top, max_index)
     if top > INDEX_HARD_CAP:
-        raise ValueError(f"budget exceeded: index {top} > {INDEX_HARD_CAP}")
-    pb = _pbar_mod(claim.modulus, top)
+        fit = (INDEX_HARD_CAP // d - b) // a
+        hint = (f"n_max <= {fit} stays within it" if fit >= 0
+                else "no n_max stays within it")
+        raise ValueError(f"budget exceeded: index {top} > {INDEX_HARD_CAP}; {hint}")
+    stream, _ = _pbar_stream(claim.modulus, top)
     # Every t with d*(a*t + b) <= top, so nothing past the budget is built.
     t_hi = min(n_max, (top // d - b) // a)
     ns = a * np.arange(max(t_hi + 1, 0), dtype=np.int64) + b
@@ -526,7 +537,8 @@ def check_claim_direct(claim: CongruenceClaim, n_max: int,
     support = int(len(idx))
     if support == 0:
         return "verified", 0, None
-    vals = pb[idx]
+    # Only the gathered entries are reduced, not the whole shared stream.
+    vals = stream[idx] % claim.modulus
     bad = np.flatnonzero(vals)
     if len(bad):
         return "refuted", support, int(idx[bad[0]])

@@ -132,6 +132,30 @@ def test_scan_cli(capsys):
     assert [c["progression"] for c in payload["claims"]] == [[40, 35]]
 
 
+def test_check_rechecks_a_claim_at_the_scan_depth(capsys):
+    code, out, _ = run(capsys, "--output", "json", "scan", "--mod", "7",
+                       "--d", "16", "--A", "56", "--nmax", "1000000",
+                       "--max-index", "200000")
+    assert code == 0
+    claims = json.loads(out)["claims"]
+    assert claims
+    claim = claims[0]
+    a, b = claim["progression"]
+    d = claim["multiplier"]
+    # The scan's depth as an --nmax: the same indices, the same support.
+    code, out, _ = run(capsys, "--output", "json", "check", "--claim", json.dumps(claim),
+                       "--nmax", str((200000 // d - b) // a))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["status"], payload["support"]) == ("verified", claim["support"])
+    # The top index 16*(56*10^6 + b) is past the cap; the error names the
+    # largest --nmax that fits.
+    code, _, err = run(capsys, "check", "--claim", json.dumps(claim), "--nmax", "1000000")
+    assert code == 2
+    assert "budget exceeded" in err
+    assert f"n_max <= {((1 << 24) // d - b) // a} stays within it" in err
+
+
 def test_scan_cli_comma_lists(capsys):
     code, out, _ = run(capsys, "--output", "json", "scan", "--mod", "5",
                        "--d", "1,2", "--A", "40,8", "--nmax", "2000",

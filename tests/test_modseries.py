@@ -4,14 +4,15 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from overcong import (ResidueRing, TruncSeries, extract_progression,
                       load_series, one_series, ring_add, ring_div, ring_invert,
                       ring_mul, ring_pow, save_series, scalar_mul, theta_phi,
                       transform, zero_series)
-from overcong.modseries import _SOLVE_BASE, TRUNC_CAP
+from overcong import modseries
+from overcong.modseries import _SOLVE_BASE, TRUNC_CAP, _fft_mul, _fft_size
 
 
 def random_series(rng, ring, trunc, density=1.0, unit_constant=False):
@@ -107,6 +108,80 @@ def test_ring_laws_through_truncation():
             assert ring_mul(ring_mul(f, g), h) == ring_mul(f, ring_mul(g, h))
             assert ring_mul(f, g) == ring_mul(g, f)
             assert ring_mul(f, ring_add(g, h)) == ring_add(ring_mul(f, g), ring_mul(f, h))
+
+
+_FFT_MODULI = (2, 3, 13, 65521, 223_092_870, (1 << 31) - 1)
+_FFT_INPUTS = ("random", "m-1", "floor-half", "ceil-half", "alternating")
+
+
+def fft_input(kind, m, length, rng):
+    if kind == "random":
+        return rng.integers(0, m, length)
+    if kind == "alternating":
+        return np.arange(length) % 2 * (m - 1)
+    value = {"m-1": m - 1, "floor-half": m // 2, "ceil-half": (m + 1) // 2}[kind]
+    return np.full(length, value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_FFT_MODULI), st.integers(1, 400), st.integers(1, 400),
+       st.sampled_from(_FFT_INPUTS), st.sampled_from(_FFT_INPUTS),
+       st.integers(0, 2 ** 32 - 1))
+def test_dense_mul_matches_python_int_schoolbook(m, len_f, len_g, kind_f, kind_g, seed):
+    rng = np.random.default_rng(seed)
+    a = fft_input(kind_f, m, len_f, rng)
+    b = fft_input(kind_g, m, len_g, rng)
+    f = TruncSeries(ResidueRing(m), a, len_f - 1)
+    g = TruncSeries(ResidueRing(m), b, len_g - 1)
+    assume(f.support is None and g.support is None)
+    t = min(len_f, len_g) - 1
+    assert ring_mul(f, g).coeffs.tolist() == exact_convolution_mod(a, b, t, m)
+    # The kernel itself also takes operands of unequal length.
+    n = len_f + len_g - 1
+    assert _fft_mul(a, b, n, m).tolist() == exact_convolution_mod(a, b, n - 1, m)
+
+
+def test_dense_mul_worst_magnitude_closed_form():
+    # (c * sum q^i)^2 = c^2 * sum (k+1) q^k with c = (m-1)/2, the largest
+    # balanced residue, on every one of 2^15 terms.
+    m = (1 << 31) - 1
+    c = (m - 1) // 2
+    length = 1 << 15
+    f = TruncSeries(ResidueRing(m), np.full(length, c), length - 1)
+    assert f.support is None
+    k = np.arange(length, dtype=np.int64)
+    assert np.array_equal(ring_mul(f, f).coeffs, (c * c % m) * (k + 1) % m)
+
+
+def test_dense_mul_retries_a_product_that_fails_its_check(monkeypatch):
+    # With the bound lifted, one float product is tried at 2^31 - 1; its
+    # outputs reach ~2^60, the check must reject it, and narrower limbs must
+    # still give the exact product.
+    m = (1 << 31) - 1
+    rng = np.random.default_rng(31)
+    a = rng.integers(0, m, 300)
+    b = rng.integers(0, m, 300)
+    passes = []
+    real_pass = modseries._limb_pass
+
+    def recording_pass(*args):
+        out = real_pass(*args)
+        passes.append((args[-1], out is not None))
+        return out
+
+    monkeypatch.setattr(modseries, "_FFT_BOUND", 1 << 80)
+    monkeypatch.setattr(modseries, "_limb_pass", recording_pass)
+    got = _fft_mul(a, b, 300, m)
+    assert passes[0] == (31, False)
+    assert [ok for _, ok in passes] == [False] * (len(passes) - 1) + [True]
+    assert got.tolist() == exact_convolution_mod(a, b, 299, m)
+
+
+def test_fft_size_is_the_least_2a_3b_length_covering_n():
+    smooth = sorted(2 ** i * 3 ** j for i in range(13) for j in range(8))
+    for n in range(1, 3000):
+        assert _fft_size(n) == next(s for s in smooth if s >= n)
+    assert _fft_size(90241) == 93312
 
 
 def test_mul_ring_mismatch():
@@ -329,6 +404,22 @@ def test_scalar_and_sub_helpers():
     f = TruncSeries(ring, [1, 2, 3], 2)
     assert list(scalar_mul(3, f).coeffs) == [3, 6, 2]
     assert ring_add(f, scalar_mul(-1, f)) == zero_series(ring, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 300), st.data())
+def test_support_is_kept_exactly_at_density_one_eighth(trunc, data):
+    size = trunc + 1
+    near = [size // 8 + e for e in (-1, 0, 1, 2) if 0 <= size // 8 + e <= size]
+    nnz = data.draw(st.sampled_from(near) | st.integers(0, size))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = np.zeros(size, np.int64)
+    coeffs[rng.permutation(size)[:nnz]] = rng.integers(1, 7, nnz)
+    s = TruncSeries(ResidueRing(7), coeffs, trunc)
+    if nnz > size / 8:
+        assert s.support is None
+    else:
+        assert s.support.tolist() == np.flatnonzero(coeffs).tolist()
 
 
 def test_support_hint_lists_exact_nonzeros():

@@ -57,8 +57,11 @@ def test_check_claim_refuted_with_witness():
 
 
 def test_check_claim_budget():
-    with pytest.raises(ValueError, match="budget exceeded"):
+    # d*(a*0 + b) = 3e6 fits in 2^24 but d*(a*1 + b) does not.
+    with pytest.raises(ValueError, match="budget exceeded.*n_max <= 0 stays within it"):
         check_claim_direct(CongruenceClaim(7, 10 ** 6, (10 ** 5, 3)), 10 ** 6)
+    with pytest.raises(ValueError, match="no n_max stays within it"):
+        check_claim_direct(CongruenceClaim(7, 10 ** 6, (10 ** 5, 17)), 1)
 
 
 def test_check_claim_with_side_conditions():
@@ -84,6 +87,31 @@ def test_check_claim_range_follows_the_budget():
         assert (check_claim_direct(claim, 10 ** 12, max_index=20_000)
                 == check_claim_direct(claim, t_hi, max_index=20_000)
                 == check_claim_direct(claim, t_hi))
+
+
+@pytest.mark.parametrize("modulus", [5, 7, 17, 23, 29])
+def test_recheck_verdicts_match_the_reduced_stream(modulus):
+    # check_claim_direct reduces only the entries it gathers from the shared
+    # stream; its verdicts must be those read off the stream mod `modulus`.
+    top = 6000
+    pb = _fresh(modulus, top)
+    rng = np.random.default_rng(modulus)
+    zero = int(np.flatnonzero(pb == 0)[3])
+    claims = [CongruenceClaim(modulus, 1, (top + 1, zero)),
+              CongruenceClaim(modulus, 5, (8, 3), (("residue", 8, (3,)),)),
+              CongruenceClaim(modulus, 2, (24, 7),
+                              (("residue", 8, (7,)), ("kronecker", 3, -1)))]
+    claims += [CongruenceClaim(modulus, int(rng.integers(1, 30)), (int(a), int(rng.integers(0, a))))
+               for a in rng.integers(1, 200, 6)]
+    for claim in claims:
+        a, b = claim.progression
+        d = claim.multiplier
+        ns = [a * t + b for t in range(top + 1) if d * (a * t + b) <= top]
+        ns = [n for n in ns if claim.condition_holds(n)]
+        bad = [d * n for n in ns if pb[d * n] != 0]
+        expected = (("refuted", len(ns), bad[0]) if bad else ("verified", len(ns), None))
+        assert check_claim_direct(claim, top, max_index=top) == expected
+    assert check_claim_direct(claims[0], top, max_index=top) == ("verified", 1, None)
 
 
 def test_claim_validation_and_serialisation():
