@@ -167,6 +167,8 @@ def _cmd_scan(args) -> int:
 def _cmd_check(args) -> int:
     claim = prover.CongruenceClaim.from_dict(json.loads(args.claim))
     status, support, counterexample = prover.check_claim_direct(claim, args.nmax)
+    if support == 0:
+        raise ValueError(f"{claim.describe()} tests no index for n <= {args.nmax}")
     payload = {"claim": claim.to_dict(), "status": status, "support": support,
                "counterexample": counterexample}
     text = f"{claim.describe()}: {status} (support {support})"

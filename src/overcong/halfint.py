@@ -15,15 +15,15 @@ multiply these tags (the symbol is completely multiplicative on top).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
 
 from . import chars
 from .modseries import (ResidueRing, TruncSeries, extract_progression,
-                        ring_add, ring_mul, scalar_mul, zero_series)
-from .qgen import theta_phi, weight2_form
+                        one_series, ring_add, ring_mul, ring_pow, scalar_mul,
+                        zero_series)
+from .qgen import theta_phi, theta_phi4, weight2_form
 
 GAMMA0 = "Gamma0"
 GAMMA1 = "Gamma1"
@@ -84,29 +84,14 @@ def basis_monomials(k2: int) -> MonomialBasis:
     return MonomialBasis(k2, mons)
 
 
-@lru_cache(maxsize=64)
-def _expand_monomial_cached(a: int, b: int, trunc: int, modulus: int) -> TruncSeries:
-    ring = ResidueRing(modulus)
-    if b == 0:
-        out = np.zeros(trunc + 1, np.int64)
-        out[0] = 1 % modulus
-        acc = TruncSeries(ring, out, trunc)
-    else:
-        f = weight2_form(trunc, ring)
-        acc = f
-        for _ in range(b - 1):
-            acc = ring_mul(acc, f)
-    phi = theta_phi(trunc, ring)
-    for _ in range(a):
-        acc = ring_mul(acc, phi)
-    return acc
-
-
 def expand_monomial(a: int, b: int, trunc: int, ring: ResidueRing) -> TruncSeries:
-    """F^b * phi^a through q^trunc; leading term is q^b."""
+    """F^b * phi^a through q^trunc; leading term is q^b.  Built as
+    F^b * (phi^4)^(a//4) * phi^(a%4) from the closed-form blocks."""
     if a < 0 or b < 0:
         raise ValueError("exponents must be >= 0")
-    return _expand_monomial_cached(int(a), int(b), int(trunc), ring.modulus)
+    out = ring_mul(ring_pow(weight2_form(trunc, ring), b),
+                   ring_pow(theta_phi4(trunc, ring), a // 4))
+    return ring_mul(out, ring_pow(theta_phi(trunc, ring), a % 4))
 
 
 @dataclass(frozen=True)
@@ -119,11 +104,24 @@ class Decomposition:
     coeffs: tuple[int, ...]
 
     def recombine(self, trunc: int) -> TruncSeries:
-        acc = zero_series(self.ring, trunc)
+        """sum_b c_b * F^b * phi^(k2-4b) through q^trunc, evaluated as
+        phi^(k2%4) * H with H = sum_b c_b * F^b * (phi^4)^(k2//4-b) by
+        Horner's rule in phi^4 over a running power of F."""
+        ring = self.ring
+        if len(self.coeffs) != self.k2 // 4 + 1:
+            raise ValueError(f"k2={self.k2} takes {self.k2 // 4 + 1} coordinates, "
+                             f"got {len(self.coeffs)}")
+        phi4 = theta_phi4(trunc, ring)
+        f = weight2_form(trunc, ring)
+        acc = zero_series(ring, trunc)
+        power = one_series(ring, trunc)  # F^b
         for b, c in enumerate(self.coeffs):
+            if b:
+                acc = ring_mul(acc, phi4)
+                power = ring_mul(power, f)
             if c:
-                acc = ring_add(acc, scalar_mul(c, expand_monomial(self.k2 - 4 * b, b, trunc, self.ring)))
-        return acc
+                acc = ring_add(acc, scalar_mul(c, power))
+        return ring_mul(ring_pow(theta_phi(trunc, ring), self.k2 % 4), acc)
 
     def cancel_phi(self) -> "Decomposition":
         """Divide every monomial by phi, dropping the weight by 1/2.  Exact

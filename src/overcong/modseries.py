@@ -129,9 +129,6 @@ class TruncSeries:
         return (self.ring == other.ring and self.trunc == other.trunc
                 and bool(np.array_equal(self.coeffs, other.coeffs)))
 
-    def __hash__(self):
-        return hash((self.ring, self.trunc, self.coeffs.tobytes()))
-
     def __repr__(self):
         nnz = len(self.support) if self.support is not None else int(np.count_nonzero(self.coeffs))
         return f"TruncSeries(mod {self.ring.modulus}, trunc {self.trunc}, {nnz} nonzero)"
@@ -331,27 +328,26 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     """
     c = np.zeros(t + 1, np.int64)
     acc = rhs[:t + 1].astype(np.int64) % m
-    if len(acc) < t + 1:
-        acc = np.concatenate([acc, np.zeros(t + 1 - len(acc), np.int64)])
     exps = taps_exp.tolist()
     vals = taps_val.tolist()
     vmax = max(map(abs, vals), default=1)
     every = ((1 << 63) - m) // (vmax * (m - 1))
-    start = 0
-    pending = 0
-    if known is not None:
-        start = min(len(known), t + 1)
-        c[:start] = known[:start]
-        for j, v in zip(exps, vals):
-            t0 = max(start, j)
-            t1 = min(t + 1, start + j)
+    small_taps = [(j, v) for j, v in zip(exps, vals) if j < _SOLVE_BASE]
+
+    def push(lo: int, mid: int, hi: int, pending: int) -> int:
+        # Contributions of the solved c[lo:mid] to acc[mid:hi], one update
+        # per tap; returns the unreduced-update count of acc[mid:hi].
+        for idx in range(bisect.bisect_left(exps, hi - lo)):
+            j = exps[idx]
+            t0 = max(mid, lo + j)
+            t1 = min(hi, mid + j)
             if t0 < t1:
                 if pending == every:
-                    acc[start:] %= m
+                    acc[mid:hi] %= m
                     pending = 0
-                acc[t0:t1] -= v * c[t0 - j:t1 - j]
+                acc[t0:t1] -= vals[idx] * c[t0 - j:t1 - j]
                 pending += 1
-    small_taps = [(j, v) for j, v in zip(exps, vals) if j < _SOLVE_BASE]
+        return pending
 
     def rec(lo: int, hi: int, pending: int):
         # Every entry of acc[lo:hi] carries at most `pending` unreduced updates.
@@ -371,19 +367,13 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
             return
         mid = (lo + hi) // 2
         rec(lo, mid, pending)
-        for idx in range(bisect.bisect_left(exps, n)):
-            j = exps[idx]
-            t0 = max(mid, lo + j)
-            t1 = min(hi, mid + j)
-            if t0 < t1:
-                if pending == every:
-                    acc[mid:hi] %= m
-                    pending = 0
-                acc[t0:t1] -= vals[idx] * c[t0 - j:t1 - j]
-                pending += 1
-        rec(mid, hi, pending)
+        rec(mid, hi, push(lo, mid, hi, pending))
 
-    rec(start, t + 1, pending)
+    start = 0
+    if known is not None:
+        start = min(len(known), t + 1)
+        c[:start] = known[:start]
+    rec(start, t + 1, push(0, start, t + 1, 0))
     return c
 
 

@@ -72,12 +72,15 @@ class CongruenceClaim:
         for cond in self.conditions:
             if cond[0] not in ("residue", "kronecker"):
                 raise ValueError(f"unknown condition {cond!r}")
-            if cond[0] == "residue" and (cond[1] < 1 or any(
+            if cond[0] == "residue" and (cond[1] < 1 or not cond[2] or any(
                     not 0 <= r < cond[1] for r in cond[2])):
                 raise ValueError(f"residue condition needs modulus s >= 1 and "
-                                 f"residues in [0, s), got {cond[1:]}")
-            if cond[0] == "kronecker" and cond[2] not in (-1, 1):
-                raise ValueError(f"Kronecker sign must be -1 or +1, got {cond[2]}")
+                                 f"at least one residue in [0, s), got {cond[1:]}")
+            # The cap keeps is_prime's trial division short.
+            if cond[0] == "kronecker" and (cond[2] not in (-1, 1) or not (
+                    2 < cond[1] < 1 << 31 and chars.is_prime(cond[1]))):
+                raise ValueError(f"Kronecker condition needs an odd prime p < 2^31 and "
+                                 f"a sign of -1 or +1, got {cond[1:]}")
 
     def condition_holds(self, n: int) -> bool:
         for cond in self.conditions:
@@ -460,6 +463,9 @@ def verify_identity(modulus: int, trunc: int = 2000) -> ProofReport:
     ring = ResidueRing(modulus)
     k2 = modulus - 1
     expected_low = _EXPECTED_DECOMPOSITION[modulus][:(k2 - 1) // 4 + 1]
+    if trunc < len(expected_low) - 1:
+        raise ValueError(f"truncation {trunc} is below {len(expected_low) - 1}, "
+                         f"where the last basis monomial starts")
     report = ProofReport(
         f"sum pbar({modulus}n)(-q)^n matches its weight-{k2 - 1}/2 combination mod {modulus}")
     timer = _StepTimer(report)
@@ -512,12 +518,11 @@ def check_claim_direct(claim: CongruenceClaim, n_max: int,
 
     Returns (status, support, counterexample): status 'verified' with the
     number of indices tested, or 'refuted' with the first coefficient index
-    whose value is nonzero.  Claims mod 1 hold vacuously.
+    whose value is nonzero.  Claims mod 1 hold vacuously: they are verified
+    on the same indices, within the same budget, without reading a stream.
     """
     a, b = claim.progression
     d = claim.multiplier
-    if claim.modulus == 1:
-        return "verified", n_max + 1, None
     top = d * (a * n_max + b)
     if max_index is not None:
         top = min(top, max_index)
@@ -526,7 +531,6 @@ def check_claim_direct(claim: CongruenceClaim, n_max: int,
         hint = (f"n_max <= {fit} stays within it" if fit >= 0
                 else "no n_max stays within it")
         raise ValueError(f"budget exceeded: index {top} > {INDEX_HARD_CAP}; {hint}")
-    stream, _ = _pbar_stream(claim.modulus, top)
     # Every t with d*(a*t + b) <= top, so nothing past the budget is built.
     t_hi = min(n_max, (top // d - b) // a)
     ns = a * np.arange(max(t_hi + 1, 0), dtype=np.int64) + b
@@ -535,8 +539,9 @@ def check_claim_direct(claim: CongruenceClaim, n_max: int,
         mask = np.array([claim.condition_holds(int(n)) for n in ns], dtype=bool)
         ns, idx = ns[mask], idx[mask]
     support = int(len(idx))
-    if support == 0:
-        return "verified", 0, None
+    if support == 0 or claim.modulus == 1:
+        return "verified", support, None
+    stream, _ = _pbar_stream(claim.modulus, top)
     # Only the gathered entries are reduced, not the whole shared stream.
     vals = stream[idx] % claim.modulus
     bad = np.flatnonzero(vals)
@@ -621,8 +626,9 @@ def scan(modulus: int, d_list, a_list, n_max: int,
                 for b in hits]
 
     pairs = [(d, a) for d in d_list for a in a_list]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(pairs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(scan_pair, pairs))
     else:
         grouped = [scan_pair(p) for p in pairs]

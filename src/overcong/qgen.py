@@ -3,8 +3,8 @@
 Everything here produces a TruncSeries in a caller-supplied residue ring:
 Euler products (q^d; q^d)_inf, eta quotients with their q-power prefactor,
 the theta series phi(q) = sum q^(n^2), its powers, the weight-2 block
-F = eta(4z)^8/eta(2z)^4 (built from its divisor-sum closed form), and the
-overpartition generating function 1/phi(-q).
+F = eta(4z)^8/eta(2z)^4 and phi^4, both read from one divisor-sum table by
+their closed forms, and the overpartition generating function 1/phi(-q).
 
 The Euler products are generated straight from their pentagonal-number
 support rather than by multiplying out the product, which keeps every
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .modseries import (ResidueRing, TruncSeries, ring_invert, ring_mul,
-                        ring_pow, transform)
+from .modseries import (ResidueRing, TruncSeries, one_series, ring_invert,
+                        ring_mul, ring_pow, transform)
 
 R_M_BRUTE_MAX_N = 50
 R_M_BRUTE_MAX_M = 12
@@ -38,18 +37,11 @@ def pochhammer(delta: int, trunc: int, ring: ResidueRing) -> TruncSeries:
     m = ring.modulus
     out = np.zeros(trunc + 1, np.int64)
     out[0] = 1 % m
-    k = 1
-    while True:
-        e1 = delta * k * (3 * k - 1) // 2
-        e2 = delta * k * (3 * k + 1) // 2
-        if e1 > trunc and e2 > trunc:
-            break
-        sign = 1 if k % 2 == 0 else m - 1
-        if e1 <= trunc:
-            out[e1] = sign
-        if e2 <= trunc:
-            out[e2] = sign
-        k += 1
+    # k(3k-1)/2 >= k^2, so every k past sqrt(trunc/delta) lands past trunc.
+    k = np.arange(1, math.isqrt(trunc // delta) + 2, dtype=np.int64)
+    sign = np.where(k % 2 == 0, 1, m - 1)
+    for e in (delta * k * (3 * k - 1) // 2, delta * k * (3 * k + 1) // 2):
+        out[e[e <= trunc]] = sign[e <= trunc]
     return TruncSeries(ring, out, trunc)
 
 
@@ -89,7 +81,6 @@ class QExpansion:
         shift = self.prefactor24 // 24
         if shift < 0:
             raise ValueError("negative leading q-power cannot become a power series")
-        m = self.series.ring.modulus
         out = np.zeros(self.series.trunc + shift + 1, np.int64)
         out[shift:] = self.series.coeffs
         return TruncSeries(self.series.ring, out, self.series.trunc + shift)
@@ -97,13 +88,11 @@ class QExpansion:
 
 def eta_quotient(quotient: EtaQuotient, trunc: int, ring: ResidueRing) -> QExpansion:
     """Expand an eta quotient; negative exponents go through series inversion."""
-    series = None
+    series = one_series(ring, trunc)
     for delta, r in quotient.factors:
         poch = pochhammer(delta, trunc, ring)
         part = ring_pow(poch, r) if r >= 0 else ring_pow(ring_invert(poch), -r)
-        series = part if series is None else ring_mul(series, part)
-    if series is None:
-        series = ring_pow(pochhammer(1, trunc, ring), 0)
+        series = ring_mul(series, part)
     return QExpansion(quotient.prefactor24, series)
 
 
@@ -179,17 +168,30 @@ def overpartition_series(trunc: int, ring: ResidueRing,
     return ring_invert(transform(theta_phi(trunc, ring), 1, -1), known)
 
 
-@lru_cache(maxsize=16)
-def _weight2_cached(trunc: int, modulus: int) -> TruncSeries:
-    # F = sum over odd n of sigma(n) q^n: each odd d adds d at its odd
-    # multiples.  sigma(n) <= n*(1 + ln n) stays far inside int64.
-    out = np.zeros(trunc + 1, np.int64)
-    for d in range(1, trunc + 1, 2):
-        out[d::2 * d] += d
-    return TruncSeries(ResidueRing(modulus), out, trunc)
+def _divisor_sums(trunc: int) -> np.ndarray:
+    """sigma(n) for 0 <= n <= trunc (sigma(0) = 0): one slice update per
+    s <= sqrt(trunc) adds s + k at every n = s*k with k >= s, and s alone
+    at n = s^2.  sigma(n) <= n*(1 + ln n) stays far inside int64."""
+    sigma = np.zeros(trunc + 1, np.int64)
+    for s in range(1, math.isqrt(trunc) + 1):
+        sigma[s * s::s] += s + np.arange(s, trunc // s + 1)
+        sigma[s * s] -= s
+    return sigma
 
 
 def weight2_form(trunc: int, ring: ResidueRing) -> TruncSeries:
     """The weight-2 block F = eta(4z)^8/eta(2z)^4 = q + ... through q^trunc,
     from its closed form: the sum over odd n of sigma(n) q^n."""
-    return _weight2_cached(int(trunc), ring.modulus)
+    sigma = _divisor_sums(trunc)
+    sigma[::2] = 0
+    return TruncSeries(ring, sigma, trunc)
+
+
+def theta_phi4(trunc: int, ring: ResidueRing) -> TruncSeries:
+    """phi(q)^4 through q^trunc, from Jacobi's four-square theorem:
+    r_4(n) = 8*(sigma(n) - 4*sigma(n/4)), with sigma(n/4) = 0 unless 4 | n."""
+    sigma = _divisor_sums(trunc)
+    out = 8 * sigma
+    out[4::4] -= 32 * sigma[1:trunc // 4 + 1]
+    out[0] = 1
+    return TruncSeries(ring, out, trunc)

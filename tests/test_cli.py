@@ -242,8 +242,17 @@ def test_cache_file_serves_shorter_truncations_and_grows(capsys, tmp_path):
     ("lemma1", "--p", "3", "--trunc", "-2"),
     ("bound", "--weight2", "15", "--level", "30976", "--group", "g1",
      "--progression", "88,200"),
+    ("check", "--claim", '{"modulus": 7, "progression": [8, 3], "conditions": '
+     '[{"type": "kronecker", "p": 0, "sign": 1}]}', "--nmax", "10"),
+    ("check", "--claim", '{"modulus": 7, "progression": [8, 3], "conditions": '
+     '[{"type": "residue", "modulus": 5, "residues": []}]}', "--nmax", "10"),
+    ("check", "--claim", '{"modulus": 7, "progression": [8, 3], "conditions": '
+     '[{"type": "residue", "modulus": 8, "residues": [5]}]}', "--nmax", "10"),
+    ("verify-identity", "17", "--trunc", "0"),
 ], ids=["expand-negative-trunc", "scan-d-zero", "scan-A-zero", "check-empty-claim",
-        "check-list-claim", "lemma1-negative-trunc", "bound-g1-offset-past-step"])
+        "check-list-claim", "lemma1-negative-trunc", "bound-g1-offset-past-step",
+        "check-kronecker-p-zero", "check-empty-residue-list", "check-support-zero",
+        "verify-identity-trunc-below-basis"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     try:
         code = main(list(argv))

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overcong import (GAMMA0, GAMMA1, Decomposition, DirichletChar,
                       ResidueRing, SpaceLabel, TruncSeries, apply_U,
                       basis_monomials, decompose, expand_monomial,
-                      extract_progression, hecke_T, r_m_series, ring_mul,
-                      sieve_progression, theta_phi, transform, zero_series)
+                      extract_progression, hecke_T, r_m_series, ring_add,
+                      ring_mul, ring_pow, scalar_mul, sieve_progression,
+                      theta_phi, transform, weight2_form, zero_series)
 
 BIG = ResidueRing(1_000_003)
 
@@ -40,6 +43,40 @@ def test_monomials_are_triangular():
             series = expand_monomial(a, b, 64, ring)
             assert not series.coeffs[:b].any()
             assert series[b] == 1
+
+
+BASIS_MODULI = (2, 13, 223092870, 2**31 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BASIS_MODULI), st.integers(1, 23), st.integers(0, 300), st.data())
+def test_recombine_matches_the_per_monomial_sum(m, k2, trunc, data):
+    ring = ResidueRing(m)
+    size = k2 // 4 + 1
+    coeffs = tuple(data.draw(st.lists(st.sampled_from((0, 1, m - 1)) | st.integers(0, m - 1),
+                                      min_size=size, max_size=size)))
+    want = zero_series(ring, trunc)
+    for b, c in enumerate(coeffs):
+        want = ring_add(want, scalar_mul(c, expand_monomial(k2 - 4 * b, b, trunc, ring)))
+    assert Decomposition(k2, ring, coeffs).recombine(trunc) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(BASIS_MODULI), st.integers(0, 23), st.integers(0, 5),
+       st.integers(0, 300))
+def test_expand_monomial_matches_sparse_theta_powers(m, a, b, trunc):
+    # phi^a multiplied out one sparse product at a time, as the oracle for
+    # the phi^4 blocks expand_monomial is built from.
+    ring = ResidueRing(m)
+    want = ring_mul(ring_pow(weight2_form(trunc, ring), b),
+                    ring_pow(theta_phi(trunc, ring), a))
+    assert expand_monomial(a, b, trunc, ring) == want
+
+
+def test_recombine_takes_one_coordinate_per_basis_monomial():
+    for coeffs in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="takes 2 coordinates"):
+            Decomposition(5, ResidueRing(13), coeffs).recombine(20)
 
 
 def test_decompose_recombine_roundtrip():

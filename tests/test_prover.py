@@ -48,6 +48,21 @@ def test_check_claim_vacuous_modulus():
     assert (status, support, counterexample) == ("verified", 51, None)
 
 
+def test_check_claim_vacuous_modulus_keeps_the_budget():
+    # Mod 1 tests the same indices as any modulus: t <= (300//3 - 1)//4 = 24.
+    assert check_claim_direct(CongruenceClaim(1, 3, (4, 1)), 50,
+                              max_index=300) == ("verified", 25, None)
+    with pytest.raises(ValueError, match="budget exceeded"):
+        check_claim_direct(CongruenceClaim(1, 3, (4, 1)), 10 ** 7)
+
+
+def test_check_claim_on_an_empty_support_reports_zero():
+    # n = 8t + 3 is never 5 mod 8; the API reports the empty support and
+    # the CLI turns it into a usage error.
+    claim = CongruenceClaim(7, 1, (8, 3), (("residue", 8, (5,)),))
+    assert check_claim_direct(claim, 10) == ("verified", 0, None)
+
+
 def test_check_claim_refuted_with_witness():
     # pbar(0) = 1, so vanishing on every even index fails immediately.
     status, support, counterexample = check_claim_direct(
@@ -146,6 +161,11 @@ def test_claim_validation_and_serialisation():
      "conditions": [{"type": "kronecker", "p": 7, "sign": 5}]},
     {"modulus": 5, "progression": [4, 1],
      "conditions": [{"type": "residue", "modulus": 8, "residues": [9]}]},
+    {"modulus": 5, "progression": [4, 1],
+     "conditions": [{"type": "residue", "modulus": 8, "residues": []}]},
+    *({"modulus": 5, "progression": [4, 1],
+       "conditions": [{"type": "kronecker", "p": p, "sign": 1}]}
+      for p in (0, 1, 2, 9, -7, 2**31 + 11)),
 ])
 def test_claim_from_dict_rejects_malformed_input(data):
     with pytest.raises(ValueError):
@@ -290,6 +310,35 @@ def test_scan_deterministic_order_and_threads():
     assert keys == sorted(keys)
 
 
+def test_scan_caps_its_pool_at_the_pairs_and_the_cpus(monkeypatch):
+    # A recorder stands in for the executor and runs the pairs in order,
+    # so no thread is started whatever the requested count.
+    from overcong import prover
+    made = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    kwargs = dict(n_max=10 ** 4, min_support=20, max_index=60_000)
+    want = scan(5, [1, 5], [40, 8], **kwargs)
+    monkeypatch.setattr(prover, "ThreadPoolExecutor", Recorder)
+    for cpus, workers in ((64, [4]), (3, [3]), (None, [])):
+        made.clear()
+        monkeypatch.setattr(prover.os, "cpu_count", lambda: cpus)
+        assert scan(5, [1, 5], [40, 8], threads=10 ** 6, **kwargs) == want
+        assert made == workers
+
+
 def test_compression_two_sign_shape():
     # The 72 residue classes mod 2584 cut by one mod-8 class and two
     # Kronecker signs compress exactly.
@@ -320,8 +369,13 @@ def test_verify_identity_small_truncation():
 
 
 def test_verify_identity_degenerate_truncation():
-    report = verify_identity(17, 0)
-    assert report.passed
+    # A truncation below the last basis monomial's leading power cannot
+    # tell the coordinates apart, so it is refused.
+    for modulus, floor in ((17, 3), (23, 5)):
+        for trunc in range(floor):
+            with pytest.raises(ValueError, match="below"):
+                verify_identity(modulus, trunc)
+        assert verify_identity(modulus, floor).passed
 
 
 def test_verify_identity_modulus_validation():

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overcong import (EtaQuotient, ResidueRing, eta_quotient, one_series,
                       overpartition_series, pochhammer, r_m_bruteforce,
                       r_m_exact, r_m_series, ring_mul, ring_pow, theta_phi,
                       transform, weight2_form)
+from overcong.qgen import theta_phi4
+
+CLOSED_FORM_MODULI = (2, 13, 223092870, 2**31 - 1)
 
 BIG = ResidueRing(1_000_003)
 
@@ -94,6 +99,40 @@ def test_eta_quotient_weight2_block():
             assert fast.trunc == trunc
             assert list(shifted.coeffs[:trunc + 1]) == list(fast.coeffs), (m, trunc)
         assert fast[1] == 1 and fast[2] == 0
+
+
+def test_phi4_closed_form_matches_the_theta_power():
+    # Jacobi's four-square form against phi multiplied out by sparse products.
+    for m in CLOSED_FORM_MODULI:
+        ring = ResidueRing(m)
+        for trunc in (0, 1, 2, 50, 2000):
+            fast = theta_phi4(trunc, ring)
+            assert fast.trunc == trunc
+            assert fast == ring_pow(theta_phi(trunc, ring), 4), (m, trunc)
+
+
+def test_phi4_closed_form_counts_four_square_representations():
+    # Every r_4(n) with n <= 50 is below 2^31 - 1, so the residues are the counts.
+    series = theta_phi4(50, ResidueRing(2**31 - 1))
+    assert [series[n] for n in range(51)] == [r_m_bruteforce(n, 4) for n in range(51)]
+
+
+def _sigma(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CLOSED_FORM_MODULI), st.integers(0, 400))
+def test_divisor_sum_blocks_match_direct_divisor_sums(m, trunc):
+    # sigma by trial division: F = sum over odd n of sigma(n) q^n and
+    # phi^4 = 1 + 8 * sum (sigma(n) - 4 sigma(n/4)) q^n.
+    ring = ResidueRing(m)
+    sigma = [_sigma(n) for n in range(trunc + 1)]
+    f = [sigma[n] % m if n % 2 else 0 for n in range(trunc + 1)]
+    phi4 = [1 % m] + [8 * (sigma[n] - (4 * sigma[n // 4] if n % 4 == 0 else 0)) % m
+                      for n in range(1, trunc + 1)]
+    assert weight2_form(trunc, ring).coeffs.tolist() == f
+    assert theta_phi4(trunc, ring).coeffs.tolist() == phi4
 
 
 def test_eta_quotient_fractional_prefactor_is_error():

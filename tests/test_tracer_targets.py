@@ -5,12 +5,17 @@ renaming one of these names fails here and not only in the benchmark."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import overcong
 import overcong.cli  # noqa: F401  (not imported by the package itself)
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -44,3 +49,34 @@ def test_import_sites_the_tracer_self_test_reads_exist():
     assert isinstance(qgen.QExpansion, type)
     assert isinstance(modseries.TruncSeries, type)
     assert callable(prover.default_scan_index)
+
+
+def test_proofs_path_feeds_the_per_layer_spans():
+    # The benchmark's per-layer metrics for the proofs workload are read
+    # from these spans; a refactor that stops the proofs path from calling
+    # one of them would empty its metric.
+    code = (
+        "import importlib.util, json, sys\n"
+        "spec = importlib.util.spec_from_file_location('perfbench_tracer', sys.argv[1])\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "t = tracer.Tracer('t')\n"
+        "tracer.install(t)\n"
+        "from overcong import prover\n"
+        "assert prover.prove_theorem_mod13().passed\n"
+        "assert prover.verify_identity(17, 120).passed\n"
+        "names = {s['name'] for s in t.spans}\n"
+        "names |= {s['name'] + '.' + s['path'] for s in t.spans if 'path' in s}\n"
+        "print(json.dumps(sorted(names)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OVERCONG_CACHE_DIR", None)
+    done = subprocess.run([sys.executable, "-c", code, str(TRACER)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    names = set(json.loads(done.stdout))
+    for name in ("halfint.expand_monomial", "halfint.recombine", "halfint.decompose",
+                 "qgen.weight2_form", "qgen.r_m_series",
+                 "modseries.ring_mul.sparse", "modseries.ring_mul.dense"):
+        assert name in names, name
