@@ -165,7 +165,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    claim = prover.CongruenceClaim.from_dict(json.loads(args.claim))
+    try:
+        claim = prover.CongruenceClaim.from_dict(json.loads(args.claim))
+    except RecursionError:
+        raise ValueError("claim JSON nests too deeply") from None
     status, support, counterexample = prover.check_claim_direct(claim, args.nmax)
     if support == 0:
         raise ValueError(f"{claim.describe()} tests no index for n <= {args.nmax}")

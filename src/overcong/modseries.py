@@ -5,8 +5,12 @@ ring and an optional support list (the sorted nonzero exponents), recorded
 whenever the density drops to 1/8 or below.  The sparse support drives
 subquadratic convolution and inversion: the generating series used here
 (theta series, Euler products) have O(sqrt(T)) nonzero terms, so division
-by them costs O(T^1.5) instead of O(T^2).  A product of two dense series
-is an exact float FFT product in O(T log T), checked for rounding error.
+by them costs O(T^1.5) instead of O(T^2).  Division is a divide-and-conquer
+solver that pushes the divisor's nonzero terms into an accumulator with
+one vectorised update each, down to leaves of at most _SOLVE_BLOCK
+coefficients; each leaf is one product with the divisor's truncated
+inverse.  A product of two dense series, and every leaf, is an exact float
+FFT product in O(T log T), checked for rounding error.
 
 Values are immutable after construction and safe to share across threads.
 Reading a coefficient past the truncation is an error, never a zero.
@@ -28,8 +32,9 @@ SPARSE_DENSITY = 0.125
 # Hard ceiling for truncations produced by exponent dilation.
 TRUNC_CAP = 1 << 27
 
-# Block size below which the linear-recurrence solver runs scalar code.
-_SOLVE_BASE = 192
+# Longest leaf of the linear-recurrence solver; each leaf is one exact FFT
+# product.
+_SOLVE_BLOCK = 4096
 
 # Every exact output of one float product in a dense ring_mul is planned to
 # stay below this in magnitude, so float64 FFT error stays well under 0.25.
@@ -310,70 +315,111 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
                        rhs: np.ndarray, t: int, m: int,
                        known: np.ndarray | None = None) -> np.ndarray:
     """Solve den*c = rhs through q^t where den has unit constant term f0 and
-    nonzero higher coefficients taps_val at exponents taps_exp (sorted, >= 1):
+    nonzero higher coefficients taps_val at exponents taps_exp (sorted, >= 1).
+    rhs holds residues; entries past its end are zero, so an inversion
+    passes rhs = [1].
 
-        c[n] = f0inv * (rhs[n] - sum_j taps_val[j] * c[n - taps_exp[j]])
+    Divide-and-conquer online convolution down to leaves of at most
+    _SOLVE_BLOCK coefficients.  The taps are g*u_j, where g is the
+    magnitude they all share (phi(-q): g = 2, u_j = +-1), or 1 when their
+    magnitudes differ.  acc[n] accumulates sum_j u_j * c[n - taps_exp[j]]
+    over the solved c: the contributions of a solved half are pushed with
+    one vectorised update per tap, in place (np.add/np.subtract) for unit
+    u_j.  A leaf [lo, hi) of length k is then one exact FFT product
 
-    Divide-and-conquer online convolution: contributions of a solved half are
-    pushed into the accumulator with one vectorised update per tap, and only
-    taps below the base block size run in scalar code.  A known prefix
-    c[0..s) is taken as solved: its contributions to [s, t] are pushed in
-    one update per tap, and only [s, t] is recursed on.
+        c[lo:hi] = head * ((rhs - g*acc)[lo:hi] mod m)  mod q^k,
 
-    Exact for every m < 2^31.  taps_val holds signed least residues, so
-    |v| <= vmax <= m/2 and one tap update changes an accumulator entry by at
-    most vmax*(m-1) < 2^61.  An entry starts in [0, m), so after p updates
-    |acc| <= (m-1) + p*vmax*(m-1), which stays below 2^63 for p <= `every`;
-    the pending slice is reduced mod m before the (every+1)-th update.
+    where head = 1/den mod q^n and n bounds every leaf's length.  When
+    inverting, head is the prefix of c itself, read from `known` when that
+    is long enough; otherwise head is built by Newton doubling.  A known
+    prefix c[0..s) is taken as solved: its contributions to [s, t] are
+    pushed in one update per tap, and only [s, t] is recursed on.
+
+    Exact for every m < 2^31.  One update adds u*c with |u| <= umax <= m/2
+    and 0 <= c < m.  An entry starts at 0, or in [0, m) after a reduction,
+    so after p updates |acc| <= (m-1) + p*umax*(m-1), which stays below
+    2^63 for p <= `every`; the pending slice is reduced mod m before the
+    (every+1)-th update.  A leaf reduces acc first, so g*(acc mod m) < 2^61.
     """
-    c = np.zeros(t + 1, np.int64)
-    acc = rhs[:t + 1].astype(np.int64) % m
     exps = taps_exp.tolist()
     vals = taps_val.tolist()
-    vmax = max(map(abs, vals), default=1)
-    every = ((1 << 63) - m) // (vmax * (m - 1))
-    small_taps = [(j, v) for j, v in zip(exps, vals) if j < _SOLVE_BASE]
+    mags = set(map(abs, vals))
+    g = mags.pop() if len(mags) == 1 else 1
+    units = [v // g for v in vals]
+    every = ((1 << 63) - m) // (max(map(abs, units), default=1) * (m - 1))
 
-    def push(lo: int, mid: int, hi: int, pending: int) -> int:
-        # Contributions of the solved c[lo:mid] to acc[mid:hi], one update
-        # per tap; returns the unreduced-update count of acc[mid:hi].
+    def push(src, dst, off, lo, mid, hi, pending):
+        # Contributions of the solved src[lo:mid] to positions [mid, hi),
+        # held at dst[pos - off]; returns the unreduced-update count of
+        # those positions.
         for idx in range(bisect.bisect_left(exps, hi - lo)):
             j = exps[idx]
             t0 = max(mid, lo + j)
             t1 = min(hi, mid + j)
             if t0 < t1:
                 if pending == every:
-                    acc[mid:hi] %= m
+                    dst[mid - off:hi - off] %= m
                     pending = 0
-                acc[t0:t1] -= vals[idx] * c[t0 - j:t1 - j]
+                out = dst[t0 - off:t1 - off]
+                u = units[idx]
+                if u == 1:
+                    np.add(out, src[t0 - j:t1 - j], out=out)
+                elif u == -1:
+                    np.subtract(out, src[t0 - j:t1 - j], out=out)
+                else:
+                    out += u * src[t0 - j:t1 - j]
                 pending += 1
         return pending
 
-    def rec(lo: int, hi: int, pending: int):
-        # Every entry of acc[lo:hi] carries at most `pending` unreduced updates.
-        n = hi - lo
-        if n <= _SOLVE_BASE:
-            # Reduced first, so the scalar loop runs on small Python ints.
-            ablk = (acc[lo:hi] % m).tolist()
-            cblk = [0] * n
-            for i in range(n):
-                s = ablk[i]
-                for j, v in small_taps:
-                    if j > i:
-                        break
-                    s -= v * cblk[i - j]
-                cblk[i] = (f0inv * s) % m
-            c[lo:hi] = cblk
-            return
-        mid = (lo + hi) // 2
-        rec(lo, mid, pending)
-        rec(mid, hi, push(lo, mid, hi, pending))
+    def inverse_head(n):
+        # 1/den mod q^n by Newton doubling: h -> h - h*(den*h - 1), where
+        # (den*h - 1)[:k] = 0 and (den*h)[k:2k] = g * (pushed taps of h).
+        h = np.array([f0inv % m], np.int64)
+        while len(h) < n:
+            k = len(h)
+            k2 = min(2 * k, n)
+            e = np.zeros(k2 - k, np.int64)
+            push(h, e, k, 0, k, k2, 0)
+            e %= m
+            e *= g
+            e %= m
+            tail = _fft_mul(h[:k2 - k], e, k2 - k, m)
+            h = np.concatenate([h, (m - tail) % m])
+        return h
 
+    c = np.zeros(t + 1, np.int64)
     start = 0
     if known is not None:
         start = min(len(known), t + 1)
         c[:start] = known[:start]
-    rec(start, t + 1, push(0, start, t + 1, 0))
+    # No leaf of [start, t] is longer than n.
+    n = min(_SOLVE_BLOCK, t + 1 - start)
+    if len(rhs) == 1 and rhs[0] == 1:
+        # The solution is 1/den, so its own prefix serves as head.
+        if start < n:
+            start = min(_SOLVE_BLOCK, t + 1)
+            c[:start] = inverse_head(start)
+        head = c[:min(_SOLVE_BLOCK, start)]
+    else:
+        head = inverse_head(n)
+    acc = np.zeros(t + 1 - start, np.int64)
+
+    def rec(lo: int, hi: int, pending: int):
+        # Every entry of acc[lo:hi] carries at most `pending` unreduced updates.
+        if hi - lo > _SOLVE_BLOCK:
+            mid = (lo + hi) // 2
+            rec(lo, mid, pending)
+            rec(mid, hi, push(c, acc, start, lo, mid, hi, pending))
+            return
+        blk = acc[lo - start:hi - start] % m
+        blk *= -g
+        tail = rhs[lo:hi]
+        blk[:len(tail)] += tail
+        blk %= m
+        c[lo:hi] = _fft_mul(head[:hi - lo], blk, hi - lo, m)
+
+    if start <= t:
+        rec(start, t + 1, push(c, acc, start, 0, start, t + 1, 0))
     return c
 
 
@@ -399,9 +445,7 @@ def ring_invert(f: TruncSeries, known: np.ndarray | None = None) -> TruncSeries:
     the inverse (for instance a shorter inversion of the same f); only the
     coefficients past it are computed.
     """
-    rhs = np.zeros(f.trunc + 1, np.int64)
-    rhs[0] = 1
-    return _solve_linear(f, rhs, f.trunc, known)
+    return _solve_linear(f, np.ones(1, np.int64), f.trunc, known)
 
 
 def ring_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:

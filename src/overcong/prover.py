@@ -94,6 +94,21 @@ class CongruenceClaim:
                     return False
         return True
 
+    def condition_mask(self, ns: np.ndarray) -> np.ndarray:
+        """condition_holds at every n of an int64 array.  Each condition is
+        evaluated once per distinct n mod s (residue) or n mod p (Kronecker:
+        p is an odd prime, so (n/p) depends on n mod p alone)."""
+        mask = np.ones(len(ns), dtype=bool)
+        for kind, s, arg in self.conditions:
+            classes, where = np.unique(ns % s, return_inverse=True)
+            if kind == "residue":
+                holds = np.isin(classes, arg)
+            else:
+                holds = np.array([chars.kronecker(r, s) == arg for r in classes.tolist()],
+                                 dtype=bool)
+            mask &= holds[where]
+        return mask
+
     def describe(self) -> str:
         a, b = self.progression
         inner = f"{a}n+{b}" if a > 1 else f"n+{b}" if b else "n"
@@ -534,10 +549,7 @@ def check_claim_direct(claim: CongruenceClaim, n_max: int,
     # Every t with d*(a*t + b) <= top, so nothing past the budget is built.
     t_hi = min(n_max, (top // d - b) // a)
     ns = a * np.arange(max(t_hi + 1, 0), dtype=np.int64) + b
-    idx = d * ns
-    if claim.conditions:
-        mask = np.array([claim.condition_holds(int(n)) for n in ns], dtype=bool)
-        ns, idx = ns[mask], idx[mask]
+    idx = d * ns[claim.condition_mask(ns)]
     support = int(len(idx))
     if support == 0 or claim.modulus == 1:
         return "verified", support, None

@@ -249,10 +249,11 @@ def test_cache_file_serves_shorter_truncations_and_grows(capsys, tmp_path):
     ("check", "--claim", '{"modulus": 7, "progression": [8, 3], "conditions": '
      '[{"type": "residue", "modulus": 8, "residues": [5]}]}', "--nmax", "10"),
     ("verify-identity", "17", "--trunc", "0"),
+    ("check", "--claim", "[" * 100_000, "--nmax", "1"),
 ], ids=["expand-negative-trunc", "scan-d-zero", "scan-A-zero", "check-empty-claim",
         "check-list-claim", "lemma1-negative-trunc", "bound-g1-offset-past-step",
         "check-kronecker-p-zero", "check-empty-residue-list", "check-support-zero",
-        "verify-identity-trunc-below-basis"])
+        "verify-identity-trunc-below-basis", "check-claim-nested-too-deeply"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     try:
         code = main(list(argv))

@@ -1,6 +1,7 @@
 """Ring arithmetic on truncated series: laws, oracles, and error contracts."""
 
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from overcong import (ResidueRing, TruncSeries, extract_progression,
-                      load_series, one_series, ring_add, ring_div, ring_invert,
-                      ring_mul, ring_pow, save_series, scalar_mul, theta_phi,
-                      transform, zero_series)
+                      load_series, one_series, overpartition_series, ring_add,
+                      ring_div, ring_invert, ring_mul, ring_pow, save_series,
+                      scalar_mul, theta_phi, transform, zero_series)
 from overcong import modseries
-from overcong.modseries import _SOLVE_BASE, TRUNC_CAP, _fft_mul, _fft_size
+from overcong.modseries import TRUNC_CAP, _fft_mul, _fft_size
 
 
 def random_series(rng, ring, trunc, density=1.0, unit_constant=False):
@@ -293,8 +294,9 @@ def invert_bruteforce(coeffs, trunc, m):
     return out
 
 
-def test_invert_across_solver_block_boundaries():
-    # Truncations straddling the scalar-block size of the solver.
+def test_invert_across_solver_block_boundaries(monkeypatch):
+    # Truncations straddling a leaf length of 192.
+    monkeypatch.setattr(modseries, "_SOLVE_BLOCK", 192)
     rng = np.random.default_rng(53)
     ring = ResidueRing(13)
     for trunc in (1, 63, 191, 192, 193, 385, 777):
@@ -525,54 +527,154 @@ def test_cache_rejects_forged_and_foreign_files(tmp_path):
 
 
 _GROWTH_MODULI = (2, 4, 7, 65521, (1 << 31) - 1)
+# Leaf lengths the solver tests patch in, so that small truncations cross
+# many leaves and pushes; the production length is kept for comparison.
+_BLOCKS = (1, 2, 8, 64, modseries._SOLVE_BLOCK)
+
+
+def leaf_starts(lo, hi, block):
+    # Where the solver's leaves over [lo, hi) begin, halving as it does.
+    if hi - lo <= block:
+        return [lo]
+    mid = (lo + hi) // 2
+    return leaf_starts(lo, mid, block) + leaf_starts(mid, hi, block)
 
 
 @st.composite
 def _unit_series_and_split(draw):
     m = draw(st.sampled_from(_GROWTH_MODULI))
-    trunc = draw(st.integers(0, 3 * _SOLVE_BASE + 2))
+    block = draw(st.sampled_from(_BLOCKS))
+    trunc = draw(st.integers(0, 3 * 64 + 2))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     density = draw(st.sampled_from((0.02, 0.2, 1.0)))
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(0, m, trunc + 1)
     coeffs[rng.random(trunc + 1) > density] = 0
     coeffs[0] = draw(st.integers(1, m - 1).filter(lambda u: np.gcd(u, m) == 1))
-    splits = [0, trunc] + [k * _SOLVE_BASE + e for k in (1, 2, 3) for e in (-1, 0, 1)]
+    # An inversion takes its first min(block, trunc + 1) coefficients as
+    # the head and cuts the rest into leaves: split at every boundary +-1.
+    head = min(block, trunc + 1)
+    bounds = [k * block for k in (1, 2, 3)] + leaf_starts(head, trunc + 1, block)
+    splits = [0, trunc] + [s + e for s in bounds for e in (-1, 0, 1)]
     split = draw(st.sampled_from([s for s in splits if 0 <= s <= trunc]
                                  + [draw(st.integers(0, trunc))]))
-    return TruncSeries(ResidueRing(m), coeffs, trunc), split
+    return TruncSeries(ResidueRing(m), coeffs, trunc), split, block
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_unit_series_and_split())
 def test_invert_extends_a_known_prefix(case):
-    f, split = case
+    f, split, block = case
     short = TruncSeries(f.ring, f.coeffs[:split + 1], split)
-    grown = ring_invert(f, known=ring_invert(short).coeffs)
-    assert grown == ring_invert(f)
+    with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+        grown = ring_invert(f, known=ring_invert(short).coeffs)
+        assert grown == ring_invert(f)
     assert ring_mul(f, grown) == one_series(f.ring, f.trunc)
 
 
-def schoolbook_inverse(coeffs, m):
-    # Independent oracle: the defining recurrence in Python integers.
-    f = [int(x) for x in coeffs]
+def schoolbook_quotient(num, den, m):
+    # Independent oracle: the defining recurrence of num/den in Python integers.
+    f = [int(x) for x in den]
     f0inv = pow(f[0], -1, m)
-    g = [f0inv]
-    for n in range(1, len(f)):
-        g.append(-f0inv * sum(f[j] * g[n - j] for j in range(1, n + 1)) % m)
+    g = []
+    for n in range(len(f)):
+        s = int(num[n]) if n < len(num) else 0
+        g.append(f0inv * (s - sum(f[j] * g[n - j] for j in range(1, n + 1))) % m)
     return g
+
+
+def schoolbook_inverse(coeffs, m):
+    return schoolbook_quotient([1], coeffs, m)
 
 
 @pytest.mark.parametrize("m", [65521, 223_092_870, (1 << 31) - 1])
 def test_invert_matches_schoolbook_oracle(m):
     rng = np.random.default_rng(m % 1000)
-    trunc = 4 * _SOLVE_BASE + 17
-    cases = [random_series(rng, ResidueRing(m), trunc, density, unit_constant=True)
+    trunc = 4 * 192 + 17
+    ring = ResidueRing(m)
+    cases = [random_series(rng, ring, trunc, density, unit_constant=True)
              for density in (1.0, 0.3, 0.02)]
-    # Taps at the extremes of the signed range, m//2 and m//2 + 1, and m - 1.
+    # Taps at the extremes of the signed range, m//2 and m//2 + 1, and m - 1:
+    # all equal (one magnitude g), and with every third tap set to 1.  For
+    # m//2 and m//2 + 1 that mix takes the multiply path, whose accumulator
+    # needs reducing every few updates when m is near 2^31.
     for value in (m // 2, m // 2 + 1, m - 1):
         coeffs = np.full(trunc + 1, value)
         coeffs[0] = m - 1
-        cases.append(TruncSeries(ResidueRing(m), coeffs, trunc))
-    for f in cases:
-        assert ring_invert(f).coeffs.tolist() == schoolbook_inverse(f.coeffs, m)
+        cases.append(TruncSeries(ring, coeffs, trunc))
+        coeffs = coeffs.copy()
+        coeffs[3::3] = 1
+        cases.append(TruncSeries(ring, coeffs, trunc))
+    expected = [schoolbook_inverse(f.coeffs, m) for f in cases]
+    for block in _BLOCKS:
+        # About 64 leaves or more; one-coefficient leaves cost one FFT
+        # product each, so the smallest blocks solve a prefix.
+        t = min(trunc, 64 * block + 17)
+        with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+            for f, want in zip(cases, expected):
+                prefix = TruncSeries(ring, f.coeffs[:t + 1], t)
+                assert ring_invert(prefix).coeffs.tolist() == want[:t + 1]
+
+
+def test_overpartitions_mod_primorial_match_the_tap_recurrence():
+    # pbar through two production leaves and a bit, against the recurrence
+    # over phi(-q)'s taps 2*(-1)^k at k^2, in Python integers.
+    m = 223_092_870
+    trunc = 2 * modseries._SOLVE_BLOCK + 17
+    pbar = [1]
+    for n in range(1, trunc + 1):
+        s = 0
+        k = 1
+        while k * k <= n:
+            s += (-1) ** k * pbar[n - k * k]
+            k += 1
+        pbar.append(-2 * s % m)
+    assert overpartition_series(trunc, ResidueRing(m)).coeffs.tolist() == pbar
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_overpartitions_mod_two_have_no_taps(block):
+    # phi(-q) = 1 mod 2, so the solver sees no taps at all.
+    with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+        ring = ResidueRing(2)
+        one = one_series(ring, 300)
+        assert overpartition_series(300, ring) == one
+        assert ring_div(theta_phi(300, ring), transform(theta_phi(300, ring), 1, -1)) == one
+
+
+@pytest.mark.parametrize("m", [12, 65521, (1 << 31) - 1])
+def test_mixed_and_shared_tap_magnitudes_match_the_oracle(m):
+    # Sparse taps of a few small magnitudes take the multiply path; taps
+    # +-3 share g = 3 and take the in-place path with g != 2.
+    rng = np.random.default_rng(m % 997)
+    trunc = 300
+    ring = ResidueRing(m)
+    cases = []
+    for values in ((1, 2, 3, m - 2, m - 5), (3, m - 3)):
+        coeffs = np.zeros(trunc + 1, np.int64)
+        at = rng.choice(np.arange(1, trunc + 1), 40, replace=False)
+        coeffs[at] = rng.choice(values, 40)
+        coeffs[0] = 1
+        cases.append(TruncSeries(ring, coeffs, trunc))
+    expected = [schoolbook_inverse(f.coeffs, m) for f in cases]
+    for block in _BLOCKS:
+        with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+            for f, want in zip(cases, expected):
+                assert ring_invert(f).coeffs.tolist() == want
+
+
+@pytest.mark.parametrize("m", [13, 223_092_870, (1 << 31) - 1])
+def test_div_by_sparse_and_dense_divisors_across_leaves(m):
+    # A dense right-hand side enters every leaf; the divisor is phi (g = 2),
+    # phi(-q) (g = 2, signs +-1) or a dense random unit series.
+    rng = np.random.default_rng(m % 991)
+    trunc = 260
+    ring = ResidueRing(m)
+    num = random_series(rng, ring, trunc)
+    divisors = [theta_phi(trunc, ring), transform(theta_phi(trunc, ring), 1, -1),
+                random_series(rng, ring, trunc, unit_constant=True)]
+    expected = [schoolbook_quotient(num.coeffs, g.coeffs, m) for g in divisors]
+    for block in _BLOCKS:
+        with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+            for g, want in zip(divisors, expected):
+                assert ring_div(num, g).coeffs.tolist() == want

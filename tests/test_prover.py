@@ -129,6 +129,39 @@ def test_recheck_verdicts_match_the_reduced_stream(modulus):
     assert check_claim_direct(claims[0], top, max_index=top) == ("verified", 1, None)
 
 
+_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 65521, (1 << 31) - 1)
+
+
+@st.composite
+def _claim_and_indices(draw):
+    conditions = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            s = draw(st.integers(1, 40))
+            residues = draw(st.sets(st.integers(0, s - 1), min_size=1))
+            conditions.append(("residue", s, tuple(sorted(residues))))
+        else:
+            conditions.append(("kronecker", draw(st.sampled_from(_ODD_PRIMES)),
+                               draw(st.sampled_from((-1, 1)))))
+    claim = CongruenceClaim(7, 1, (1, 0), tuple(conditions))
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 400))
+        b = draw(st.integers(0, a - 1))
+        ns = a * np.arange(draw(st.integers(0, 300)), dtype=np.int64) + b
+    else:
+        ns = np.array(draw(st.lists(st.integers(0, 1 << 40), max_size=200)), dtype=np.int64)
+    return claim, ns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_claim_and_indices())
+def test_condition_mask_matches_condition_holds(case):
+    claim, ns = case
+    mask = claim.condition_mask(ns)
+    assert mask.dtype == bool and mask.shape == ns.shape
+    assert mask.tolist() == [claim.condition_holds(n) for n in ns.tolist()]
+
+
 def test_claim_validation_and_serialisation():
     with pytest.raises(ValueError):
         CongruenceClaim(5, 1, (4, 4))
