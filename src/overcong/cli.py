@@ -99,8 +99,11 @@ def _cmd_decompose(args) -> int:
             data = fh.read()
     else:
         data = sys.stdin.read()
-    coeffs = [int(tok) for tok in data.split()]
-    series = TruncSeries(ResidueRing(args.mod), coeffs)
+    ring = ResidueRing(args.mod)
+    series = TruncSeries(ring, [int(tok) % ring.modulus for tok in data.split()])
+    # Too few coefficients is a usage error, found before any basis is built.
+    if series.trunc < args.k2 // 4:
+        raise ValueError(f"truncation {series.trunc} too small for k2={args.k2}")
     try:
         dec = decompose(series, args.k2)
     except ValueError as exc:

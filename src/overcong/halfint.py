@@ -136,9 +136,10 @@ class Decomposition:
 def decompose(f: TruncSeries, k2: int) -> Decomposition:
     """Express f in the triangular basis F^b * phi^(k2-4b) by forward
     substitution; the residual must vanish through f.trunc."""
-    basis = basis_monomials(k2)
-    if f.trunc < len(basis.monomials) - 1:
+    # k2//4 + 1 coordinates: checked before the basis is built.
+    if f.trunc < k2 // 4:
         raise ValueError(f"truncation {f.trunc} too small for k2={k2}")
+    basis = basis_monomials(k2)
     m = f.ring.modulus
     resid = f.coeffs.copy()
     coeffs = []

@@ -9,8 +9,11 @@ by them costs O(T^1.5) instead of O(T^2).  Division is a divide-and-conquer
 solver that pushes the divisor's nonzero terms into an accumulator with
 one vectorised update each, down to leaves of at most _SOLVE_BLOCK
 coefficients; each leaf is one product with the divisor's truncated
-inverse.  A product of two dense series, and every leaf, is an exact float
-FFT product in O(T log T), checked for rounding error.
+inverse, the head.  A product of two dense series, and every leaf, is an
+exact float FFT product in O(T log T), checked for rounding error.  A
+dense product keeps one pair of limb spectra alive at a time; a solve
+transforms its head's limbs once per leaf length and sums each
+anti-diagonal of limb products before one inverse FFT.
 
 Values are immutable after construction and safe to share across threads.
 Reading a coefficient past the truncation is an error, never a zero.
@@ -33,8 +36,10 @@ SPARSE_DENSITY = 0.125
 TRUNC_CAP = 1 << 27
 
 # Longest leaf of the linear-recurrence solver; each leaf is one exact FFT
-# product.
-_SOLVE_BLOCK = 4096
+# product with the head's cached limb spectra.  Of 4096-32768, 16384 and
+# 32768 inverted phi(-q) fastest on the rediscover scans; 16384 keeps the
+# leaf spectra at 256 KB each.
+_SOLVE_BLOCK = 16384
 
 # Every exact output of one float product in a dense ring_mul is planned to
 # stay below this in magnitude, so float64 FFT error stays well under 0.25.
@@ -196,51 +201,64 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _limb_pass(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,
-               w: int) -> np.ndarray | None:
-    """(a*b)[:n] mod m for residue vectors a, b, taking their balanced
-    residues in k signed w-bit limbs (digits in [-2^(w-1), 2^(w-1))), one
-    float product per limb pair; None if any product fails its check.
-
-    Digit i of x is bits [w*i, w*(i+1)) of x + offset, less 2^(w-1), where
-    offset puts 2^(w-1) in every digit, so each limb is built on its own.
-    A limb product is accepted only if every irfft output lies within 0.25
-    of an integer and that integer lies below _FRACTION_VISIBLE.
-    """
+def _limb_plan(m: int, w: int) -> tuple[int, int]:
+    """(k, offset) for signed w-bit limbs mod m: the k limbs, digits in
+    [-2^(w-1), 2^(w-1)), hold every balanced residue, and offset puts
+    2^(w-1) in every digit, so each limb is built on its own."""
     half = 1 << (w - 1)
     k, rep = 1, 1
     while (half - 1) * rep < m // 2:
         k, rep = k + 1, (rep << w) | 1
+    return k, half * rep
 
-    def limb_spectrum(x, i):
-        y = x + half * rep
-        np.subtract(y, m, out=y, where=x > m // 2)
-        y >>= w * i
-        y &= (1 << w) - 1
-        y -= half
-        y = y.astype(np.float64)
-        return np.fft.rfft(y, size)
 
+def _limb_spectrum(x: np.ndarray, i: int, m: int, w: int, offset: int,
+                   size: int) -> np.ndarray:
+    """rfft, zero-padded to `size`, of limb i of the balanced residues of x:
+    bits [w*i, w*(i+1)) of x + offset, less 2^(w-1)."""
+    y = x + offset
+    np.subtract(y, m, out=y, where=x > m // 2)
+    y >>= w * i
+    y &= (1 << w) - 1
+    y -= 1 << (w - 1)
+    y = y.astype(np.float64)
+    return np.fft.rfft(y, size)
+
+
+def _exact_residues(r: np.ndarray, m: int) -> np.ndarray | None:
+    """The irfft output r of a float product, mod m as int64, or None if it
+    fails its check: every output must lie within 0.25 of an integer, and
+    that integer must lie below _FRACTION_VISIBLE."""
+    q = np.rint(r)
+    r -= q
+    if max(r.max(), -r.min()) >= 0.25 or np.abs(q).max() >= _FRACTION_VISIBLE:
+        return None
+    np.fmod(q, m, out=q)
+    return q.astype(np.int64)
+
+
+def _limb_pass(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,
+               w: int) -> np.ndarray | None:
+    """(a*b)[:n] mod m for residue vectors a, b, taking their balanced
+    residues in k signed w-bit limbs, one float product per limb pair; None
+    if any product fails its check."""
+    k, offset = _limb_plan(m, w)
     # Each buffer is dropped once spent, so at most one spectrum pair and
     # one irfft output are alive at a time.
     out = None
     for i in range(k):
-        fa = limb_spectrum(a, i)
+        fa = _limb_spectrum(a, i, m, w, offset, size)
         for j in range(k):
-            spec = limb_spectrum(b, j)
+            spec = _limb_spectrum(b, j, m, w, offset, size)
             spec *= fa
             if k == 1:
                 del fa
             r = np.fft.irfft(spec, size)[:n]
             del spec
-            q = np.rint(r)
-            r -= q
-            if max(r.max(), -r.min()) >= 0.25 or np.abs(q).max() >= _FRACTION_VISIBLE:
-                return None
+            part = _exact_residues(r, m)
             del r
-            np.fmod(q, m, out=q)
-            part = q.astype(np.int64)
-            del q
+            if part is None:
+                return None
             part *= pow(2, w * (i + j), m)
             if out is None:
                 out = part
@@ -250,25 +268,69 @@ def _limb_pass(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,
     return out
 
 
-def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
+def _diagonal_pass(fa: list[np.ndarray], b: np.ndarray, n: int, m: int, size: int,
+                   w: int) -> np.ndarray | None:
+    """(a*b)[:n] mod m from fa, the k limb spectra of a at width w and FFT
+    size `size`: b's k limbs are transformed once, and the limb products on
+    each anti-diagonal i + j = s are summed before a single irfft, so a
+    product takes k rffts and 2k - 1 irffts.  None if any sum fails its
+    check."""
+    k, offset = _limb_plan(m, w)
+    fb = [_limb_spectrum(b, j, m, w, offset, size) for j in range(k)]
+    out = None
+    for s in range(2 * k - 1):
+        spec = sum(fa[i] * fb[s - i] for i in range(max(0, s - k + 1), min(s, k - 1) + 1))
+        part = _exact_residues(np.fft.irfft(spec, size)[:n], m)
+        if part is None:
+            return None
+        part *= pow(2, w * s, m)
+        if out is None:
+            out = part
+        else:
+            out += part
+        out %= m
+    return out
+
+
+def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
+             spectra: dict | None = None) -> np.ndarray:
     """(a*b)[:n] mod m for residue vectors a, b, exactly, by float FFTs.
 
     Residues are taken in balanced form (-m/2, m/2].  One float product
     suffices when min(len a, len b) * (m//2)^2 < _FFT_BOUND; otherwise both
-    sides are split into signed limbs of w bits, w the widest with
-    min(len a, len b) * 4^(w-1) < _FFT_BOUND.  A product that fails its
+    sides are split into k signed limbs of w bits, w the widest for which
+    every float product stays below _FFT_BOUND.  A product that fails its
     rounding check is redone with limbs one bit narrower; a value that
     failed the check is never returned.
+
+    Without `spectra`, each limb pair is one float product (_limb_pass),
+    which keeps at most one spectrum pair alive.  With it, a's limb spectra
+    are kept in `spectra` under (len(a), w, size), and each anti-diagonal of
+    limb products is summed before one irfft (_diagonal_pass), so w is
+    planned for k products per output.  Every call sharing one `spectra`
+    must pass a prefix of the same series as a.
     """
     h = m // 2
     terms = min(len(a), len(b))
     size = _fft_size(len(a) + len(b) - 1)
     w = h.bit_length() + 1  # one limb: the balanced residues themselves
     if terms * h * h >= _FFT_BOUND:
-        while w > 2 and terms << (2 * w - 2) >= _FFT_BOUND:
+        while w > 2:
+            # A summed anti-diagonal adds up to k limb products per output.
+            sums = 1 if spectra is None else _limb_plan(m, w)[0]
+            if sums * terms << (2 * w - 2) < _FFT_BOUND:
+                break
             w -= 1
     for width in range(w, 1, -1):
-        out = _limb_pass(a, b, n, m, size, width)
+        if spectra is None:
+            out = _limb_pass(a, b, n, m, size, width)
+        else:
+            key = (len(a), width, size)
+            if key not in spectra:
+                k, offset = _limb_plan(m, width)
+                spectra[key] = [_limb_spectrum(a, i, m, width, offset, size)
+                                for i in range(k)]
+            out = _diagonal_pass(spectra[key], b, n, m, size, width)
         if out is not None:
             return out
     raise ArithmeticError(f"FFT product mod {m} failed its rounding check at every limb width")
@@ -403,6 +465,9 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     else:
         head = inverse_head(n)
     acc = np.zeros(t + 1 - start, np.int64)
+    # The head's limb spectra, built once per (leaf length, width, FFT size)
+    # and shared by every leaf of this solve.
+    spectra = {}
 
     def rec(lo: int, hi: int, pending: int):
         # Every entry of acc[lo:hi] carries at most `pending` unreduced updates.
@@ -416,7 +481,7 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
         tail = rhs[lo:hi]
         blk[:len(tail)] += tail
         blk %= m
-        c[lo:hi] = _fft_mul(head[:hi - lo], blk, hi - lo, m)
+        c[lo:hi] = _fft_mul(head[:hi - lo], blk, hi - lo, m, spectra)
 
     if start <= t:
         rec(start, t + 1, push(c, acc, start, 0, start, t + 1, 0))
@@ -470,12 +535,13 @@ def transform(f: TruncSeries, d: int, sign: int) -> TruncSeries:
     if new_trunc > TRUNC_CAP:
         raise ValueError(f"truncation cap exceeded: {new_trunc} > {TRUNC_CAP}")
     m = f.ring.modulus
-    vals = f.coeffs.copy()
-    if sign == -1:
-        odd = np.arange(f.trunc + 1) % 2 == 1
-        vals[odd] = (-vals[odd]) % m
+    # Strided views, so no index or mask array as long as the series is
+    # built.
     out = np.zeros(new_trunc + 1, np.int64)
-    out[np.arange(f.trunc + 1) * d] = vals
+    out[::d] = f.coeffs
+    if sign == -1:
+        odd = out[d::2 * d]
+        np.subtract(m, odd, out=odd, where=odd != 0)
     return TruncSeries(f.ring, out, new_trunc)
 
 

@@ -72,9 +72,11 @@ class CongruenceClaim:
         for cond in self.conditions:
             if cond[0] not in ("residue", "kronecker"):
                 raise ValueError(f"unknown condition {cond!r}")
-            if cond[0] == "residue" and (cond[1] < 1 or not cond[2] or any(
+            # Past the index cap a modulus acts as infinity; the cap keeps
+            # n mod s in int64.
+            if cond[0] == "residue" and (not 1 <= cond[1] < 1 << 31 or not cond[2] or any(
                     not 0 <= r < cond[1] for r in cond[2])):
-                raise ValueError(f"residue condition needs modulus s >= 1 and "
+                raise ValueError(f"residue condition needs a modulus 1 <= s < 2^31 and "
                                  f"at least one residue in [0, s), got {cond[1:]}")
             # The cap keeps is_prime's trial division short.
             if cond[0] == "kronecker" and (cond[2] not in (-1, 1) or not (
@@ -513,10 +515,16 @@ def verify_identity(modulus: int, trunc: int = 2000) -> ProofReport:
 def verify_lemma1(p: int, alpha: int, trunc: int) -> bool:
     """(q;q)_inf^(p^alpha) = (q^p;q^p)_inf^(p^(alpha-1)) mod p^alpha, checked
     exactly through q^trunc."""
-    if not chars.is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    # Bounds first: p^alpha for a huge alpha, or trial division of a huge p,
+    # would not finish.
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
+    if p >= 1 << 31 or alpha >= 31 or p ** alpha >= 1 << 31:
+        raise ValueError(f"p^alpha = {p}^{alpha} must be below 2^31")
+    if not 0 <= trunc <= TRUNC_CAP:
+        raise ValueError(f"truncation must lie in [0, {TRUNC_CAP}], got {trunc}")
+    if not chars.is_prime(p):
+        raise ValueError(f"{p} is not prime")
     ring = ResidueRing(p ** alpha)
     lhs = ring_pow(pochhammer(1, trunc, ring), p ** alpha)
     rhs = ring_pow(transform(pochhammer(1, trunc // p, ring), p, 1), p ** (alpha - 1))
@@ -548,8 +556,12 @@ def check_claim_direct(claim: CongruenceClaim, n_max: int,
         raise ValueError(f"budget exceeded: index {top} > {INDEX_HARD_CAP}; {hint}")
     # Every t with d*(a*t + b) <= top, so nothing past the budget is built.
     t_hi = min(n_max, (top // d - b) // a)
-    ns = a * np.arange(max(t_hi + 1, 0), dtype=np.int64) + b
-    idx = d * ns[claim.condition_mask(ns)]
+    idx = np.zeros(0, np.int64)
+    if t_hi >= 0:
+        # Built by arange: a step past int64 still yields its one term.
+        ns = np.arange(b, a * t_hi + b + 1, a, dtype=np.int64)
+        idx = np.arange(d * b, d * (a * t_hi + b) + 1, d * a,
+                        dtype=np.int64)[claim.condition_mask(ns)]
     support = int(len(idx))
     if support == 0 or claim.modulus == 1:
         return "verified", support, None
@@ -622,13 +634,14 @@ def scan(modulus: int, d_list, a_list, n_max: int,
         d, a = pair
         hits = []
         supports = {}
-        for b in range(a):
+        # An offset past max_index // d has no index within the budget.
+        for b in range(min(a, max_index // d + 1)):
             t_hi = (max_index // d - b) // a
             t_hi = min(t_hi, n_max)
             if t_hi < 0 or t_hi + 1 < min_support:
                 continue
-            ts = np.arange(t_hi + 1, dtype=np.int64)
-            vals = pb[d * (a * ts + b)]
+            # Built by arange: a step past int64 still yields its one term.
+            vals = pb[np.arange(d * b, d * (a * t_hi + b) + 1, d * a, dtype=np.int64)]
             if not vals.any():
                 hits.append(b)
                 supports[b] = t_hi + 1

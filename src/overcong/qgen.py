@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modseries import (ResidueRing, TruncSeries, one_series, ring_invert,
-                        ring_mul, ring_pow, transform)
+from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, one_series,
+                        ring_invert, ring_mul, ring_pow, transform)
 
 R_M_BRUTE_MAX_N = 50
 R_M_BRUTE_MAX_M = 12
@@ -37,11 +37,13 @@ def pochhammer(delta: int, trunc: int, ring: ResidueRing) -> TruncSeries:
     m = ring.modulus
     out = np.zeros(trunc + 1, np.int64)
     out[0] = 1 % m
-    # k(3k-1)/2 >= k^2, so every k past sqrt(trunc/delta) lands past trunc.
-    k = np.arange(1, math.isqrt(trunc // delta) + 2, dtype=np.int64)
-    sign = np.where(k % 2 == 0, 1, m - 1)
-    for e in (delta * k * (3 * k - 1) // 2, delta * k * (3 * k + 1) // 2):
-        out[e[e <= trunc]] = sign[e <= trunc]
+    # Past the truncation (delta may exceed int64) only the constant is left.
+    if delta <= trunc:
+        # k(3k-1)/2 >= k^2, so every k past sqrt(trunc/delta) lands past trunc.
+        k = np.arange(1, math.isqrt(trunc // delta) + 2, dtype=np.int64)
+        sign = np.where(k % 2 == 0, 1, m - 1)
+        for e in (delta * k * (3 * k - 1) // 2, delta * k * (3 * k + 1) // 2):
+            out[e[e <= trunc]] = sign[e <= trunc]
     return TruncSeries(ring, out, trunc)
 
 
@@ -81,6 +83,8 @@ class QExpansion:
         shift = self.prefactor24 // 24
         if shift < 0:
             raise ValueError("negative leading q-power cannot become a power series")
+        if self.series.trunc + shift > TRUNC_CAP:
+            raise ValueError(f"truncation cap exceeded: leading power q^{shift}")
         out = np.zeros(self.series.trunc + shift + 1, np.int64)
         out[shift:] = self.series.coeffs
         return TruncSeries(self.series.ring, out, self.series.trunc + shift)

@@ -1,11 +1,17 @@
 """Command-line behaviour: output formats, exit codes, and the cache."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from overcong import ResidueRing, expand_monomial, load_series
-from overcong.cli import main
+from overcong.cli import CACHE_ENV, main
 
 
 def run(capsys, *argv):
@@ -250,11 +256,14 @@ def test_cache_file_serves_shorter_truncations_and_grows(capsys, tmp_path):
      '[{"type": "residue", "modulus": 8, "residues": [5]}]}', "--nmax", "10"),
     ("verify-identity", "17", "--trunc", "0"),
     ("check", "--claim", "[" * 100_000, "--nmax", "1"),
+    ("decompose", "--k2", "1000000000", "--mod", "13"),
 ], ids=["expand-negative-trunc", "scan-d-zero", "scan-A-zero", "check-empty-claim",
         "check-list-claim", "lemma1-negative-trunc", "bound-g1-offset-past-step",
         "check-kronecker-p-zero", "check-empty-residue-list", "check-support-zero",
-        "verify-identity-trunc-below-basis", "check-claim-nested-too-deeply"])
-def test_bad_input_is_a_usage_error(capsys, argv):
+        "verify-identity-trunc-below-basis", "check-claim-nested-too-deeply",
+        "decompose-input-shorter-than-its-basis"])
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
     try:
         code = main(list(argv))
     except SystemExit as exc:  # argparse rejects the value itself
@@ -270,3 +279,119 @@ def test_stdout_identical_across_runs(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+# Ints at the edges every option must survive: zero, negative, and far past
+# every budget cap.  Values between the caps and ~1e6 are left out on
+# purpose: they are valid budgets and would cost seconds each.
+_EDGE_INTS = st.one_of(st.integers(-3, 40), st.sampled_from(
+    [2 ** 31 - 1, 2 ** 31, 2 ** 63, 10 ** 30, -(10 ** 30)]))
+_MODULI = st.one_of(_EDGE_INTS, st.sampled_from([13, 223_092_870]))
+_TEXT = st.text(st.characters(codec="ascii", exclude_categories=["Cc"]), max_size=8)
+
+
+def _int_list():
+    return st.lists(_EDGE_INTS, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+
+
+_ETA_FACTOR = st.one_of(
+    st.tuples(_EDGE_INTS, _EDGE_INTS).map(lambda dr: f"{dr[0]}^{dr[1]}"),
+    _EDGE_INTS.map(str), _TEXT)
+_GENERATORS = st.one_of(
+    st.sampled_from(["phi", "F", "overpartition", "rm:", "eta:", "zeta"]),
+    _EDGE_INTS.map(lambda e: f"rm:{e}"),
+    st.lists(_ETA_FACTOR, min_size=1, max_size=3).map(lambda fs: "eta:" + ",".join(fs)))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _EDGE_INTS | st.floats(allow_nan=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8)
+_CONDITION = st.one_of(
+    st.fixed_dictionaries({"type": st.just("residue"), "modulus": _EDGE_INTS,
+                           "residues": st.lists(_EDGE_INTS, max_size=3)}),
+    st.fixed_dictionaries({"type": st.just("kronecker"), "p": _EDGE_INTS,
+                           "sign": _EDGE_INTS}),
+    _JSON)
+_CLAIM = st.one_of(
+    st.fixed_dictionaries(
+        {"modulus": _MODULI, "progression": st.lists(_EDGE_INTS, min_size=2, max_size=2)},
+        optional={"multiplier": _EDGE_INTS, "conditions": st.lists(_CONDITION, max_size=2),
+                  "status": _JSON, "support": _EDGE_INTS}).map(json.dumps),
+    _JSON.map(json.dumps), _TEXT)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+@st.composite
+def _argv(draw):
+    """A generated command line for one of the subcommands, with a stdin."""
+    argv = draw(_opt("--output", st.sampled_from(["text", "json", "xml"])))
+    argv += draw(_opt("--threads", st.sampled_from([-1, 0, 1, 2])))
+    cmd = draw(st.sampled_from(["expand", "decompose", "bound", "prove",
+                                "verify-identity", "lemma1", "scan", "check"]))
+    stdin = ""
+    if cmd == "expand":
+        argv += ["expand", draw(_GENERATORS), "--mod", str(draw(_MODULI)),
+                 "--trunc", str(draw(_EDGE_INTS))]
+    elif cmd == "decompose":
+        argv += ["decompose", "--k2", str(draw(_EDGE_INTS)), "--mod", str(draw(_MODULI))]
+        argv += draw(_opt("--input", st.just("no-such-coefficient-file.txt")))
+        stdin = " ".join(draw(st.lists(st.one_of(_EDGE_INTS.map(str), _TEXT), max_size=40)))
+    elif cmd == "bound":
+        argv += ["bound", "--weight2", str(draw(_EDGE_INTS)), "--level", str(draw(_EDGE_INTS)),
+                 "--group", draw(st.sampled_from(["g0", "g1", "g2"]))]
+        argv += draw(_opt("--progression", _int_list()))
+    elif cmd == "prove":
+        argv += ["prove", draw(st.sampled_from(["thm11", "thm13", "thm17", ""]))]
+    elif cmd == "verify-identity":
+        argv += ["verify-identity", str(draw(st.sampled_from([17, 23, 13, -17])))]
+        argv += draw(_opt("--trunc", _EDGE_INTS))
+    elif cmd == "lemma1":
+        argv += ["lemma1", "--p", str(draw(_EDGE_INTS))]
+        argv += draw(_opt("--alpha", _EDGE_INTS)) + draw(_opt("--trunc", _EDGE_INTS))
+    elif cmd == "scan":
+        # --max-index is always given: its default is a 1e6-5e6 budget.
+        argv += ["scan", "--mod", str(draw(_MODULI)), "--d", draw(_int_list()),
+                 "--A", draw(_int_list()), "--nmax", str(draw(_EDGE_INTS)),
+                 "--max-index", str(draw(_EDGE_INTS))]
+        argv += draw(_opt("--min-support", _EDGE_INTS))
+    else:
+        argv += ["check", "--claim", draw(_CLAIM), "--nmax", str(draw(_EDGE_INTS))]
+    return argv, stdin
+
+
+def _run_contained(argv, stdin):
+    # No cache directory from the environment: generated runs stay in memory.
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop(CACHE_ENV, None)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse: usage errors, --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+@example((["expand", "eta:3^8", "--mod", "13", "--trunc", "6"], ""))
+@example((["decompose", "--k2", "1000000000", "--mod", "13"], "1 2 3"))
+@example((["lemma1", "--p", "3", "--alpha", str(10 ** 30), "--trunc", "5"], ""))
+@example((["lemma1", "--p", "3", "--trunc", str(2 ** 63)], ""))
+@example((["scan", "--mod", "5", "--d", "1", "--A", str(10 ** 30), "--nmax", "9",
+           "--max-index", "40", "--min-support", "0"], ""))
+@example((["expand", f"eta:{10 ** 30}", "--mod", "11", "--trunc", "5"], ""))
+@example((["check", "--claim", json.dumps({"modulus": 5, "multiplier": 10 ** 30,
+           "progression": [10 ** 30, 0]}), "--nmax", "0"], ""))
+@example((["check", "--claim", json.dumps({"modulus": 5, "progression": [40, 35], "conditions": [
+           {"type": "residue", "modulus": 10 ** 30, "residues": [1]}]}), "--nmax", "9"], ""))
+@example((["--threads", "2", "scan", "--mod", "5", "--d", "1,2", "--A", "40,8",
+           "--nmax", "40", "--max-index", "40", "--min-support", "0"], ""))
+def test_any_argv_keeps_the_exit_code_contract(case):
+    argv, stdin = case
+    code, out, err = _run_contained(argv, stdin)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert _run_contained(argv, stdin)[1] == out, argv

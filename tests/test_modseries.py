@@ -1,5 +1,7 @@
 """Ring arithmetic on truncated series: laws, oracles, and error contracts."""
 
+import bisect
+import tracemalloc
 import zlib
 from unittest import mock
 
@@ -313,6 +315,19 @@ def test_transform_sign_alternation():
     assert transform(transform(f, 1, -1), 1, -1) == f
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_transform_matches_its_definition(d, sign):
+    # Coefficient n lands at d*n times sign^n; zeros stay zero.
+    rng = np.random.default_rng(d)
+    ring = ResidueRing(13)
+    f = random_series(rng, ring, 30, density=0.5)
+    want = [0] * (30 * d + 1)
+    for n, c in enumerate(f.coeffs.tolist()):
+        want[d * n] = sign ** n * c % 13
+    assert transform(f, d, sign).coeffs.tolist() == want
+
+
 def test_transform_dilation_support():
     ring = ResidueRing(11)
     out = transform(theta_phi(10, ring), 11, 1)
@@ -573,13 +588,17 @@ def test_invert_extends_a_known_prefix(case):
 
 
 def schoolbook_quotient(num, den, m):
-    # Independent oracle: the defining recurrence of num/den in Python integers.
+    # Independent oracle: the defining recurrence of num/den in Python
+    # integers, summed over den's nonzero taps only.
     f = [int(x) for x in den]
+    taps = [(j, v) for j, v in enumerate(f) if j and v]
+    exps = [j for j, _ in taps]
     f0inv = pow(f[0], -1, m)
     g = []
     for n in range(len(f)):
         s = int(num[n]) if n < len(num) else 0
-        g.append(f0inv * (s - sum(f[j] * g[n - j] for j in range(1, n + 1))) % m)
+        below = taps[:bisect.bisect_right(exps, n)]
+        g.append(f0inv * (s - sum(v * g[n - j] for j, v in below)) % m)
     return g
 
 
@@ -678,3 +697,130 @@ def test_div_by_sparse_and_dense_divisors_across_leaves(m):
         with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
             for g, want in zip(divisors, expected):
                 assert ring_div(num, g).coeffs.tolist() == want
+
+
+def leaf_lengths(lo, hi, block):
+    starts = leaf_starts(lo, hi, block)
+    return [b - a for a, b in zip(starts, starts[1:] + [hi])]
+
+
+def sparse_unit_series(rng, ring, trunc, taps=12):
+    # A unit constant and a few random taps: its inverse is dense, so every
+    # leaf is a full product, while the oracle sums over a dozen taps.
+    coeffs = np.zeros(trunc + 1, np.int64)
+    coeffs[rng.choice(np.arange(1, trunc + 1), min(taps, trunc), replace=False)] = \
+        rng.integers(0, ring.modulus, min(taps, trunc))
+    coeffs[0] = 1
+    return TruncSeries(ring, coeffs, trunc)
+
+
+@pytest.mark.parametrize("m", [2, 13, 65521, 223_092_870, (1 << 31) - 1])
+def test_leaves_sharing_head_spectra_match_the_oracle(m):
+    # One solve reuses the head's limb spectra for every leaf of a length.
+    # An inversion takes a head of `block` terms and halves the next
+    # 2*block - 1 into leaves of block - 1 and block; a quotient by a
+    # dense divisor halves block + 1 terms into two leaves of unequal length.
+    rng = np.random.default_rng(m % 1009)
+    ring = ResidueRing(m)
+    for block in _BLOCKS:
+        t_inv, t_div = 3 * block - 2, block
+        assert len(set(leaf_lengths(block, t_inv + 1, block))) == min(block, 2)
+        assert len(set(leaf_lengths(0, t_div + 1, block))) == min(block, 2)
+        f = sparse_unit_series(rng, ring, t_inv)
+        num = random_series(rng, ring, t_div)
+        den = (random_series(rng, ring, t_div, unit_constant=True) if block <= 64
+               else sparse_unit_series(rng, ring, t_div))
+        with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+            assert ring_invert(f).coeffs.tolist() == schoolbook_inverse(f.coeffs, m)
+            assert ring_div(num, den).coeffs.tolist() == \
+                schoolbook_quotient(num.coeffs, den.coeffs, m)
+
+
+def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
+    # With the bound lifted, each leaf first tries one limb at 2^31 - 1; its
+    # sums reach ~2^66 and must fail the check.  Narrower widths build their
+    # own head spectra: every spectrum a leaf uses was built for that leaf's
+    # length, width and FFT size.
+    m = (1 << 31) - 1
+    rng = np.random.default_rng(7)
+    ring = ResidueRing(m)
+    f = random_series(rng, ring, 3 * 64 - 2, unit_constant=True)
+    num = random_series(rng, ring, 3 * 64 - 2)
+    built, kept, passes = {}, [], []
+    real_spectrum, real_pass = modseries._limb_spectrum, modseries._diagonal_pass
+
+    def recording_spectrum(x, i, m, w, offset, size):
+        out = real_spectrum(x, i, m, w, offset, size)
+        built[id(out)] = (len(x), w, size)
+        kept.append(out)  # keeps ids unique while the test runs
+        return out
+
+    def recording_pass(fa, b, n, m, size, w):
+        assert all(built[id(spec)] == (n, w, size) for spec in fa)
+        out = real_pass(fa, b, n, m, size, w)
+        passes.append((w, out is not None))
+        return out
+
+    monkeypatch.setattr(modseries, "_FFT_BOUND", 1 << 80)
+    monkeypatch.setattr(modseries, "_limb_spectrum", recording_spectrum)
+    monkeypatch.setattr(modseries, "_diagonal_pass", recording_pass)
+    with mock.patch.object(modseries, "_SOLVE_BLOCK", 64):
+        inverse = ring_invert(f)
+        quotient = ring_div(num, f)
+    assert passes[0] == (31, False)
+    assert any(ok for _, ok in passes)
+    assert inverse.coeffs.tolist() == schoolbook_inverse(f.coeffs, m)
+    assert quotient.coeffs.tolist() == schoolbook_quotient(num.coeffs, f.coeffs, m)
+
+
+def test_leaves_transform_only_their_right_hand_side(monkeypatch):
+    # Inverting phi(-q) mod 23#: the head's k limbs are transformed once per
+    # leaf length, each leaf transforms its right-hand side's k limbs and
+    # takes one irfft per anti-diagonal, 2k - 1.  At every production leaf
+    # length 23# needs k = 2 limbs.
+    ring = ResidueRing(223_092_870)
+    block = modseries._SOLVE_BLOCK
+    k = 2
+    counts = {}
+    for name in ("rfft", "irfft"):
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def ffts(trunc):
+        counts.update(rfft=0, irfft=0)
+        overpartition_series(trunc, ring)
+        return counts["rfft"], counts["irfft"]
+
+    head_rfft, head_irfft = ffts(block - 1)  # the Newton head alone
+    trunc = 5 * block - 2
+    lengths = leaf_lengths(block, trunc + 1, block)
+    assert len(lengths) == 4 and len(set(lengths)) == 2
+    rfft, irfft = ffts(trunc)
+    assert rfft - head_rfft <= k * (len(lengths) + len(set(lengths)))
+    assert irfft - head_irfft <= (2 * k - 1) * len(lengths)
+
+
+# tracemalloc peak, in bytes, of one dense ring_mul at T = 2^18 with numpy
+# 2.4.6, when at most one spectrum pair and one irfft output are alive at a
+# time.  Summing anti-diagonals there as the solver's leaves do would hold
+# all 2k limb spectra at once.
+_DENSE_PEAK_BYTES = {13: 10_726_888, 223_092_870: 16_951_924, (1 << 31) - 1: 16_951_636}
+
+
+@pytest.mark.parametrize("m", sorted(_DENSE_PEAK_BYTES))
+def test_dense_mul_holds_one_spectrum_pair_at_a_time(m):
+    trunc = 1 << 18
+    rng = np.random.default_rng(1)
+    ring = ResidueRing(m)
+    f = TruncSeries(ring, rng.integers(0, m, trunc + 1), trunc)
+    g = TruncSeries(ring, rng.integers(0, m, trunc + 1), trunc)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ring_mul(f, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * _DENSE_PEAK_BYTES[m]

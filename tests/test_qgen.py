@@ -142,6 +142,15 @@ def test_eta_quotient_fractional_prefactor_is_error():
         expansion.to_series()
 
 
+def test_eta_quotient_arguments_past_the_truncation():
+    # delta past int64 leaves only the constant; a leading power past the
+    # truncation cap is refused before anything that long is allocated.
+    quotient = EtaQuotient(((24 * 2 ** 63, 1),))
+    assert pochhammer(2 ** 63, 40, BIG) == one_series(BIG, 40)
+    with pytest.raises(ValueError, match="truncation cap"):
+        eta_quotient(quotient, 0, BIG).to_series()
+
+
 def test_eta_quotient_factor_validation():
     with pytest.raises(ValueError):
         EtaQuotient(((2, 1), (1, 1)))  # not ascending
