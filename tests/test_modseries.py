@@ -651,7 +651,8 @@ def test_overpartitions_mod_primorial_match_the_tap_recurrence():
     assert overpartition_series(trunc, ResidueRing(m)).coeffs.tolist() == pbar
 
 
-@pytest.mark.parametrize("block", _BLOCKS)
+# 4096 was the production leaf length before 16384; both still run here.
+@pytest.mark.parametrize("block", sorted({*_BLOCKS, 4096}))
 def test_overpartitions_mod_two_have_no_taps(block):
     # phi(-q) = 1 mod 2, so the solver sees no taps at all.
     with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
