@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="group index and verification bound")
     p.add_argument("--weight2", type=_positive, required=True, help="twice the weight")
-    p.add_argument("--level", type=_positive, required=True)
+    p.add_argument("--level", type=_level, required=True)
     p.add_argument("--group", choices=("g0", "g1"), required=True)
     p.add_argument("--progression", type=_parse_progression, metavar="A,B")
     p.set_defaults(func=_cmd_bound)
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, below: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -252,12 +252,17 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be < {below}, got {value}")
         return value
     return parse
 
 
 _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
+# The level is factorised by trial division; below 2^31, as the moduli are,
+# that takes at most ~23000 divisions.
+_level = _int_at_least(1, 1 << 31)
 
 
 def _parse_progression(text: str) -> tuple[int, int]:

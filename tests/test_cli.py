@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 from unittest import mock
 
 import pytest
@@ -18,6 +19,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.strip(), captured.err
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    # Fails the test from the main thread once `seconds` have passed; not
+    # an OSError (TimeoutError is one), which the CLI would report as exit 2.
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_expand_phi_text(capsys):
@@ -257,15 +273,17 @@ def test_cache_file_serves_shorter_truncations_and_grows(capsys, tmp_path):
     ("verify-identity", "17", "--trunc", "0"),
     ("check", "--claim", "[" * 100_000, "--nmax", "1"),
     ("decompose", "--k2", "1000000000", "--mod", "13"),
+    ("bound", "--weight2", "3", "--level", "9223372036854775804", "--group", "g0"),
 ], ids=["expand-negative-trunc", "scan-d-zero", "scan-A-zero", "check-empty-claim",
         "check-list-claim", "lemma1-negative-trunc", "bound-g1-offset-past-step",
         "check-kronecker-p-zero", "check-empty-residue-list", "check-support-zero",
         "verify-identity-trunc-below-basis", "check-claim-nested-too-deeply",
-        "decompose-input-shorter-than-its-basis"])
+        "decompose-input-shorter-than-its-basis", "bound-level-past-the-cap"])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
     try:
-        code = main(list(argv))
+        with deadline(10):  # a usage error is immediate; some inputs hung
+            code = main(list(argv))
     except SystemExit as exc:  # argparse rejects the value itself
         code = exc.code
     err = capsys.readouterr().err

@@ -1,8 +1,12 @@
 """Ring arithmetic on truncated series: laws, oracles, and error contracts."""
 
 import bisect
+import contextlib
+import sys
+import threading
 import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -783,9 +787,11 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
     block = modseries._SOLVE_BLOCK
     k = 2
     counts = {}
+    lock = threading.Lock()  # pooled leaves transform on worker threads
     for name in ("rfft", "irfft"):
         def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
-            counts[_name] += 1
+            with lock:
+                counts[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
 
@@ -801,6 +807,118 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
     rfft, irfft = ffts(trunc)
     assert rfft - head_rfft <= k * (len(lengths) + len(set(lengths)))
     assert irfft - head_irfft <= (2 * k - 1) * len(lengths)
+
+
+@contextlib.contextmanager
+def worker_pool():
+    # A two-thread pool in place of the module's, which a one-CPU host
+    # lacks, so three threads share the work.
+    with ThreadPoolExecutor(2) as pool, mock.patch.object(modseries, "_POOL", pool):
+        yield pool
+
+
+_PUSH_CHUNKS = (1, 2, 8, 64)
+
+
+def extreme_tap_series(ring, trunc, taps=30):
+    # Taps at 1..taps, each m//2 but every third 1: mixed magnitudes take
+    # the multiply path with umax = m//2, so near 2^31 `every` is 4, and the
+    # slice a chunk owns must be reduced within the chunk.
+    m = ring.modulus
+    coeffs = np.zeros(trunc + 1, np.int64)
+    coeffs[1:taps + 1] = m // 2
+    coeffs[3:taps + 1:3] = 1
+    coeffs[0] = 1
+    return TruncSeries(ring, coeffs, trunc)
+
+
+@pytest.mark.parametrize("m", [2, 13, 223_092_870, (1 << 31) - 1])
+def test_chunked_pushes_and_pooled_leaves_match_the_oracle(m):
+    # Every leaf length and push chunk small, so that pushes are cut into
+    # many chunks and every leaf runs on the pool; the result must equal
+    # the oracle, and the serial solve with no pool, array for array.
+    rng = np.random.default_rng(m % 1013)
+    ring = ResidueRing(m)
+    if m == (1 << 31) - 1:
+        umax = m // 2
+        assert ((1 << 63) - m) // (umax * (m - 1)) == 4
+    for block in _BLOCKS[:-1]:
+        # One-coefficient leaves cost one FFT product each: solve a prefix.
+        trunc = min(200, 24 * block + 17)
+        num = random_series(rng, ring, trunc)
+        dens = [sparse_unit_series(rng, ring, trunc, taps=40),
+                transform(theta_phi(trunc, ring), 1, -1), extreme_tap_series(ring, trunc)]
+        inverses = [schoolbook_inverse(f.coeffs, m) for f in dens]
+        quotients = [schoolbook_quotient(num.coeffs, f.coeffs, m) for f in dens]
+        for chunk in _PUSH_CHUNKS:
+            with mock.patch.object(modseries, "_SOLVE_BLOCK", block), \
+                    mock.patch.object(modseries, "_PUSH_CHUNK", chunk):
+                with mock.patch.object(modseries, "_POOL", None):
+                    serial = [(ring_invert(f), ring_div(num, f)) for f in dens]
+                with worker_pool():
+                    pooled = [(ring_invert(f), ring_div(num, f)) for f in dens]
+            for (inv, quo), want_inv, want_quo in zip(pooled, inverses, quotients):
+                assert inv.coeffs.tolist() == want_inv
+                assert quo.coeffs.tolist() == want_quo
+            for (inv, quo), (inv1, quo1) in zip(pooled, serial):
+                assert np.array_equal(inv.coeffs, inv1.coeffs)
+                assert np.array_equal(quo.coeffs, quo1.coeffs)
+
+
+def pool_for(cpus):
+    with mock.patch.object(modseries.os, "sched_getaffinity", return_value=cpus, create=True):
+        return modseries._worker_pool()
+
+
+def test_one_cpu_means_no_pool_and_the_same_stream():
+    assert pool_for({0}) is None
+    # The caller works too, so two CPUs or more get one pool thread.
+    for cpus in ({0, 1}, set(range(8))):
+        pool = pool_for(cpus)
+        assert pool._max_workers == 1
+        pool.shutdown()
+    # The top pushes span more than two production push chunks and the
+    # leaves have production length, so both parts use the pool.
+    ring = ResidueRing(223_092_870)
+    trunc = 5 * modseries._PUSH_CHUNK
+    with mock.patch.object(modseries, "_POOL", pool_for({0})):
+        serial = overpartition_series(trunc, ring)
+    with pool_for({0, 1}) as pool, mock.patch.object(modseries, "_POOL", pool):
+        pooled = overpartition_series(trunc, ring)
+    assert np.array_equal(serial.coeffs, pooled.coeffs)
+
+
+def test_concurrent_streams_match_serial_runs():
+    # Four callers (more than the host's cores) grow streams for different
+    # moduli at once; their chunked pushes and pooled leaves interleave on
+    # one pool.  A short switch interval makes the threads trade often.
+    moduli = (13, 65521, 223_092_870, (1 << 31) - 1)
+    trunc, known_at = 3000, 700
+    with mock.patch.object(modseries, "_SOLVE_BLOCK", 64), \
+            mock.patch.object(modseries, "_PUSH_CHUNK", 64):
+        with mock.patch.object(modseries, "_POOL", None):
+            expected = [overpartition_series(trunc, ResidueRing(m)).coeffs for m in moduli]
+        got = {}
+
+        def grow(m):
+            ring = ResidueRing(m)
+            known = overpartition_series(known_at, ring).coeffs
+            got[m] = overpartition_series(trunc, ring, known).coeffs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with worker_pool():
+                threads = [threading.Thread(target=grow, args=(m,)) for m in moduli]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+    for m, want in zip(moduli, expected):
+        assert np.array_equal(got[m], want)
 
 
 # tracemalloc peak, in bytes, of one dense ring_mul at T = 2^18 with numpy
