@@ -276,7 +276,7 @@ def _limb_spectrum(x: np.ndarray, i: int, m: int, w: int, offset: int,
     """rfft, zero-padded to `size`, of limb i of the balanced residues of x:
     bits [w*i, w*(i+1)) of x + offset, less 2^(w-1)."""
     y = x + offset
-    np.subtract(y, m, out=y, where=x > m // 2)
+    y -= (x > m // 2) * m
     y >>= w * i
     y &= (1 << w) - 1
     y -= 1 << (w - 1)
@@ -292,8 +292,9 @@ def _exact_residues(r: np.ndarray, m: int) -> np.ndarray | None:
     r -= q
     if max(r.max(), -r.min()) >= 0.25 or np.abs(q).max() >= _FRACTION_VISIBLE:
         return None
-    np.fmod(q, m, out=q)
-    return q.astype(np.int64)
+    q = q.astype(np.int64)
+    q %= m
+    return q
 
 
 def _limb_pass(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,

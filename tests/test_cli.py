@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from overcong import ResidueRing, expand_monomial, load_series
 from overcong.cli import CACHE_ENV, main
+from test_prover import reference_scan
 
 
 def run(capsys, *argv):
@@ -185,6 +186,16 @@ def test_scan_cli_comma_lists(capsys):
     assert code == 0
     pairs = {(c["multiplier"], c["progression"][0]) for c in json.loads(out)["claims"]}
     assert (1, 40) in pairs
+
+
+def test_scan_with_a_step_past_the_budget_prints_the_reference_claims(capsys):
+    # Only offsets 0..100 are in budget: no grid of 10^30 columns is built.
+    code, out, _ = run(capsys, "scan", "--mod", "5", "--d", "1", "--A", str(10 ** 30),
+                       "--nmax", "5", "--min-support", "1", "--max-index", "100")
+    assert code == 0
+    want = reference_scan(5, [1], [10 ** 30], 5, 1, 100)
+    assert want
+    assert out == "\n".join(f"{c.describe()}  [support {c.support}]" for c in want)
 
 
 def test_prove_thm11_json(capsys):
@@ -400,6 +411,10 @@ def _run_contained(argv, stdin):
 @example((["lemma1", "--p", "3", "--trunc", str(2 ** 63)], ""))
 @example((["scan", "--mod", "5", "--d", "1", "--A", str(10 ** 30), "--nmax", "9",
            "--max-index", "40", "--min-support", "0"], ""))
+@example((["scan", "--mod", "5", "--d", "1", "--A", str(10 ** 30), "--nmax", "5",
+           "--min-support", "1", "--max-index", "100"], ""))
+@example((["scan", "--mod", "2", "--d", "1", "--A", str(10 ** 30), "--nmax", "5",
+           "--min-support", "0", "--max-index", "1"], ""))
 @example((["expand", f"eta:{10 ** 30}", "--mod", "11", "--trunc", "5"], ""))
 @example((["check", "--claim", json.dumps({"modulus": 5, "multiplier": 10 ** 30,
            "progression": [10 ** 30, 0]}), "--nmax", "0"], ""))

@@ -1,21 +1,48 @@
 """Proof pipelines, direct claim checks, and the congruence scanner."""
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overcong import (CongruenceClaim, ResidueRing,
                       check_claim_direct, kronecker, load_series,
                       overpartition_series, prove_theorem_mod11, scan,
                       verify_identity, verify_lemma1)
+from overcong.chars import factorize
 from overcong.modseries import cache_filename
 from overcong.prover import (PRIMORIAL_23, STORE, CoefficientStore,
                              _compress_residues, _pbar_mod)
+
+
+def reference_scan(modulus, d_list, a_list, n_max, min_support, max_index):
+    """scan's claims, found one offset at a time: for each (d, A) and each
+    offset B in budget, gather pbar(d*(A*t+B)) for every tested t."""
+    pb = _pbar_mod(modulus, max_index)
+    claims = []
+    for d in d_list:
+        for a in a_list:
+            hits, supports = [], {}
+            for b in range(min(a, max_index // d + 1)):
+                t_hi = min((max_index // d - b) // a, n_max)
+                if t_hi < 0 or t_hi + 1 < min_support:
+                    continue
+                # Built by arange: a step past int64 still yields its one term.
+                vals = pb[np.arange(d * b, d * (a * t_hi + b) + 1, d * a, dtype=np.int64)]
+                if not vals.any():
+                    hits.append(b)
+                    supports[b] = t_hi + 1
+            conditions = _compress_residues(hits, a)
+            claims += [CongruenceClaim(modulus, d, (a, b), conditions,
+                                       status="observed", support=supports[b])
+                       for b in hits]
+    claims.sort(key=lambda c: (c.multiplier, c.progression))
+    return claims
 
 
 def test_lemma1_prime_power_suite():
@@ -343,6 +370,52 @@ def test_scan_deterministic_order_and_threads():
     assert keys == sorted(keys)
 
 
+_SCAN_MODULI = st.sampled_from([2, 5, 7, 17, PRIMORIAL_23, 29])
+# Steps up to 130, and past every top + 1 (max_index // d <= 2e4).
+_SCAN_STEPS = st.one_of(st.integers(1, 130), st.sampled_from([20_002, 10 ** 30]))
+_SCAN_MULTIPLIERS = st.one_of(st.integers(1, 12), st.sampled_from([16, 20_001, 10 ** 30]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(modulus=_SCAN_MODULI,
+       d_list=st.lists(_SCAN_MULTIPLIERS, min_size=1, max_size=3),
+       a_list=st.lists(_SCAN_STEPS, min_size=1, max_size=3),
+       n_max=st.one_of(st.sampled_from([0, 10 ** 30]), st.integers(1, 300)),
+       min_support=st.sampled_from([0, 1, 20]),
+       max_index=st.one_of(st.integers(0, 300), st.integers(0, 20_000)),
+       threads=st.sampled_from([1, 2]))
+@example(modulus=7, d_list=[16, 3, 16, 20_001], a_list=[56, 1, 130, 10 ** 30], n_max=10 ** 30,
+         min_support=20, max_index=20_000, threads=2)
+@example(modulus=5, d_list=[1, 1], a_list=[40, 8, 101], n_max=7, min_support=1,
+         max_index=20_000, threads=1)
+@example(modulus=2, d_list=[1, 2], a_list=[1, 2, 3, 100, 101], n_max=0, min_support=0,
+         max_index=100, threads=1)
+@example(modulus=29, d_list=[1], a_list=[10 ** 30], n_max=5, min_support=1,
+         max_index=100, threads=1)
+def test_scan_matches_the_per_offset_reference(modulus, d_list, a_list, n_max,
+                                               min_support, max_index, threads):
+    got = scan(modulus, d_list, a_list, n_max, min_support=min_support,
+               max_index=max_index, threads=threads)
+    want = reference_scan(modulus, d_list, a_list, n_max, min_support, max_index)
+    assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
+
+
+def test_scan_threads_share_one_mask_per_multiplier():
+    # One d against many steps: every worker reads the same prebuilt mask.
+    steps = list(range(8, 161, 8)) + [7, 11, 13, 99]
+    kwargs = dict(n_max=10 ** 6, min_support=20, max_index=200_000)
+    sequential = scan(7, [16], steps, **kwargs)
+    assert sequential  # pbar(16*(56n+B)) and its multiples of 56
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert scan(7, [16], steps, threads=2, **kwargs) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+    assert [c.to_dict() for c in sequential] == [
+        c.to_dict() for c in reference_scan(7, [16], steps, **kwargs)]
+
+
 def test_scan_caps_its_pool_at_the_pairs_and_the_cpus(monkeypatch):
     # A recorder stands in for the executor and runs the pairs in order,
     # so no thread is started whatever the requested count.
@@ -375,11 +448,11 @@ def test_scan_caps_its_pool_at_the_pairs_and_the_cpus(monkeypatch):
 def test_compression_two_sign_shape():
     # The 72 residue classes mod 2584 cut by one mod-8 class and two
     # Kronecker signs compress exactly.
-    a, d = 2584, 4 * 17 ** 2
+    a = 2584
     hits = [b for b in range(a)
             if b % 8 == 3 and kronecker(b, 17) == -1 and kronecker(b, 19) == 1]
     assert len(hits) == 72
-    conditions = _compress_residues(hits, d, a)
+    conditions = _compress_residues(hits, a)
     assert ("residue", 8, (3,)) in conditions
     assert ("kronecker", 17, -1) in conditions
     assert ("kronecker", 19, 1) in conditions
@@ -387,9 +460,23 @@ def test_compression_two_sign_shape():
 
 def test_compression_prefers_fewer_conditions():
     hits = [b for b in range(56) if b % 8 == 3]
-    assert _compress_residues(hits, 1, 56) == (("residue", 8, (3,)),)
-    assert _compress_residues([35], 1, 40) == ()  # no exact template match
-    assert _compress_residues([], 1, 40) == ()
+    assert _compress_residues(hits, 56) == (("residue", 8, (3,)),)
+    assert _compress_residues([35], 40) == ()  # no exact template match
+    assert _compress_residues([], 40) == ()
+
+
+def test_compression_candidates_hold_a_sixtieth_of_the_offsets():
+    # _compress_residues gives up on fewer than a/60 hits: no candidate is smaller.
+    for a in range(8, 1000, 8):
+        primes = sorted(p for p in factorize(a) if p % 2 == 1)
+        signs = [[(p, s)] for p in primes for s in (-1, 1)]
+        signs += [[(p1, s1), (p2, s2)] for i, p1 in enumerate(primes) for p2 in primes[i + 1:]
+                  for s1 in (-1, 1) for s2 in (-1, 1)]
+        for r in range(8):
+            for conds in [[]] + signs:
+                size = sum(1 for x in range(r, a, 8)
+                           if all(kronecker(x, p) == s for p, s in conds))
+                assert 60 * size >= a, (a, r, conds)
 
 
 def test_verify_identity_small_truncation():
