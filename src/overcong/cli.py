@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import prover, sturm
+from . import modseries, prover, sturm
 from .halfint import GAMMA0, GAMMA1, SpaceLabel, decompose
 from .modseries import ResidueRing, TruncSeries
 from .qgen import EtaQuotient, eta_quotient, r_m_series, theta_phi, weight2_form
@@ -63,7 +63,8 @@ def _generator(name: str, ring: ResidueRing):
 
 def _generator_series(name: str, trunc: int, ring: ResidueRing) -> TruncSeries:
     if name == "overpartition":
-        return TruncSeries(ring, prover._pbar_mod(ring.modulus, trunc), trunc)
+        # The constructor reduces the stream mod ring.modulus.
+        return TruncSeries(ring, prover._pbar_stream(ring.modulus, trunc), trunc)
     shift, build = _generator(name, ring)
     coeffs = prover.STORE.coefficients(name, ring, trunc + shift, build)
     return TruncSeries(ring, coeffs, trunc + shift)
@@ -159,8 +160,7 @@ def _cmd_lemma1(args) -> int:
 
 def _cmd_scan(args) -> int:
     claims = prover.scan(args.mod, args.d, args.A, args.nmax,
-                         min_support=args.min_support, max_index=args.max_index,
-                         threads=args.threads)
+                         min_support=args.min_support, max_index=args.max_index)
     payload = {"modulus": args.mod, "claims": [c.to_dict() for c in claims]}
     lines = [c.describe() + f"  [support {c.support}]" for c in claims]
     _emit(args, payload, "\n".join(lines) if lines else "no congruences found")
@@ -189,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="overcong",
         description="q-series congruence prover for the overpartition function")
     parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--threads", type=_positive, default=1)
+    parser.add_argument("--threads", type=_positive, default=None,
+                        help="most threads a series solve may use, the calling thread "
+                             "included (default: the usable CPUs; 1: no pool thread)")
     parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -281,6 +283,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     prover.STORE.reset(args.cache_dir)
+    modseries._limit_threads(args.threads)
     try:
         return args.func(args)
     except ValueError as exc:

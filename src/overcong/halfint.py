@@ -156,7 +156,7 @@ def decompose(f: TruncSeries, k2: int) -> Decomposition:
 
 
 def hecke_T(f: TruncSeries, k2even: int, ell: int,
-            chi: chars.DirichletChar, out_trunc: int | None = None) -> TruncSeries:
+            chi: chars.DirichletChar) -> TruncSeries:
     """Integral-weight Hecke operator on coefficients:
 
         (f | T(ell))[n] = a(ell*n) + chi(ell) * ell^(k-1) * a(n/ell)
@@ -172,16 +172,11 @@ def hecke_T(f: TruncSeries, k2even: int, ell: int,
         raise ValueError(f"{ell} divides the level {chi.modulus}")
     k = k2even // 2
     m = f.ring.modulus
-    limit = f.trunc // ell
-    if out_trunc is None:
-        out_trunc = limit
-    elif out_trunc > limit:
-        raise ValueError(f"insufficient truncation: need {ell * out_trunc}, have {f.trunc}")
     factor = chi.value_int(ell) * pow(ell, k - 1, m) % m
-    out = f.coeffs[::ell][:out_trunc + 1].copy()
-    n_low = out_trunc // ell
-    out[::ell][:n_low + 1] += factor * f.coeffs[:n_low + 1]
-    return TruncSeries(f.ring, out % m, out_trunc)
+    out = f.coeffs[::ell].copy()  # a(ell*n) for n <= f.trunc // ell
+    low = out[::ell]  # the n divisible by ell, a view into out
+    low += factor * f.coeffs[:len(low)]
+    return TruncSeries(f.ring, out % m, len(out) - 1)
 
 
 def _inflate_level(label: SpaceLabel, d: int) -> SpaceLabel:

@@ -16,8 +16,9 @@ transforms its head's limbs once per leaf length and sums each
 anti-diagonal of limb products before one inverse FFT.
 
 A solve spreads the independent work inside each step over its own thread
-and, when the process may run on two or more CPUs, one pool thread (only
-two cores could be measured); with one CPU there is no pool.  A push over
+and, when the process may run on two or more CPUs and its thread limit
+allows a second thread, one pool thread (only two cores could be measured);
+with one CPU, or a limit of one thread, there is no pool.  A push over
 at least 2 * _PUSH_CHUNK positions is cut into chunks that each loop over
 only the taps reaching them and write only their own slice, and a leaf
 transforms its right-hand side's limbs, then sums its anti-diagonals, as
@@ -76,20 +77,38 @@ _HEADER_SIZE = 21
 _CRC_BLOCK = 1 << 16
 
 
-def _worker_pool() -> ThreadPoolExecutor | None:
+def _worker_pool(limit: int | None = None) -> ThreadPoolExecutor | None:
     """One thread to work beside the caller when this process may run on
-    two or more CPUs, else None.  Only two cores could be measured, so never
-    more threads.  The thread starts on first use, not at import."""
+    two or more CPUs and `limit`, the most threads a solve may use, the
+    caller's included, is 2 or more (None: no limit); else None.  Only two
+    cores could be measured, so never more threads.  The thread starts on
+    first use, not when the pool is made."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
+    if limit is not None:
+        cpus = min(cpus, limit)
     return ThreadPoolExecutor(1, thread_name_prefix="modseries") if cpus > 1 else None
 
 
 # Shared by every solve in the process.  Pool tasks never submit to the
 # pool, so no worker waits on another.
 _POOL = _worker_pool()
+
+
+def _limit_threads(limit: int | None) -> None:
+    """Size the shared pool for `limit` as _worker_pool reads it.  A pool
+    that still fits is kept; one that is replaced is shut down, so setting
+    the limit again and again leaves no idle thread behind.  Not to be
+    called while a solve runs."""
+    global _POOL
+    pool = _worker_pool(limit)
+    if (pool is None) == (_POOL is None):
+        return  # the pool held fits; the new one never started a thread
+    if _POOL is not None:
+        _POOL.shutdown()
+    _POOL = pool
 
 
 def _pool_map(fn, items) -> list:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,35 +298,23 @@ STORE = CoefficientStore()
 PRIMORIAL_23 = 223_092_870
 
 
-def _pbar_stream(modulus: int, trunc: int) -> tuple[np.ndarray, int]:
-    """(stream, stream modulus): the stored overpartition stream that
-    `modulus` reads, through index `trunc` (int32, read-only), not yet
-    reduced mod `modulus`.  The one place that picks the stream modulus:
-    every modulus dividing 23# reads the shared stream mod 23#; any other
-    modulus keeps its own stream."""
+def _pbar_stream(modulus: int, trunc: int) -> np.ndarray:
+    """The stored overpartition stream that `modulus` reads, through index
+    `trunc` (int32, read-only), not yet reduced mod `modulus`: a caller
+    reduces only what it reads.  The one place that picks the stream
+    modulus: every modulus dividing 23# reads the shared stream mod 23#; any
+    other modulus keeps its own stream."""
     modulus = ResidueRing(modulus).modulus
     stream = PRIMORIAL_23 if PRIMORIAL_23 % modulus == 0 else modulus
-    coeffs = STORE.coefficients("overpartition", ResidueRing(stream), trunc,
-                                overpartition_series)
-    return coeffs, stream
-
-
-def _pbar_mod(modulus: int, trunc: int) -> np.ndarray:
-    """Overpartition counts mod `modulus` through index `trunc` (int32,
-    read-only), served from the coefficient store."""
-    coeffs, stream = _pbar_stream(modulus, trunc)
-    if stream == modulus:
-        return coeffs
-    reduced = coeffs % modulus
-    reduced.setflags(write=False)
-    return reduced
+    return STORE.coefficients("overpartition", ResidueRing(stream), trunc,
+                              overpartition_series)
 
 
 def _signed_compacted_pbar(modulus: int, d: int, trunc: int) -> TruncSeries:
     """sum_n pbar(d*n) * (-q)^n through q^trunc."""
     ring = ResidueRing(modulus)
-    pb = _pbar_mod(modulus, d * trunc)
-    series = TruncSeries(ring, pb[::d][:trunc + 1].astype(np.int64), trunc)
+    # The constructor reduces the slice mod `modulus`.
+    series = TruncSeries(ring, _pbar_stream(modulus, d * trunc)[::d][:trunc + 1], trunc)
     return transform(series, 1, -1)
 
 
@@ -428,11 +415,9 @@ def _prove_theorem(modulus: int, u_chain: int, progression_b: int,
     timer.add("sturm-progression-check", f"mod{modulus}.vanishing", witness, ok)
 
     # Direct cross-check straight from the generating function.
-    pb = _pbar_mod(modulus, crosscheck_index)
-    direct_ok = int(pb[crosscheck_index]) == 0
+    value = int(_pbar_stream(modulus, crosscheck_index)[crosscheck_index]) % modulus
     timer.add("direct-crosscheck", f"mod{modulus}.first-instance",
-              {"index": crosscheck_index, "value": int(pb[crosscheck_index])},
-              direct_ok)
+              {"index": crosscheck_index, "value": value}, value == 0)
 
     report.limits = {"bound": budget.bound, "max_n": limit,
                      "indices_checked": int(len(idx)),
@@ -565,9 +550,8 @@ def check_claim_direct(claim: CongruenceClaim, n_max: int,
     support = int(len(idx))
     if support == 0 or claim.modulus == 1:
         return "verified", support, None
-    stream, _ = _pbar_stream(claim.modulus, top)
     # Only the gathered entries are reduced, not the whole shared stream.
-    vals = stream[idx] % claim.modulus
+    vals = _pbar_stream(claim.modulus, top)[idx] % claim.modulus
     bad = np.flatnonzero(vals)
     if len(bad):
         return "refuted", support, int(idx[bad[0]])
@@ -634,7 +618,7 @@ def _column_any(flat: np.ndarray, a: int) -> np.ndarray:
 
 def scan(modulus: int, d_list, a_list, n_max: int,
          min_support: int = DEFAULT_MIN_SUPPORT,
-         max_index: int | None = None, threads: int = 1) -> list[CongruenceClaim]:
+         max_index: int | None = None) -> list[CongruenceClaim]:
     """Search for vanishing residue classes of the coefficient stream.
 
     For each (d, A) pair, an offset B survives when pbar(d*(A*t+B)) vanishes
@@ -643,11 +627,12 @@ def scan(modulus: int, d_list, a_list, n_max: int,
     as one claim per offset, annotated with their compressed description when
     the whole set is exactly a mod-8 class cut by Kronecker signs.
 
-    Each distinct d reads its strided view pbar(d*n), n <= max_index // d,
-    once, as a nonzero mask built before any worker starts.  A pair then
-    lays the mask out in rows of A offsets and takes one OR over the rows,
-    so the depth cost is O(max_index / d) per multiplier plus one reduction
-    per pair; Python loops only over the offsets that survive it.
+    The stream is reduced mod `modulus` once, and each distinct d reads
+    its strided view pbar(d*n), n <= max_index // d, once, as a nonzero
+    mask.  The pairs then run in turn: each lays its mask out in rows of A
+    offsets and takes one OR over the rows, so the depth cost is
+    O(max_index / d) per multiplier plus one reduction per pair; Python
+    loops only over the offsets that survive it.
     """
     d_list = [int(d) for d in d_list]
     a_list = [int(a) for a in a_list]
@@ -657,12 +642,11 @@ def scan(modulus: int, d_list, a_list, n_max: int,
         max_index = default_scan_index(modulus)
     if max_index > INDEX_HARD_CAP:
         raise ValueError(f"budget exceeded: {max_index} > {INDEX_HARD_CAP}")
-    pb = _pbar_mod(modulus, max_index)
+    pb = _pbar_stream(modulus, max_index) % modulus
     # Entry n of masks[d] is pbar(d*n) != 0, for n <= max_index // d.
     masks = {d: pb[::d] != 0 for d in set(d_list)}
 
-    def scan_pair(pair) -> list[CongruenceClaim]:
-        d, a = pair
+    def scan_pair(d, a) -> list[CongruenceClaim]:
         mask = masks[d]
         top = len(mask) - 1
         # Row t holds offsets B = 0 .. A-1 at n = A*t + B; t <= n_max, and
@@ -688,13 +672,6 @@ def scan(modulus: int, d_list, a_list, n_max: int,
                                 status="observed", support=supports[b])
                 for b in hits]
 
-    pairs = [(d, a) for d in d_list for a in a_list]
-    workers = min(threads, len(pairs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(scan_pair, pairs))
-    else:
-        grouped = [scan_pair(p) for p in pairs]
-    claims = [c for group in grouped for c in group]
+    claims = [c for d in d_list for a in a_list for c in scan_pair(d, a)]
     claims.sort(key=lambda c: (c.multiplier, c.progression))
     return claims

@@ -5,13 +5,15 @@ import io
 import json
 import os
 import signal
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overcong import ResidueRing, expand_monomial, load_series
+from overcong import ResidueRing, expand_monomial, load_series, modseries
 from overcong.cli import CACHE_ENV, main
 from test_prover import reference_scan
 
@@ -196,6 +198,69 @@ def test_scan_with_a_step_past_the_budget_prints_the_reference_claims(capsys):
     want = reference_scan(5, [1], [10 ** 30], 5, 1, 100)
     assert want
     assert out == "\n".join(f"{c.describe()}  [support {c.support}]" for c in want)
+
+
+@pytest.fixture
+def solver_pool(monkeypatch):
+    # The test starts with no solver pool and may size one through --threads;
+    # whatever pool it leaves is shut down, then the module's own returns.
+    monkeypatch.setattr(modseries, "_POOL", None)
+    yield
+    modseries._limit_threads(1)
+
+
+def test_one_thread_starts_no_pool_thread(capsys, monkeypatch, solver_pool):
+    # A pool as on a two-CPU host, and a cold solve mod 23# whose top push
+    # spans more than two push chunks: without the limit it would start
+    # the pool's thread.
+    monkeypatch.setattr(modseries, "_POOL",
+                        ThreadPoolExecutor(1, thread_name_prefix="modseries"))
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    trunc = 3 * modseries._PUSH_CHUNK
+    code, out, _ = run(capsys, "--threads", "1", "expand", "overpartition",
+                       "--mod", "223092870", "--trunc", str(trunc))
+    assert code == 0 and len(out.split()) == trunc + 1
+    assert not [name for name in started if name.startswith("modseries")]
+    assert modseries._POOL is None
+
+
+def test_scan_stdout_is_the_same_for_every_thread_count(capsys, monkeypatch, solver_pool):
+    # Two usable CPUs, so --threads 2 and 3 and the default solve with the
+    # pool; every run starts from a cold store.
+    monkeypatch.setattr(modseries.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    scan = ("--output", "json", "scan", "--mod", "7", "--d", "16,3", "--A", "56,8,13",
+            "--nmax", "1000000", "--max-index", "300000")
+    outputs = set()
+    for threads in (["--threads", "1"], ["--threads", "2"], ["--threads", "3"], []):
+        code, out, _ = run(capsys, *threads, *scan)
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["claims"]
+
+
+def test_threads_caps_the_solver_pool_at_one_thread(capsys, monkeypatch, solver_pool):
+    # Pool sizes are read, not tried: `bound` solves nothing, so no thread
+    # starts.
+    monkeypatch.setattr(modseries.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    bound = ("bound", "--weight2", "9", "--level", "4", "--group", "g0")
+    assert run(capsys, "--threads", "1000000", *bound)[0] == 0
+    pool = modseries._POOL
+    assert pool._max_workers == 1
+    # Another call that allows a second thread keeps the pool; one that
+    # allows none shuts it down.
+    assert run(capsys, *bound)[0] == 0
+    assert modseries._POOL is pool
+    assert run(capsys, "--threads", "1", *bound)[0] == 0
+    assert modseries._POOL is None and pool._shutdown
 
 
 def test_prove_thm11_json(capsys):

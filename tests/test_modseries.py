@@ -865,13 +865,14 @@ def test_chunked_pushes_and_pooled_leaves_match_the_oracle(m):
                 assert np.array_equal(quo.coeffs, quo1.coeffs)
 
 
-def pool_for(cpus):
+def pool_for(cpus, limit=None):
     with mock.patch.object(modseries.os, "sched_getaffinity", return_value=cpus, create=True):
-        return modseries._worker_pool()
+        return modseries._worker_pool(limit)
 
 
 def test_one_cpu_means_no_pool_and_the_same_stream():
     assert pool_for({0}) is None
+    assert pool_for(set(range(8)), limit=1) is None
     # The caller works too, so two CPUs or more get one pool thread.
     for cpus in ({0, 1}, set(range(8))):
         pool = pool_for(cpus)

@@ -1,29 +1,30 @@
 """Proof pipelines, direct claim checks, and the congruence scanner."""
 
 import json
-import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overcong import (CongruenceClaim, ResidueRing,
+from overcong import (CongruenceClaim, ResidueRing, modseries,
                       check_claim_direct, kronecker, load_series,
                       overpartition_series, prove_theorem_mod11, scan,
                       verify_identity, verify_lemma1)
 from overcong.chars import factorize
 from overcong.modseries import cache_filename
 from overcong.prover import (PRIMORIAL_23, STORE, CoefficientStore,
-                             _compress_residues, _pbar_mod)
+                             _compress_residues, _pbar_stream)
 
 
 def reference_scan(modulus, d_list, a_list, n_max, min_support, max_index):
     """scan's claims, found one offset at a time: for each (d, A) and each
     offset B in budget, gather pbar(d*(A*t+B)) for every tested t."""
-    pb = _pbar_mod(modulus, max_index)
+    pb = _pbar_stream(modulus, max_index) % modulus
     claims = []
     for d in d_list:
         for a in a_list:
@@ -246,14 +247,14 @@ def test_store_grow_shrink_grow_matches_fresh(modulus, truncs, on_disk):
     with tempfile.TemporaryDirectory() as tmp:
         STORE.reset(tmp if on_disk else None)
         for trunc in truncs:
-            got = _pbar_mod(modulus, trunc)
+            got = _pbar_stream(modulus, trunc)
             assert not got.flags.writeable
-            assert np.array_equal(got, _fresh(modulus, trunc))
+            assert np.array_equal(got % modulus, _fresh(modulus, trunc))
         if on_disk:
             # A new process starts from the file and grows it further.
             STORE.reset(tmp)
             top = max(truncs) + 500
-            assert np.array_equal(_pbar_mod(modulus, top), _fresh(modulus, top))
+            assert np.array_equal(_pbar_stream(modulus, top) % modulus, _fresh(modulus, top))
             assert [p.name for p in Path(tmp).iterdir()] == [
                 cache_filename("overpartition", stream)]
             assert load_series(Path(tmp) / cache_filename("overpartition", stream)).trunc == top
@@ -262,11 +263,11 @@ def test_store_grow_shrink_grow_matches_fresh(modulus, truncs, on_disk):
 def test_divisors_of_the_primorial_share_one_stream(tmp_path):
     STORE.reset(str(tmp_path))
     for modulus in (7, 17, 23, 5):
-        assert np.array_equal(_pbar_mod(modulus, 2000), _fresh(modulus, 2000))
+        assert np.array_equal(_pbar_stream(modulus, 2000) % modulus, _fresh(modulus, 2000))
     assert [p.name for p in tmp_path.iterdir()] == [
         cache_filename("overpartition", PRIMORIAL_23)]
     with pytest.raises(ValueError, match="modulus"):
-        _pbar_mod(1, 10)
+        _pbar_stream(1, 10)
 
 
 def test_store_extends_the_held_prefix():
@@ -362,11 +363,17 @@ def test_scan_min_support_filters():
 
 
 def test_scan_deterministic_order_and_threads():
+    # Each scan solves its stream cold: once with the solver's pool, once
+    # on the calling thread alone.
     kwargs = dict(n_max=10 ** 5, min_support=20, max_index=120_000)
-    sequential = scan(5, [1, 5], [40, 8], **kwargs)
-    threaded = scan(5, [1, 5], [40, 8], threads=4, **kwargs)
-    assert sequential == threaded
-    keys = [(c.multiplier, c.progression) for c in sequential]
+    with mock.patch.object(modseries, "_POOL", ThreadPoolExecutor(1)) as pool:
+        pooled = scan(5, [1, 5], [40, 8], **kwargs)
+    pool.shutdown()
+    STORE.reset()
+    with mock.patch.object(modseries, "_POOL", None):
+        serial = scan(5, [1, 5], [40, 8], **kwargs)
+    assert pooled == serial
+    keys = [(c.multiplier, c.progression) for c in serial]
     assert keys == sorted(keys)
 
 
@@ -382,67 +389,32 @@ _SCAN_MULTIPLIERS = st.one_of(st.integers(1, 12), st.sampled_from([16, 20_001, 1
        a_list=st.lists(_SCAN_STEPS, min_size=1, max_size=3),
        n_max=st.one_of(st.sampled_from([0, 10 ** 30]), st.integers(1, 300)),
        min_support=st.sampled_from([0, 1, 20]),
-       max_index=st.one_of(st.integers(0, 300), st.integers(0, 20_000)),
-       threads=st.sampled_from([1, 2]))
+       max_index=st.one_of(st.integers(0, 300), st.integers(0, 20_000)))
 @example(modulus=7, d_list=[16, 3, 16, 20_001], a_list=[56, 1, 130, 10 ** 30], n_max=10 ** 30,
-         min_support=20, max_index=20_000, threads=2)
+         min_support=20, max_index=20_000)
 @example(modulus=5, d_list=[1, 1], a_list=[40, 8, 101], n_max=7, min_support=1,
-         max_index=20_000, threads=1)
+         max_index=20_000)
 @example(modulus=2, d_list=[1, 2], a_list=[1, 2, 3, 100, 101], n_max=0, min_support=0,
-         max_index=100, threads=1)
+         max_index=100)
 @example(modulus=29, d_list=[1], a_list=[10 ** 30], n_max=5, min_support=1,
-         max_index=100, threads=1)
+         max_index=100)
 def test_scan_matches_the_per_offset_reference(modulus, d_list, a_list, n_max,
-                                               min_support, max_index, threads):
+                                               min_support, max_index):
     got = scan(modulus, d_list, a_list, n_max, min_support=min_support,
-               max_index=max_index, threads=threads)
+               max_index=max_index)
     want = reference_scan(modulus, d_list, a_list, n_max, min_support, max_index)
     assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
 
 
-def test_scan_threads_share_one_mask_per_multiplier():
-    # One d against many steps: every worker reads the same prebuilt mask.
+def test_scan_pairs_share_one_mask_per_multiplier():
+    # One d against many steps: every pair reads the same prebuilt mask.
     steps = list(range(8, 161, 8)) + [7, 11, 13, 99]
     kwargs = dict(n_max=10 ** 6, min_support=20, max_index=200_000)
-    sequential = scan(7, [16], steps, **kwargs)
-    assert sequential  # pbar(16*(56n+B)) and its multiples of 56
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        assert scan(7, [16], steps, threads=2, **kwargs) == sequential
-    finally:
-        sys.setswitchinterval(interval)
-    assert [c.to_dict() for c in sequential] == [
+    claims = scan(7, [16], steps, **kwargs)
+    assert claims  # pbar(16*(56n+B)) and its multiples of 56
+    assert scan(7, [16], steps, **kwargs) == claims
+    assert [c.to_dict() for c in claims] == [
         c.to_dict() for c in reference_scan(7, [16], steps, **kwargs)]
-
-
-def test_scan_caps_its_pool_at_the_pairs_and_the_cpus(monkeypatch):
-    # A recorder stands in for the executor and runs the pairs in order,
-    # so no thread is started whatever the requested count.
-    from overcong import prover
-    made = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    kwargs = dict(n_max=10 ** 4, min_support=20, max_index=60_000)
-    want = scan(5, [1, 5], [40, 8], **kwargs)
-    monkeypatch.setattr(prover, "ThreadPoolExecutor", Recorder)
-    for cpus, workers in ((64, [4]), (3, [3]), (None, [])):
-        made.clear()
-        monkeypatch.setattr(prover.os, "cpu_count", lambda: cpus)
-        assert scan(5, [1, 5], [40, 8], threads=10 ** 6, **kwargs) == want
-        assert made == workers
 
 
 def test_compression_two_sign_shape():
