@@ -6,13 +6,17 @@ whenever the density drops to 1/8 or below.  The sparse support drives
 subquadratic convolution and inversion: the generating series used here
 (theta series, Euler products) have O(sqrt(T)) nonzero terms, so division
 by them costs O(T^1.5) instead of O(T^2).  Division is a divide-and-conquer
-solver that pushes the divisor's nonzero terms into an accumulator with
-one vectorised update each, down to leaves of at most _SOLVE_BLOCK
-coefficients; each leaf is one product with the divisor's truncated
-inverse, the head.  A product of two dense series, and every leaf, is an
-exact float FFT product in O(T log T), checked for rounding error.  A
-dense product keeps one pair of limb spectra alive at a time; a solve
-transforms its head's limbs once per leaf length and sums each
+solver that pushes the divisor's nonzero terms (its taps) into an
+accumulator with one vectorised update each, down to leaves of at most
+_SOLVE_BLOCK coefficients; each leaf is one product with the divisor's
+truncated inverse, the head.  ring_invert and ring_div find a dense
+divisor's taps; invert_taps takes them as given, so a divisor such as
+phi(-q) is never built as a dense series.  A solve holds the output and
+the accumulator, both int64, and no reference cycle: both are freed as
+soon as it returns or raises.  A product of two dense series, and every
+leaf, is an exact float FFT product in O(T log T), checked for rounding
+error.  A dense product keeps one pair of limb spectra alive at a time; a
+solve transforms its head's limbs once per leaf length and sums each
 anti-diagonal of limb products before one inverse FFT.
 
 A solve spreads the independent work inside each step over its own thread
@@ -569,23 +573,34 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     # and shared by every leaf of this solve.
     spectra = {}
 
-    def rec(lo: int, hi: int, pending: int):
-        # Every entry of acc[lo:hi] carries at most `pending` unreduced updates.
-        if hi - lo > _SOLVE_BLOCK:
-            mid = (lo + hi) // 2
-            rec(lo, mid, pending)
-            rec(mid, hi, push(c, acc, start, lo, mid, hi, pending))
-            return
-        blk = acc[lo - start:hi - start] % m
+    # [start, t] is solved left to right from a stack of (lo, mid, hi,
+    # pending): push the solved c[lo:mid] into [mid, hi), whose acc entries
+    # carry at most `pending` unreduced updates, then halve [mid, hi) down
+    # to a leaf, stacking each right half behind the push that feeds it.
+    # A loop, not a recursive closure: a closure that calls itself is a
+    # reference cycle, and would keep c and acc alive after the solve until
+    # the cyclic collector ran.
+    todo = [(0, start, t + 1, 0)] if start <= t else []
+    while todo:
+        lo, mid, hi, pending = todo.pop()
+        if lo < mid:
+            pending = push(c, acc, start, lo, mid, hi, pending)
+        while hi - mid > _SOLVE_BLOCK:
+            half = (mid + hi) // 2
+            todo.append((mid, half, hi, pending))
+            hi = half
+        blk = acc[mid - start:hi - start] % m
         blk *= -g
-        tail = rhs[lo:hi]
+        tail = rhs[mid:hi]
         blk[:len(tail)] += tail
         blk %= m
-        c[lo:hi] = _fft_mul(head[:hi - lo], blk, hi - lo, m, spectra)
-
-    if start <= t:
-        rec(start, t + 1, push(c, acc, start, 0, start, t + 1, 0))
+        c[mid:hi] = _fft_mul(head[:hi - mid], blk, hi - mid, m, spectra)
     return c
+
+
+def _balanced(vals: np.ndarray, m: int) -> np.ndarray:
+    """Residues in [0, m) as their balanced representatives (-m/2, m/2]."""
+    return np.where(vals > m // 2, vals - m, vals)
 
 
 def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int,
@@ -593,12 +608,26 @@ def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int,
     ring = den.ring
     m = ring.modulus
     f0inv = ring.inverse(den.coeffs[0])
-    taps_exp = np.flatnonzero(den.coeffs[:t + 1])
-    taps_exp = taps_exp[taps_exp >= 1]
-    taps_val = den.coeffs[taps_exp]
-    taps_val = np.where(taps_val > m // 2, taps_val - m, taps_val)
-    out = _solve_linear_core(taps_exp, taps_val, f0inv, rhs, t, m, known)
+    taps_exp = np.flatnonzero(den.coeffs[1:t + 1]) + 1
+    out = _solve_linear_core(taps_exp, _balanced(den.coeffs[taps_exp], m), f0inv,
+                             rhs, t, m, known)
     return TruncSeries._canonical(ring, out, t)
+
+
+def invert_taps(taps_exp: np.ndarray, taps_val: np.ndarray, trunc: int,
+                ring: ResidueRing, known: np.ndarray | None = None) -> TruncSeries:
+    """1/(1 + sum_j taps_val[j] * q^taps_exp[j]) through q^trunc, for a
+    divisor given by its taps alone: integer values at distinct exponents
+    >= 1, sorted ascending.  The same solve as ring_invert, without a dense
+    divisor; taps past the truncation or divisible by m are dropped.
+    `known` is as in ring_invert."""
+    m = ring.modulus
+    exps = np.asarray(taps_exp, np.int64)
+    vals = np.asarray(taps_val, np.int64) % m
+    keep = (vals != 0) & (exps <= trunc)
+    out = _solve_linear_core(exps[keep], _balanced(vals[keep], m), 1,
+                             np.ones(1, np.int64), trunc, m, known)
+    return TruncSeries._canonical(ring, out, trunc)
 
 
 def ring_invert(f: TruncSeries, known: np.ndarray | None = None) -> TruncSeries:
@@ -689,7 +718,8 @@ def save_series(f: TruncSeries, path) -> None:
     The bytes go to a temporary file in the same directory, which then
     replaces `path`, so a reader never sees a partly written file."""
     path = os.fspath(path)
-    data = memoryview(f.coeffs.astype("<u4").tobytes())
+    # The bytes of the one u32 copy, without a second copy as a bytes object.
+    data = memoryview(f.coeffs.astype("<u4")).cast("B")
     step = 4 * _CRC_BLOCK
     crcs = [zlib.crc32(data[i:i + step]) for i in range(0, len(data), step)]
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
@@ -705,14 +735,11 @@ def save_series(f: TruncSeries, path) -> None:
         raise
 
 
-def load_series(path, modulus: int | None = None,
-                trunc: int | None = None) -> TruncSeries:
-    """Read a cache file, checking it before any residue is read: magic,
-    version, the modulus (against `modulus` when given), a truncation within
-    TRUNC_CAP and a file size that matches it.  With `trunc`, only the
-    residues through q^min(trunc, stored truncation) are kept, and only the
-    blocks holding them are read and checked against their CRCs.  Every
-    residue kept must lie in [0, modulus).  Any mismatch is a ValueError."""
+def read_residues(path, modulus: int | None = None,
+                  trunc: int | None = None) -> tuple[ResidueRing, np.ndarray]:
+    """The ring and the residues of a cache file, as load_series checks and
+    keeps them, in one int32 array (every residue lies below 2^31): they
+    are read straight into it, with no other copy."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -737,17 +764,37 @@ def load_series(path, modulus: int | None = None,
         ring = ResidueRing(stored_modulus)
         keep = stored_trunc if trunc is None else min(int(trunc), stored_trunc)
         blocks = _crc_blocks(keep + 1)
-        data = memoryview(fh.read(4 * min(count, blocks * _CRC_BLOCK)))
+        # Signed, so that a residue of 2^31 or more reads as negative.
+        residues = np.empty(keep + 1, "<i4")
+        data = memoryview(residues).cast("B")
+        got = fh.readinto(data)
+        # The rest of the last block read, which its CRC covers too.
+        rest = fh.read(4 * min(count, blocks * _CRC_BLOCK) - len(data))
         fh.seek(_HEADER_SIZE + 4 * count)
         trailer = fh.read(4 * blocks)
-    if len(data) < 4 * (keep + 1) or len(trailer) != 4 * blocks:
+    if got != len(data) or len(trailer) != 4 * blocks:
         raise ValueError("cache file truncated")
     crcs = struct.unpack(f"<{blocks}I", trailer)
     step = 4 * _CRC_BLOCK
     for i, crc in enumerate(crcs):
-        if zlib.crc32(data[i * step:(i + 1) * step]) != crc:
+        block_crc = zlib.crc32(data[i * step:(i + 1) * step])
+        if i == blocks - 1:
+            block_crc = zlib.crc32(rest, block_crc)
+        if block_crc != crc:
             raise ValueError(f"cache block {i} fails its CRC check")
-    coeffs = np.frombuffer(data, dtype="<u4")[:keep + 1].astype(np.int64)
-    if coeffs.max() >= stored_modulus:
+    residues = residues.astype(np.int32, copy=False)
+    if residues.min() < 0 or residues.max() >= stored_modulus:
         raise ValueError(f"cache file holds a residue >= {stored_modulus}")
-    return TruncSeries._canonical(ring, coeffs, keep)
+    return ring, residues
+
+
+def load_series(path, modulus: int | None = None,
+                trunc: int | None = None) -> TruncSeries:
+    """Read a cache file, checking it before any residue is read: magic,
+    version, the modulus (against `modulus` when given), a truncation within
+    TRUNC_CAP and a file size that matches it.  With `trunc`, only the
+    residues through q^min(trunc, stored truncation) are kept, and only the
+    blocks holding them are read and checked against their CRCs.  Every
+    residue kept must lie in [0, modulus).  Any mismatch is a ValueError."""
+    ring, residues = read_residues(path, modulus, trunc)
+    return TruncSeries._canonical(ring, residues.astype(np.int64), len(residues) - 1)

@@ -24,7 +24,7 @@ from . import chars
 from .halfint import (GAMMA0, Decomposition, SpaceLabel, apply_U,
                       basis_monomials, decompose, hecke_T, sieve_progression)
 from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, cache_filename,
-                        extract_progression, load_series, ring_div, ring_pow,
+                        extract_progression, read_residues, ring_div, ring_pow,
                         save_series, transform)
 # Bound here although prover does not call it: perfbench's tracer self-test
 # checks that the tracer rebinds it at every import site, this one included.
@@ -272,7 +272,7 @@ class CoefficientStore:
                 stored = None
                 if os.path.exists(path):
                     try:
-                        stored = load_series(path, ring.modulus, trunc).coeffs.astype(np.int32)
+                        stored = read_residues(path, ring.modulus, trunc)[1]
                     except (OSError, ValueError):
                         pass  # damaged or foreign: a miss, overwritten below
                 if stored is not None and (held is None or len(stored) > len(held)):

@@ -4,7 +4,8 @@ Everything here produces a TruncSeries in a caller-supplied residue ring:
 Euler products (q^d; q^d)_inf, eta quotients with their q-power prefactor,
 the theta series phi(q) = sum q^(n^2), its powers, the weight-2 block
 F = eta(4z)^8/eta(2z)^4 and phi^4, both read from one divisor-sum table by
-their closed forms, and the overpartition generating function 1/phi(-q).
+their closed forms, and the overpartition generating function 1/phi(-q),
+inverted from phi(-q)'s taps without building phi(-q) as a dense series.
 
 The Euler products are generated straight from their pentagonal-number
 support rather than by multiplying out the product, which keeps every
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, one_series,
-                        ring_invert, ring_mul, ring_pow, transform)
+from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, invert_taps,
+                        one_series, ring_invert, ring_mul, ring_pow)
 
 R_M_BRUTE_MAX_N = 50
 R_M_BRUTE_MAX_M = 12
@@ -165,11 +166,13 @@ def overpartition_series(trunc: int, ring: ResidueRing,
                          known: np.ndarray | None = None) -> TruncSeries:
     """The overpartition generating function 1/phi(-q) through q^trunc.
 
-    phi(-q) has O(sqrt(trunc)) support, so the inversion runs in O(trunc^1.5).
+    phi(-q) = 1 + sum_k 2*(-1)^k q^(k^2) reaches the solver as its sqrt(trunc)
+    taps, never as a dense series, and the inversion runs in O(trunc^1.5).
     `known`, if given, holds the first coefficients of the stream (mod the
     same modulus); only the ones past it are computed.
     """
-    return ring_invert(transform(theta_phi(trunc, ring), 1, -1), known)
+    k = np.arange(1, math.isqrt(trunc) + 1, dtype=np.int64)
+    return invert_taps(k * k, np.where(k % 2 == 1, -2, 2), trunc, ring, known)
 
 
 def _divisor_sums(trunc: int) -> np.ndarray:

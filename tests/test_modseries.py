@@ -2,6 +2,7 @@
 
 import bisect
 import contextlib
+import gc
 import sys
 import threading
 import tracemalloc
@@ -520,6 +521,43 @@ def test_cache_prefix_load_checks_only_its_blocks(tmp_path):
             load_series(path, 65521, trunc)
 
 
+def test_cache_prefix_load_checks_its_whole_last_block(tmp_path):
+    # A prefix ending inside a block is read into its array, the rest of
+    # the block apart; the block's CRC covers both.
+    f = random_series(np.random.default_rng(61), ResidueRing(65521), 1000)
+    path = tmp_path / "series.qser"
+    save_series(f, path)
+    raw = bytearray(path.read_bytes())
+    raw[21 + 4 * 900] ^= 1
+    path.write_bytes(bytes(raw))
+    for trunc in (0, 899, 900, None):
+        with pytest.raises(ValueError, match="block 0 fails its CRC"):
+            load_series(path, 65521, trunc)
+
+
+def test_cache_io_holds_one_copy_of_the_residues(tmp_path):
+    # save_series checksums and writes the buffer of its one u32 copy, and
+    # read_residues reads the file straight into the int32 array it
+    # returns: 4 bytes per coefficient each, where a bytes copy beside the
+    # array would make 8.
+    trunc = 1 << 18
+    f = random_series(np.random.default_rng(67), ResidueRing(223_092_870), trunc)
+    path = tmp_path / "series.qser"
+    peaks = []
+    for io in (lambda: save_series(f, path), lambda: modseries.read_residues(path)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            io()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 * (trunc + 1) + (64 << 10)
+    ring, residues = modseries.read_residues(path, 223_092_870, trunc - 3)
+    assert residues.dtype == np.int32 and ring == f.ring
+    assert residues.tolist() == f.coeffs[:trunc - 2].tolist()
+
+
 def test_cache_rejects_forged_and_foreign_files(tmp_path):
     f = one_series(ResidueRing(7), 3)
     path = tmp_path / "series.qser"
@@ -944,3 +982,119 @@ def test_dense_mul_holds_one_spectrum_pair_at_a_time(m):
     finally:
         tracemalloc.stop()
     assert peak <= 1.10 * _DENSE_PEAK_BYTES[m]
+
+
+# tracemalloc peak, in bytes, of overpartition_series(2^18) mod 23# from
+# scratch with no pool, numpy 2.4.6, in a fresh process: the solution c and
+# the accumulator acc at 8 bytes per coefficient each, one leaf's transforms
+# and the head's cached spectra.  A dense phi(-q) built beside them adds 8
+# bytes per coefficient (2.1 MB).
+_OVERPARTITION_PEAK_BYTES = 6_844_783
+
+
+def test_overpartition_solve_holds_no_dense_divisor():
+    ring = ResidueRing(223_092_870)
+    with mock.patch.object(modseries, "_POOL", None):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            overpartition_series(1 << 18, ring)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.10 * _OVERPARTITION_PEAK_BYTES
+
+
+_TAPS_MODULI = (2, 3, 4, 5, 13, 223_092_870, (1 << 31) - 1)
+
+
+@st.composite
+def _overpartition_case(draw):
+    m = draw(st.sampled_from(_TAPS_MODULI))
+    block = draw(st.sampled_from(_BLOCKS))
+    # Truncations at and next to the leaf boundaries k * block, and the
+    # known prefix at every length, the boundaries' neighbours first.
+    cap = 3 * max(block, 64) + 2
+    truncs = [k * block + e for k in (1, 2, 3) for e in (-1, 0, 1)]
+    trunc = draw(st.sampled_from([t for t in truncs if 0 <= t <= cap])
+                 | st.integers(0, cap))
+    splits = [0, 1, trunc, trunc + 1] + [k * block + e for k in (1, 2) for e in (-1, 0, 1)]
+    split = draw(st.sampled_from([s for s in splits if 0 <= s <= trunc + 1])
+                 | st.integers(0, trunc + 1))
+    return ResidueRing(m), block, trunc, split
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_overpartition_case())
+def test_overpartition_taps_match_the_dense_divisor(case):
+    # overpartition_series hands phi(-q)'s taps to the solver; ring_invert
+    # finds them in the dense series.  Both must give the same stream.
+    ring, block, trunc, split = case
+    with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+        den = transform(theta_phi(trunc, ring), 1, -1)
+        known = ring_invert(den).coeffs[:split]
+        assert overpartition_series(trunc, ring, known) == ring_invert(den, known)
+
+
+def _solves(ring, trunc):
+    den = transform(theta_phi(trunc, ring), 1, -1)
+    num = theta_phi(trunc, ring)
+    known = overpartition_series(trunc // 3, ring).coeffs
+    return {
+        "invert": lambda: ring_invert(den),
+        "invert-known": lambda: ring_invert(den, known),
+        "div": lambda: ring_div(num, den),
+        "overpartition": lambda: overpartition_series(trunc, ring),
+        "overpartition-known": lambda: overpartition_series(trunc, ring, known),
+    }
+
+
+def left_behind(solve, pool):
+    # Bytes still traced after the solve, its result dropped at once, with
+    # the cyclic collector off: a reference cycle would keep its arrays.
+    # Also whether the solve raised.  A pool task that ran, or was
+    # cancelled, is dropped by the worker as it takes the next task, so one
+    # more task flushes them.
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        raised = False
+        try:
+            solve()
+        except ArithmeticError:
+            raised = True
+        if pool is not None:
+            pool.submit(int).result()
+        return tracemalloc.get_traced_memory()[0] - base, raised
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("name", ["div", "invert", "invert-known", "overpartition",
+                                  "overpartition-known"])
+def test_a_solve_leaves_nothing_behind(name, raises, pooled):
+    # About 20 leaves and chunked pushes; c and acc alone hold 320 KB.
+    ring = ResidueRing(223_092_870)
+    solve = _solves(ring, 20_000)[name]
+    real_mul = modseries._fft_mul
+
+    def failing_leaf(a, b, n, m, spectra=None):
+        # The first leaf fails, after c and acc are built.
+        if spectra is not None:
+            raise ArithmeticError("leaf failed its rounding check")
+        return real_mul(a, b, n, m)
+
+    with ThreadPoolExecutor(1) as pool, \
+            mock.patch.object(modseries, "_POOL", pool if pooled else None), \
+            mock.patch.object(modseries, "_SOLVE_BLOCK", 1024), \
+            mock.patch.object(modseries, "_PUSH_CHUNK", 2048):
+        solve()  # numpy's FFT caches are filled before tracing starts
+        with mock.patch.object(modseries, "_fft_mul", failing_leaf if raises else real_mul):
+            left, raised = left_behind(solve, pool if pooled else None)
+    assert raised == raises
+    assert left < 64 << 10

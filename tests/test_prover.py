@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -285,6 +286,28 @@ def test_store_extends_the_held_prefix():
     assert calls == [(400, None), (900, 401)]
     with pytest.raises(ValueError, match="truncation"):
         store.coefficients("overpartition", ring, -1, build)
+
+
+# tracemalloc peak, in bytes, of growing the held 23# stream from 2^17 to
+# 2^18 with no pool, numpy 2.4.6: the held prefix (int32), the solution c
+# and the accumulator for the coefficients added (int64), one leaf's
+# transforms and the head's cached spectra.
+_GROWTH_PEAK_BYTES = 5_430_100
+
+
+def test_store_growth_holds_no_dense_divisor():
+    ring = ResidueRing(PRIMORIAL_23)
+    store = CoefficientStore()
+    with mock.patch.object(modseries, "_POOL", None):
+        store.coefficients("overpartition", ring, 1 << 17, overpartition_series)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            store.coefficients("overpartition", ring, 1 << 18, overpartition_series)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.10 * _GROWTH_PEAK_BYTES
 
 
 def _damage(raw: bytes, how: str) -> bytes:
