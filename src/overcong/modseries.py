@@ -2,8 +2,11 @@
 
 A series is a dense vector of canonical residues c[0..T] together with its
 ring and an optional support list (the sorted nonzero exponents), recorded
-whenever the density drops to 1/8 or below.  The sparse support drives
-subquadratic convolution and inversion: the generating series used here
+whenever the density drops to 1/8 or below; no arithmetic reads it.  A
+product has two outcomes: when one operand is a constant through the
+truncation (the zero series included), the other is scaled by it; every
+other product is one exact float FFT product in O(T log T), sparse or
+dense, checked for rounding error.  The generating series used here
 (theta series, Euler products) have O(sqrt(T)) nonzero terms, so division
 by them costs O(T^1.5) instead of O(T^2).  Division is a divide-and-conquer
 solver that pushes the divisor's nonzero terms (its taps) into an
@@ -13,10 +16,9 @@ truncated inverse, the head.  ring_invert and ring_div find a dense
 divisor's taps; invert_taps takes them as given, so a divisor such as
 phi(-q) is never built as a dense series.  A solve holds the output and
 the accumulator, both int64, and no reference cycle: both are freed as
-soon as it returns or raises.  A product of two dense series, and every
-leaf, is an exact float FFT product in O(T log T), checked for rounding
-error.  A dense product keeps one pair of limb spectra alive at a time; a
-solve transforms its head's limbs once per leaf length and sums each
+soon as it returns or raises.  Every leaf is an exact FFT product too.  A
+ring_mul product keeps one pair of limb spectra alive at a time; a solve
+transforms its head's limbs once per leaf length and sums each
 anti-diagonal of limb products before one inverse FFT.
 
 A solve spreads the independent work inside each step over its own thread
@@ -27,8 +29,7 @@ at least 2 * _PUSH_CHUNK positions is cut into chunks that each loop over
 only the taps reaching them and write only their own slice, and a leaf
 transforms its right-hand side's limbs, then sums its anti-diagonals, as
 such tasks.  numpy releases the interpreter lock for long arrays.  Pool
-tasks never submit to the pool.  Dense ring_mul stays on the calling
-thread.
+tasks never submit to the pool.  ring_mul stays on the calling thread.
 
 Values are immutable after construction and safe to share across threads.
 Reading a coefficient past the truncation is an error, never a zero.
@@ -45,7 +46,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Support list is kept only when nonzero density is at or below this.
+# Support list is kept only when nonzero density is at or below this.  No
+# product or solve reads it; it serves code that reports on an operand.
 SPARSE_DENSITY = 0.125
 
 # Hard ceiling for truncations produced by exponent dilation.
@@ -65,7 +67,7 @@ _SOLVE_BLOCK = 16384
 # one pass over the whole range.
 _PUSH_CHUNK = 1 << 16
 
-# Every exact output of one float product in a dense ring_mul is planned to
+# Every exact output of one float product in a ring_mul is planned to
 # stay below this in magnitude, so float64 FFT error stays well under 0.25.
 _FFT_BOUND = 1 << 50
 # Below 2^50 a float64 resolves eighths, so an error of 0.25 or more shows
@@ -252,24 +254,6 @@ def scalar_mul(c: int, f: TruncSeries) -> TruncSeries:
     return TruncSeries(f.ring, (c * f.coeffs) % f.ring.modulus, f.trunc)
 
 
-def _sparse_side_mul(dense: np.ndarray, sup: np.ndarray, vals: np.ndarray,
-                     t: int, m: int) -> np.ndarray:
-    """Sum of vals[i] * q^sup[i] * dense, truncated at t, reduced mod m."""
-    out = np.zeros(t + 1, np.int64)
-    # Products stay below m^2 < 2^62; reduce before the running sum can overflow.
-    chunk = max(1, (1 << 62) // (m * m))
-    pending = 0
-    for j, v in zip(sup.tolist(), vals.tolist()):
-        if j > t:
-            break
-        out[j:] += v * dense[:t + 1 - j]
-        pending += 1
-        if pending >= chunk:
-            out %= m
-            pending = 0
-    return out % m
-
-
 def _fft_size(n: int) -> int:
     """Smallest 2^a * 3^b >= n."""
     best = 1 << (n - 1).bit_length()
@@ -426,24 +410,22 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
 
 
 def ring_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """Product through min(f.trunc, g.trunc); iterates the sparser side when
-    a support list is available, otherwise takes the exact FFT product."""
+    """Product through t = min(f.trunc, g.trunc).  An operand whose
+    coefficients 1..t are all zero is a constant (zero included), and the
+    other operand is scaled by it; any other product is one exact FFT
+    product, however few nonzero terms either operand has."""
     _check_rings(f, g)
     ring = f.ring
     m = ring.modulus
     t = min(f.trunc, g.trunc)
-    if f.is_zero() or g.is_zero():
-        return zero_series(ring, t)
-    sparse = None
-    if f.support is not None:
-        sparse = (f, g)
-    if g.support is not None and (sparse is None or len(g.support) < len(f.support)):
-        sparse = (g, f)
-    if sparse is not None:
-        s, d = sparse
-        out = _sparse_side_mul(d.coeffs, s.support, s.coeffs[s.support], t, m)
-        return TruncSeries(ring, out, t)
-    return TruncSeries(ring, _fft_mul(f.coeffs[:t + 1], g.coeffs[:t + 1], t + 1, m), t)
+    a, b = f.coeffs[:t + 1], g.coeffs[:t + 1]
+    for const, other in ((a, b), (b, a)):
+        if not const[1:].any():
+            # Both factors lie in [0, m), so the product stays below 2^62.
+            out = other * const[0]
+            out %= m
+            return TruncSeries._canonical(ring, out, t)
+    return TruncSeries._canonical(ring, _fft_mul(a, b, t + 1, m), t)
 
 
 def ring_pow(f: TruncSeries, e: int) -> TruncSeries:

@@ -7,9 +7,9 @@ F = eta(4z)^8/eta(2z)^4 and phi^4, both read from one divisor-sum table by
 their closed forms, and the overpartition generating function 1/phi(-q),
 inverted from phi(-q)'s taps without building phi(-q) as a dense series.
 
-The Euler products are generated straight from their pentagonal-number
-support rather than by multiplying out the product, which keeps every
-downstream convolution and inversion subquadratic.
+The Euler products are written straight from their pentagonal-number
+exponents rather than by multiplying out the product, so one costs a
+single pass over its O(sqrt(T)) nonzero terms.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import bisect
 import contextlib
 import gc
+import math
 import sys
 import threading
 import tracemalloc
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from overcong import (ResidueRing, TruncSeries, extract_progression,
@@ -21,6 +22,7 @@ from overcong import (ResidueRing, TruncSeries, extract_progression,
                       scalar_mul, theta_phi, transform, zero_series)
 from overcong import modseries
 from overcong.modseries import TRUNC_CAP, _fft_mul, _fft_size
+from overcong.qgen import theta_phi4
 
 
 def random_series(rng, ring, trunc, density=1.0, unit_constant=False):
@@ -119,7 +121,8 @@ def test_ring_laws_through_truncation():
 
 
 _FFT_MODULI = (2, 3, 13, 65521, 223_092_870, (1 << 31) - 1)
-_FFT_INPUTS = ("random", "m-1", "floor-half", "ceil-half", "alternating")
+_FFT_INPUTS = ("random", "m-1", "floor-half", "ceil-half", "alternating",
+               "zero", "constant", "monomial", "squares")
 
 
 def fft_input(kind, m, length, rng):
@@ -127,6 +130,18 @@ def fft_input(kind, m, length, rng):
         return rng.integers(0, m, length)
     if kind == "alternating":
         return np.arange(length) % 2 * (m - 1)
+    if kind in ("zero", "constant", "monomial"):
+        # c * q^j: nothing, c at q^0, or c at a random exponent.
+        out = np.zeros(length, np.int64)
+        if kind != "zero":
+            out[0 if kind == "constant" else rng.integers(0, length)] = rng.integers(1, m)
+        return out
+    if kind == "squares":
+        # Nonzero only at squares, like phi.
+        out = np.zeros(length, np.int64)
+        squares = np.arange(math.isqrt(length - 1) + 1) ** 2
+        out[squares] = rng.integers(1, m, len(squares))
+        return out
     value = {"m-1": m - 1, "floor-half": m // 2, "ceil-half": (m + 1) // 2}[kind]
     return np.full(length, value)
 
@@ -141,12 +156,51 @@ def test_dense_mul_matches_python_int_schoolbook(m, len_f, len_g, kind_f, kind_g
     b = fft_input(kind_g, m, len_g, rng)
     f = TruncSeries(ResidueRing(m), a, len_f - 1)
     g = TruncSeries(ResidueRing(m), b, len_g - 1)
-    assume(f.support is None and g.support is None)
     t = min(len_f, len_g) - 1
     assert ring_mul(f, g).coeffs.tolist() == exact_convolution_mod(a, b, t, m)
     # The kernel itself also takes operands of unequal length.
     n = len_f + len_g - 1
     assert _fft_mul(a, b, n, m).tolist() == exact_convolution_mod(a, b, n - 1, m)
+
+
+def test_a_product_is_one_fft_product_unless_an_operand_is_constant(monkeypatch):
+    # ring_mul has two outcomes: a product of two non-constant operands,
+    # sparse or dense, is exactly one _fft_mul call; a constant operand
+    # (one, zero, c * 1) scales the other without any.
+    calls = []
+    real_fft_mul = modseries._fft_mul
+
+    def counting_fft_mul(*args):
+        calls.append(len(args[0]))
+        return real_fft_mul(*args)
+
+    monkeypatch.setattr(modseries, "_fft_mul", counting_fft_mul)
+    m = 223_092_870
+    ring = ResidueRing(m)
+    t = 1 << 12
+    rng = np.random.default_rng(12)
+    phi = theta_phi(t, ring)
+    assert phi.support is not None
+    dense = random_series(rng, ring, t)
+    monomial = TruncSeries(ring, [0] * 5 + [7], t)  # 7q^5
+    for f, g in ((phi, phi), (phi, dense), (dense, phi), (dense, dense),
+                 (monomial, phi), (dense, monomial)):
+        calls.clear()
+        ring_mul(f, g)
+        assert calls == [t + 1]
+    calls.clear()
+    phi2 = ring_mul(phi, phi)
+    assert ring_mul(phi2, phi2) == theta_phi4(t, ring)  # Jacobi's four squares
+    assert len(calls) == 2
+    for c, const in ((1, one_series(ring, t)), (0, zero_series(ring, t)),
+                     (5, scalar_mul(5, one_series(ring, t))),
+                     (m - 3, TruncSeries(ring, [m - 3], t + 9))):
+        for other in (phi, dense, monomial, const):
+            calls.clear()
+            want = scalar_mul(c, other).coeffs[:min(const.trunc, other.trunc) + 1].tolist()
+            assert ring_mul(const, other).coeffs.tolist() == want
+            assert ring_mul(other, const).coeffs.tolist() == want
+            assert calls == []
 
 
 def test_dense_mul_worst_magnitude_closed_form():
