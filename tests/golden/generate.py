@@ -24,6 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from overcong import (ResidueRing, modseries, overpartition_series, prover,
+                      r_m_bruteforce)
+from overcong.cli import main as cli_main
+
 HERE = Path(__file__).resolve().parent
 
 PRIMORIAL_23 = 223_092_870
@@ -104,7 +108,6 @@ def commands() -> list[dict]:
 
     # r_9 = phi^9 lies in the k2 = 9 space; a perturbed copy does not.  Its
     # coefficients come from the brute-force lattice count, not from a product.
-    from overcong import r_m_bruteforce
     r9 = [r_m_bruteforce(n, 9) for n in range(17)]
     perturbed = r9[:-1] + [r9[-1] + 1]
     r9, perturbed = (" ".join(map(str, c)) for c in (r9, perturbed))
@@ -177,16 +180,13 @@ def commands() -> list[dict]:
 
 def run(entry: dict) -> tuple[int, str]:
     """Exit code and stdout of one corpus command, run in-process."""
-    from overcong import modseries, prover
-    from overcong.cli import main
-
     stdout = io.StringIO()
     saved_stdin = sys.stdin
     sys.stdin = io.StringIO(entry.get("stdin", ""))
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             try:
-                code = main(entry["argv"])
+                code = cli_main(entry["argv"])
             except SystemExit as exc:  # argparse rejects the arguments
                 code = exc.code
     finally:
@@ -198,8 +198,6 @@ def run(entry: dict) -> tuple[int, str]:
 
 def stream_digests() -> list[dict]:
     """sha256 of each pinned stream's residues as little-endian u32."""
-    from overcong import ResidueRing, overpartition_series, prover
-
     def digest(residues) -> str:
         return hashlib.sha256(np.asarray(residues).astype("<u4").tobytes()).hexdigest()
 

@@ -65,7 +65,7 @@ def test_recombine_matches_the_per_monomial_sum(m, k2, trunc, data):
 @given(st.sampled_from(BASIS_MODULI), st.integers(0, 23), st.integers(0, 5),
        st.integers(0, 300))
 def test_expand_monomial_matches_sparse_theta_powers(m, a, b, trunc):
-    # phi^a multiplied out one sparse product at a time, as the oracle for
+    # phi^a multiplied out by ring_pow, one product at a time: the oracle for
     # the phi^4 blocks expand_monomial is built from.
     ring = ResidueRing(m)
     want = ring_mul(ring_pow(weight2_form(trunc, ring), b),

@@ -102,7 +102,7 @@ def test_eta_quotient_weight2_block():
 
 
 def test_phi4_closed_form_matches_the_theta_power():
-    # Jacobi's four-square form against phi multiplied out by sparse products.
+    # Jacobi's four-square form against phi multiplied out by ring_pow.
     for m in CLOSED_FORM_MODULI:
         ring = ResidueRing(m)
         for trunc in (0, 1, 2, 50, 2000):
