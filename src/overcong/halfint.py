@@ -23,7 +23,7 @@ from . import chars
 from .modseries import (ResidueRing, TruncSeries, extract_progression,
                         one_series, ring_add, ring_mul, ring_pow, scalar_mul,
                         zero_series)
-from .qgen import theta_phi, theta_phi4, weight2_form
+from .qgen import theta_phi, theta_phi2, theta_phi4, weight2_form
 
 GAMMA0 = "Gamma0"
 GAMMA1 = "Gamma1"
@@ -84,6 +84,15 @@ def basis_monomials(k2: int) -> MonomialBasis:
     return MonomialBasis(k2, mons)
 
 
+def _phi_power(e: int, trunc: int, ring: ResidueRing) -> TruncSeries:
+    """phi^e for 0 <= e < 4: phi^2 from its closed form, so phi^3 costs
+    one product."""
+    if e < 2:
+        return ring_pow(theta_phi(trunc, ring), e)
+    phi2 = theta_phi2(trunc, ring)
+    return phi2 if e == 2 else ring_mul(phi2, theta_phi(trunc, ring))
+
+
 def expand_monomial(a: int, b: int, trunc: int, ring: ResidueRing) -> TruncSeries:
     """F^b * phi^a through q^trunc; leading term is q^b.  Built as
     F^b * (phi^4)^(a//4) * phi^(a%4) from the closed-form blocks."""
@@ -91,7 +100,7 @@ def expand_monomial(a: int, b: int, trunc: int, ring: ResidueRing) -> TruncSerie
         raise ValueError("exponents must be >= 0")
     out = ring_mul(ring_pow(weight2_form(trunc, ring), b),
                    ring_pow(theta_phi4(trunc, ring), a // 4))
-    return ring_mul(out, ring_pow(theta_phi(trunc, ring), a % 4))
+    return ring_mul(out, _phi_power(a % 4, trunc, ring))
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,7 @@ class Decomposition:
                 power = ring_mul(power, f)
             if c:
                 acc = ring_add(acc, scalar_mul(c, power))
-        return ring_mul(ring_pow(theta_phi(trunc, ring), self.k2 % 4), acc)
+        return ring_mul(_phi_power(self.k2 % 4, trunc, ring), acc)
 
     def cancel_phi(self) -> "Decomposition":
         """Divide every monomial by phi, dropping the weight by 1/2.  Exact

@@ -16,10 +16,18 @@ truncated inverse, the head.  ring_invert and ring_div find a dense
 divisor's taps; invert_taps takes them as given, so a divisor such as
 phi(-q) is never built as a dense series.  A solve holds the output and
 the accumulator, both int64, and no reference cycle: both are freed as
-soon as it returns or raises.  Every leaf is an exact FFT product too.  A
-ring_mul product keeps one pair of limb spectra alive at a time; a solve
-transforms its head's limbs once per leaf length and sums each
-anti-diagonal of limb products before one inverse FFT.
+soon as it returns or raises.  Every leaf is an exact FFT product too.
+
+Every FFT product follows one plan, chosen once per modulus and length:
+CRT groups when every group fits one product, limbs otherwise.  m is
+split into the fewest coprime groups of its prime powers that each fit
+one exact float product, and the products mod each group are joined by
+the Chinese remainder theorem; m itself is the one group when it fits.
+When some prime power fits no product, or the split needs more groups
+than limbs, both sides are cut into signed limbs mod m.  A ring_mul
+product keeps one group's or one limb pair's spectra alive at a time; a
+solve transforms its head once per group (or limb) and leaf length, and
+in limbs sums each anti-diagonal of limb products before one inverse FFT.
 
 A solve spreads the independent work inside each step over its own thread
 and, when the process may run on two or more CPUs and its thread limit
@@ -27,9 +35,11 @@ allows a second thread, one pool thread (only two cores could be measured);
 with one CPU, or a limit of one thread, there is no pool.  A push over
 at least 2 * _PUSH_CHUNK positions is cut into chunks that each loop over
 only the taps reaching them and write only their own slice, and a leaf
-transforms its right-hand side's limbs, then sums its anti-diagonals, as
-such tasks.  numpy releases the interpreter lock for long arrays.  Pool
-tasks never submit to the pool.  ring_mul stays on the calling thread.
+runs its group products, or transforms its right-hand side's limbs and
+then sums its anti-diagonals, as such tasks.  numpy releases the
+interpreter lock for long arrays.  Pool tasks never submit to the pool: a
+group product that fails its check is redone by the caller.  ring_mul
+stays on the calling thread.
 
 Values are immutable after construction and safe to share across threads.
 Reading a coefficient past the truncation is an error, never a zero.
@@ -38,6 +48,7 @@ Reading a coefficient past the truncation is an error, never a zero.
 from __future__ import annotations
 
 import bisect
+import functools
 import os
 import struct
 import tempfile
@@ -45,6 +56,8 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .chars import factorize
 
 # Support list is kept only when nonzero density is at or below this.  No
 # product or solve reads it; it serves code that reports on an operand.
@@ -54,9 +67,10 @@ SPARSE_DENSITY = 0.125
 TRUNC_CAP = 1 << 27
 
 # Longest leaf of the linear-recurrence solver; each leaf is one exact FFT
-# product with the head's cached limb spectra.  Of 4096-32768, 16384 and
-# 32768 inverted phi(-q) fastest on the rediscover scans; 16384 keeps the
-# leaf spectra at 256 KB each.
+# product with the head's cached spectra, one per CRT group when every
+# group fits one float product (mod 23#: two groups), in limbs otherwise.
+# Of 4096-32768, 16384 and 32768 inverted phi(-q) fastest on the
+# rediscover scans; 16384 keeps the leaf spectra at 256 KB each.
 _SOLVE_BLOCK = 16384
 
 # A solver push over at least two chunks of this many positions is cut into
@@ -67,8 +81,8 @@ _SOLVE_BLOCK = 16384
 # one pass over the whole range.
 _PUSH_CHUNK = 1 << 16
 
-# Every exact output of one float product in a ring_mul is planned to
-# stay below this in magnitude, so float64 FFT error stays well under 0.25.
+# Every exact output of one float product is planned to stay below this in
+# magnitude, so float64 FFT error stays well under 0.25.
 _FFT_BOUND = 1 << 50
 # Below 2^50 a float64 resolves eighths, so an error of 0.25 or more shows
 # as a fractional part; from 2^52 on every float is an integer and the
@@ -282,6 +296,11 @@ def _limb_spectrum(x: np.ndarray, i: int, m: int, w: int, offset: int,
                    size: int) -> np.ndarray:
     """rfft, zero-padded to `size`, of limb i of the balanced residues of x:
     bits [w*i, w*(i+1)) of x + offset, less 2^(w-1)."""
+    if offset == 1 << (w - 1):
+        # One limb: the balanced residues themselves.
+        y = np.empty(len(x))
+        np.subtract(x, (x > m // 2) * m, out=y)
+        return np.fft.rfft(y, size)
     y = x + offset
     y -= (x > m // 2) * m
     y >>= w * i
@@ -326,12 +345,12 @@ def _limb_pass(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,
             del r
             if part is None:
                 return None
-            part *= pow(2, w * (i + j), m)
             if out is None:
-                out = part
+                out = part  # i = j = 0: the scale is 1
             else:
+                part *= pow(2, w * (i + j), m)
                 out += part
-            out %= m
+                out %= m
     return out
 
 
@@ -347,9 +366,12 @@ def _diagonal_pass(fa: list[np.ndarray], b: np.ndarray, n: int, m: int, size: in
     fb = _pool_map(lambda j: _limb_spectrum(b, j, m, w, offset, size), range(k))
 
     def diagonal(s):
-        spec = sum(fa[i] * fb[s - i] for i in range(max(0, s - k + 1), min(s, k - 1) + 1))
+        lo, hi = max(0, s - k + 1), min(s, k - 1)
+        spec = fa[lo] * fb[s - lo]
+        for i in range(lo + 1, hi + 1):
+            spec += fa[i] * fb[s - i]
         part = _exact_residues(np.fft.irfft(spec, size)[:n], m)
-        if part is not None:
+        if part is not None and s:
             part *= pow(2, w * s, m)
             part %= m
         return part
@@ -359,46 +381,38 @@ def _diagonal_pass(fa: list[np.ndarray], b: np.ndarray, n: int, m: int, size: in
         return None
     # 2k - 1 residues below m < 2^31 each: the sum stays far inside int64.
     out = parts[0]
-    for part in parts[1:]:
-        out += part
-    out %= m
+    if k > 1:
+        for part in parts[1:]:
+            out += part
+        out %= m
     return out
 
 
-def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
-             spectra: dict | None = None) -> np.ndarray:
-    """(a*b)[:n] mod m for residue vectors a, b, exactly, by float FFTs.
-
-    Residues are taken in balanced form (-m/2, m/2].  One float product
-    suffices when min(len a, len b) * (m//2)^2 < _FFT_BOUND; otherwise both
-    sides are split into k signed limbs of w bits, w the widest for which
-    every float product stays below _FFT_BOUND.  A product that fails its
-    rounding check is redone with limbs one bit narrower; a value that
-    failed the check is never returned.
-
-    Without `spectra`, each limb pair is one float product (_limb_pass),
-    which keeps at most one spectrum pair alive.  With it, a's limb spectra
-    are kept in `spectra` under (len(a), w, size), and each anti-diagonal of
-    limb products is summed before one irfft (_diagonal_pass), so w is
-    planned for k products per output.  Every call sharing one `spectra`
-    must pass a prefix of the same series as a.
-    """
+def _limb_width(m: int, terms: int, summed: bool, bound: int) -> int:
+    """Widest limb width w for m at which every float product of `terms`
+    terms stays below `bound`: one limb, the balanced residues themselves,
+    when that fits.  `summed`: an anti-diagonal sum adds up to k limb
+    products per output."""
     h = m // 2
-    terms = min(len(a), len(b))
-    size = _fft_size(len(a) + len(b) - 1)
-    w = h.bit_length() + 1  # one limb: the balanced residues themselves
-    if terms * h * h >= _FFT_BOUND:
+    w = h.bit_length() + 1
+    if terms * h * h >= bound:
         while w > 2:
-            # A summed anti-diagonal adds up to k limb products per output.
-            sums = 1 if spectra is None else _limb_plan(m, w)[0]
-            if sums * terms << (2 * w - 2) < _FFT_BOUND:
+            sums = _limb_plan(m, w)[0] if summed else 1
+            if sums * terms << (2 * w - 2) < bound:
                 break
             w -= 1
+    return w
+
+
+def _limb_mul(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,
+              spectra: dict | None, w: int) -> np.ndarray:
+    """(a*b)[:n] mod m in signed limbs of width w, each product redone one
+    bit narrower while it fails its check; see _fft_mul."""
     for width in range(w, 1, -1):
         if spectra is None:
             out = _limb_pass(a, b, n, m, size, width)
         else:
-            key = (len(a), width, size)
+            key = (m, len(a), width, size)
             if key not in spectra:
                 k, offset = _limb_plan(m, width)
                 spectra[key] = [_limb_spectrum(a, i, m, width, offset, size)
@@ -407,6 +421,118 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
         if out is not None:
             return out
     raise ArithmeticError(f"FFT product mod {m} failed its rounding check at every limb width")
+
+
+@functools.lru_cache(maxsize=64)
+def _prime_powers(m: int) -> tuple[int, ...]:
+    """The prime powers exactly dividing m, ascending, by trial division:
+    once per modulus, a few milliseconds for 2^31 - 1."""
+    return tuple(p ** e for p, e in factorize(m).items())
+
+
+def _pack(powers: list[int], groups: list[int], fits) -> bool:
+    """Multiply each of `powers` into one of `groups` so that every group
+    still fits; True, with `groups` filled, if that can be done."""
+    if not powers:
+        return True
+    p = powers[0]
+    for i, g in enumerate(groups):
+        if fits(g * p):
+            groups[i] = g * p
+            if _pack(powers[1:], groups, fits):
+                return True
+            groups[i] = g
+        if g == 1:
+            break  # the empty groups left are interchangeable
+    return False
+
+
+@functools.lru_cache(maxsize=256)
+def _product_plan(m: int, terms: int, summed: bool, bound: int) -> tuple[tuple[int, ...], int]:
+    """(groups, w) for a product mod m of `terms` terms: w is the limb
+    width _limb_width gives, and groups are the fewest coprime factors of
+    m, each a product of whole prime powers of m, for which one float
+    product of balanced residues stays below `bound`.  A single group is m
+    itself, taken in limbs of width w: m fits one product, a prime power
+    of m does not, or the split needs more groups than the k limbs of
+    width w."""
+    w = _limb_width(m, terms, summed, bound)
+
+    def fits(g):
+        return terms * (g // 2) ** 2 < bound
+
+    if not fits(m):
+        powers = sorted(_prime_powers(m), reverse=True)
+        if fits(powers[0]):
+            for count in range(2, _limb_plan(m, w)[0] + 1):
+                groups = [1] * count
+                if _pack(powers, groups, fits):
+                    return tuple(groups), w
+    return (m,), w
+
+
+def _crt_join(parts: list[np.ndarray], groups: tuple[int, ...]) -> np.ndarray:
+    """The residues mod prod(groups) with residues parts[i] mod groups[i],
+    by Garner's method in int64; parts[1:] are overwritten."""
+    x, mod = parts[0], groups[0]
+    for r, g in zip(parts[1:], groups[1:]):
+        # 0 <= x < mod and 0 <= r < g, both below 2^31, so |r - x| times
+        # the inverse (< g) stays below 2^62.
+        r -= x
+        r *= pow(mod, -1, g)
+        r %= g
+        r *= mod
+        x += r
+        mod *= g
+    return x
+
+
+def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
+             spectra: dict | None = None) -> np.ndarray:
+    """(a*b)[:n] mod m for residue vectors a, b, exactly, by float FFTs.
+
+    Residues are taken in balanced form (-g/2, g/2] for a modulus g.  The
+    plan (_product_plan), chosen once per modulus and length, splits m into
+    coprime groups, each fitting one float product: min(len a, len b) *
+    (g//2)^2 < _FFT_BOUND.  The product is one float product mod each
+    group, the groups joined by the Chinese remainder theorem.  When m
+    fits whole, that is one product and no join; when some prime power
+    of m fits no product, or the split needs more groups than limbs, both
+    sides are split into k signed limbs of w bits mod m, w the widest for
+    which every float product stays below _FFT_BOUND.  A product that
+    fails its rounding check is redone in limbs one bit narrower, mod its
+    group; a value that failed the check is never returned.
+
+    Without `spectra`, each limb pair is one float product (_limb_pass),
+    and the groups run in turn, so at most one spectrum pair is alive.
+    With it, a's limb spectra are kept in `spectra` under (group, len(a),
+    w, size), each anti-diagonal of limb products is summed before one
+    irfft (_diagonal_pass), so w is planned for k products per output, and
+    the groups are shared with the worker pool.  Every call sharing one
+    `spectra` must pass a prefix of the same series as a.
+    """
+    terms = min(len(a), len(b))
+    size = _fft_size(len(a) + len(b) - 1)
+    groups, w = _product_plan(m, terms, spectra is not None, _FFT_BOUND)
+    if len(groups) == 1:
+        return _limb_mul(a, b, n, m, size, spectra, w)
+
+    def product(g):
+        # One float product mod g: one limb of the balanced residues.
+        wg = (g // 2).bit_length() + 1
+        if spectra is None:
+            return _limb_pass(a % g, b % g, n, g, size, wg)
+        key = (g, len(a), wg, size)
+        if key not in spectra:
+            spectra[key] = [_limb_spectrum(a % g, 0, g, wg, 1 << (wg - 1), size)]
+        return _diagonal_pass(spectra[key], b % g, n, g, size, wg)
+
+    parts = ([product(g) for g in groups] if spectra is None
+             else _pool_map(product, groups))
+    for i, g in enumerate(groups):
+        if parts[i] is None:
+            parts[i] = _limb_mul(a % g, b % g, n, g, size, spectra, (g // 2).bit_length())
+    return _crt_join(parts, groups)
 
 
 def ring_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:

@@ -468,6 +468,10 @@ def verify_identity(modulus: int, trunc: int = 2000) -> ProofReport:
     if trunc < len(expected_low) - 1:
         raise ValueError(f"truncation {trunc} is below {len(expected_low) - 1}, "
                          f"where the last basis monomial starts")
+    # The left side reads the stream through index modulus * trunc.
+    if modulus * trunc > INDEX_HARD_CAP:
+        raise ValueError(f"budget exceeded: index {modulus * trunc} > {INDEX_HARD_CAP}; "
+                         f"trunc <= {INDEX_HARD_CAP // modulus} stays within it")
     report = ProofReport(
         f"sum pbar({modulus}n)(-q)^n matches its weight-{k2 - 1}/2 combination mod {modulus}")
     timer = _StepTimer(report)

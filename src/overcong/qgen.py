@@ -3,9 +3,10 @@
 Everything here produces a TruncSeries in a caller-supplied residue ring:
 Euler products (q^d; q^d)_inf, eta quotients with their q-power prefactor,
 the theta series phi(q) = sum q^(n^2), its powers, the weight-2 block
-F = eta(4z)^8/eta(2z)^4 and phi^4, both read from one divisor-sum table by
-their closed forms, and the overpartition generating function 1/phi(-q),
-inverted from phi(-q)'s taps without building phi(-q) as a dense series.
+F = eta(4z)^8/eta(2z)^4, phi^2 and phi^4, each read from a divisor-sum
+sieve by its closed form, and the overpartition generating function
+1/phi(-q), inverted from phi(-q)'s taps without building phi(-q) as a
+dense series.
 
 The Euler products are written straight from their pentagonal-number
 exponents rather than by multiplying out the product, so one costs a
@@ -175,15 +176,21 @@ def overpartition_series(trunc: int, ring: ResidueRing,
     return invert_taps(k * k, np.where(k % 2 == 1, -2, 2), trunc, ring, known)
 
 
-def _divisor_sums(trunc: int) -> np.ndarray:
-    """sigma(n) for 0 <= n <= trunc (sigma(0) = 0): one slice update per
-    s <= sqrt(trunc) adds s + k at every n = s*k with k >= s, and s alone
-    at n = s^2.  sigma(n) <= n*(1 + ln n) stays far inside int64."""
-    sigma = np.zeros(trunc + 1, np.int64)
+def _divisor_sums(trunc: int, weight: np.ndarray | None = None) -> np.ndarray:
+    """sum_{d | n} w(d) for 0 <= n <= trunc (0 at n = 0), where w(d) is
+    weight[d], or d itself without `weight` (then sigma(n)): one slice
+    update per s <= sqrt(trunc) adds w(s) + w(k) at every n = s*k with
+    k >= s, and w(s) alone at n = s^2.  sigma(n) <= n*(1 + ln n) stays far
+    inside int64."""
+    out = np.zeros(trunc + 1, np.int64)
     for s in range(1, math.isqrt(trunc) + 1):
-        sigma[s * s::s] += s + np.arange(s, trunc // s + 1)
-        sigma[s * s] -= s
-    return sigma
+        if weight is None:
+            w, others = s, np.arange(s, trunc // s + 1)
+        else:
+            w, others = int(weight[s]), weight[s:trunc // s + 1]
+        out[s * s::s] += w + others
+        out[s * s] -= w
+    return out
 
 
 def weight2_form(trunc: int, ring: ResidueRing) -> TruncSeries:
@@ -192,6 +199,18 @@ def weight2_form(trunc: int, ring: ResidueRing) -> TruncSeries:
     sigma = _divisor_sums(trunc)
     sigma[::2] = 0
     return TruncSeries(ring, sigma, trunc)
+
+
+def theta_phi2(trunc: int, ring: ResidueRing) -> TruncSeries:
+    """phi(q)^2 through q^trunc, from Jacobi's two-square theorem:
+    r_2(n) = 4 * sum_{d | n} chi(d), chi the character mod 4 (chi(d) = 0
+    for even d, 1 for d = 1 mod 4 and -1 for d = 3 mod 4)."""
+    d = np.arange(trunc + 1, dtype=np.int64)
+    chi = ((d & 1) * (2 - (d & 3))).astype(np.int8)
+    del d
+    out = 4 * _divisor_sums(trunc, chi)
+    out[0] = 1
+    return TruncSeries(ring, out, trunc)
 
 
 def theta_phi4(trunc: int, ring: ResidueRing) -> TruncSeries:

@@ -347,13 +347,15 @@ def test_cache_file_serves_shorter_truncations_and_grows(capsys, tmp_path):
     ("check", "--claim", '{"modulus": 7, "progression": [8, 3], "conditions": '
      '[{"type": "residue", "modulus": 8, "residues": [5]}]}', "--nmax", "10"),
     ("verify-identity", "17", "--trunc", "0"),
+    ("verify-identity", "17", "--trunc", "5000000"),
     ("check", "--claim", "[" * 100_000, "--nmax", "1"),
     ("decompose", "--k2", "1000000000", "--mod", "13"),
     ("bound", "--weight2", "3", "--level", "9223372036854775804", "--group", "g0"),
 ], ids=["expand-negative-trunc", "scan-d-zero", "scan-A-zero", "check-empty-claim",
         "check-list-claim", "lemma1-negative-trunc", "bound-g1-offset-past-step",
         "check-kronecker-p-zero", "check-empty-residue-list", "check-support-zero",
-        "verify-identity-trunc-below-basis", "check-claim-nested-too-deeply",
+        "verify-identity-trunc-below-basis", "verify-identity-trunc-past-the-index-cap",
+        "check-claim-nested-too-deeply",
         "decompose-input-shorter-than-its-basis", "bound-level-past-the-cap"])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))

@@ -36,6 +36,16 @@ def test_expand_monomial_pinned_heads():
     assert expand_monomial(0, 0, 5, BIG)[0] == 1
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 13, 223092870, 2**31 - 1)), st.integers(0, 11),
+       st.integers(0, 3), st.integers(0, 300))
+def test_expand_monomial_matches_the_theta_powers(m, a, b, trunc):
+    # The closed-form blocks against F and phi multiplied out by ring_pow.
+    ring = ResidueRing(m)
+    want = ring_mul(ring_pow(weight2_form(trunc, ring), b), ring_pow(theta_phi(trunc, ring), a))
+    assert expand_monomial(a, b, trunc, ring) == want
+
+
 def test_monomials_are_triangular():
     ring = ResidueRing(11)
     for k2 in range(1, 25):

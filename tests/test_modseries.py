@@ -239,6 +239,138 @@ def test_dense_mul_retries_a_product_that_fails_its_check(monkeypatch):
     assert got.tolist() == exact_convolution_mod(a, b, 299, m)
 
 
+# Single-group moduli (2, 13, 30030, and 65521 at short lengths), 23#
+# split into coprime groups, and moduli with a prime power too large for one
+# float product (3^19, 2^30, 2 * 1073741789 and 2^31 - 1), which take limbs.
+_PLAN_MODULI = (2, 13, 30030, 223_092_870, 3 ** 19, 1 << 30, 2 * 1_073_741_789,
+                65521, (1 << 31) - 1)
+# 191 * 2777 * 2797: every prime fits one product of a 16384-term leaf,
+# but any two of them do not, so a split needs three groups, one more than
+# the two limbs of its width.
+_THREE_GROUP_MODULUS = 191 * 2777 * 2797
+
+
+def integer_product_mod(a, b, m):
+    # Independent oracle: the exact integer product of the two coefficient
+    # lists, by Kronecker substitution in Python ints (one slot of `width`
+    # bytes per coefficient, wide enough that no slot carries), reduced mod m.
+    width = (min(len(a), len(b)) * int(max(max(a), max(b), 1)) ** 2).bit_length() // 8 + 1
+
+    def pack(v):
+        return int.from_bytes(b"".join(int(x).to_bytes(width, "little") for x in v), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes(width * (len(a) + len(b) - 1), "little")
+    return [int.from_bytes(raw[i:i + width], "little") % m for i in range(0, len(raw), width)]
+
+
+def test_integer_product_oracle_matches_the_schoolbook():
+    rng = np.random.default_rng(5)
+    for m in (2, 13, 223_092_870, (1 << 31) - 1):
+        for la, lb in ((1, 1), (1, 9), (17, 5), (40, 40)):
+            a, b = rng.integers(0, m, la), rng.integers(0, m, lb)
+            assert integer_product_mod(a, b, m) == exact_convolution_mod(a, b, la + lb - 2, m)
+
+
+@pytest.mark.parametrize("m", _PLAN_MODULI)
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 3000), st.sampled_from(_FFT_INPUTS),
+       st.sampled_from(_FFT_INPUTS), st.integers(0, 2 ** 32 - 1))
+def test_planned_products_match_the_integer_product(m, len_f, len_g, kind_f, kind_g, seed):
+    # Both kernels (one spectrum pair at a time, and cached head spectra with
+    # pooled groups) and ring_mul, whatever plan the modulus takes.
+    rng = np.random.default_rng(seed)
+    a = fft_input(kind_f, m, len_f, rng)
+    b = fft_input(kind_g, m, len_g, rng)
+    want = integer_product_mod(a, b, m)
+    n = len_f + len_g - 1
+    assert _fft_mul(a, b, n, m).tolist() == want
+    with worker_pool():
+        assert _fft_mul(a, b, n, m, {}).tolist() == want
+    f = TruncSeries(ResidueRing(m), a, len_f - 1)
+    g = TruncSeries(ResidueRing(m), b, len_g - 1)
+    assert ring_mul(f, g).coeffs.tolist() == want[:min(len_f, len_g)]
+
+
+@pytest.mark.parametrize("m", [223_092_870, 65521, _THREE_GROUP_MODULUS, (1 << 31) - 1])
+def test_a_production_leaf_matches_the_integer_product(m):
+    # One leaf of the production length, as the solver calls it: the head
+    # spectra cached, the right-hand side's product truncated to the leaf.
+    n = modseries._SOLVE_BLOCK
+    rng = np.random.default_rng(m % 997)
+    a, b = rng.integers(0, m, n), rng.integers(0, m, n)
+    want = integer_product_mod(a, b, m)[:n]
+    spectra = {}
+    assert _fft_mul(a, b, n, m, spectra).tolist() == want
+    assert _fft_mul(a, b[::-1].copy(), n, m, spectra).tolist() == \
+        integer_product_mod(a, b[::-1], m)[:n]
+
+
+def test_the_plan_takes_groups_when_they_fit_and_limbs_otherwise():
+    bound = modseries._FFT_BOUND
+    leaf = modseries._SOLVE_BLOCK
+
+    def plan(m, terms, summed=True):
+        groups, w = modseries._product_plan(m, terms, summed, bound)
+        assert math.prod(groups) == m
+        assert all(math.gcd(g, h) == 1 for i, g in enumerate(groups) for h in groups[i + 1:])
+        assert len(groups) == 1 or all(terms * (g // 2) ** 2 < bound for g in groups)
+        return groups, w
+
+    for m in (2, 13, 30030, 65521):
+        assert plan(m, leaf) == ((m,), (m // 2).bit_length() + 1)  # one product
+    assert len(plan(223_092_870, leaf)[0]) == 2
+    assert len(plan(223_092_870, 1 << 18, summed=False)[0]) == 2
+    # A prime power too large for one product: limbs, at any length.
+    for m in (3 ** 19, 1 << 30, 2 * 1_073_741_789, (1 << 31) - 1):
+        for terms in (1, 300, leaf):
+            groups, w = plan(m, terms)
+            assert groups == (m,) and w <= (m // 2).bit_length()
+    # 65521 fits one product up to about 2^20 terms, and takes limbs past it.
+    groups, w = plan(65521, 1 << 21)
+    assert groups == (65521,) and w < 17
+    # Three groups would be needed, but the limbs number two.
+    groups, w = plan(_THREE_GROUP_MODULUS, leaf)
+    assert groups == (_THREE_GROUP_MODULUS,)
+    assert modseries._limb_plan(_THREE_GROUP_MODULUS, w)[0] == 2
+    assert modseries._prime_powers(_THREE_GROUP_MODULUS) == (191, 2777, 2797)
+    assert modseries._prime_powers(3 ** 19) == (3 ** 19,)
+    assert modseries._prime_powers((1 << 31) - 1) == ((1 << 31) - 1,)
+
+
+def test_a_group_product_that_fails_its_check_is_redone_in_limbs(monkeypatch):
+    # With the bound lifted to 2^67, 2 * 1073741789 splits into the groups
+    # 1073741789 and 2.  The first group's one float product reaches ~2^66
+    # and must fail its check; limbs mod that group must still give the
+    # exact product, in both kernels and in the solver's leaves.
+    big = 1_073_741_789
+    m = 2 * big
+    rng = np.random.default_rng(67)
+    a, b = rng.integers(0, m, 300), rng.integers(0, m, 300)
+    monkeypatch.setattr(modseries, "_FFT_BOUND", 1 << 67)
+    assert modseries._product_plan(m, 300, False, 1 << 67)[0] == (big, 2)
+    attempts = []
+    for name in ("_limb_pass", "_diagonal_pass"):
+        def recording(*args, _real=getattr(modseries, name)):
+            out = _real(*args)
+            attempts.append((args[3], args[-1], out is not None))
+            return out
+        monkeypatch.setattr(modseries, name, recording)
+    want = integer_product_mod(a, b, m)
+    for spectra in (None, {}):
+        attempts.clear()
+        assert _fft_mul(a, b, 599, m, spectra).tolist() == want
+        assert (2, 2, True) in attempts
+        tries = [(w, ok) for g, w, ok in attempts if g == big]
+        assert tries[0] == (30, False)
+        assert [ok for _, ok in tries] == [False] * (len(tries) - 1) + [True]
+    # Leaves of 255 and 256 terms plan the same two groups.
+    f = sparse_unit_series(rng, ResidueRing(m), 3 * 256 - 2)
+    with mock.patch.object(modseries, "_SOLVE_BLOCK", 256):
+        attempts.clear()
+        assert ring_invert(f).coeffs.tolist() == schoolbook_inverse(f.coeffs, m)
+    assert (big, 30, False) in attempts
+
+
 def test_fft_size_is_the_least_2a_3b_length_covering_n():
     smooth = sorted(2 ** i * 3 ** j for i in range(13) for j in range(8))
     for n in range(1, 3000):
@@ -871,13 +1003,13 @@ def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
 
 
 def test_leaves_transform_only_their_right_hand_side(monkeypatch):
-    # Inverting phi(-q) mod 23#: the head's k limbs are transformed once per
-    # leaf length, each leaf transforms its right-hand side's k limbs and
-    # takes one irfft per anti-diagonal, 2k - 1.  At every production leaf
-    # length 23# needs k = 2 limbs.
+    # Inverting phi(-q) mod 23#: at every production leaf length the plan
+    # splits 23# into two coprime groups, one float product each.  The
+    # head is transformed once per group and leaf length, and each leaf
+    # transforms its right-hand side once per group and takes one irfft
+    # per group: 2 rfft and 2 irfft.
     ring = ResidueRing(223_092_870)
     block = modseries._SOLVE_BLOCK
-    k = 2
     counts = {}
     lock = threading.Lock()  # pooled leaves transform on worker threads
     for name in ("rfft", "irfft"):
@@ -896,9 +1028,12 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
     trunc = 5 * block - 2
     lengths = leaf_lengths(block, trunc + 1, block)
     assert len(lengths) == 4 and len(set(lengths)) == 2
+    for n in set(lengths):
+        groups, _ = modseries._product_plan(ring.modulus, n, True, modseries._FFT_BOUND)
+        assert len(groups) == 2 and math.prod(groups) == ring.modulus
     rfft, irfft = ffts(trunc)
-    assert rfft - head_rfft <= k * (len(lengths) + len(set(lengths)))
-    assert irfft - head_irfft <= (2 * k - 1) * len(lengths)
+    assert rfft - head_rfft == 2 * (len(lengths) + len(set(lengths)))
+    assert irfft - head_irfft == 2 * len(lengths)
 
 
 @contextlib.contextmanager

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overcong import (CongruenceClaim, ResidueRing, modseries,
+from overcong import (CongruenceClaim, ResidueRing, modseries, prover,
                       check_claim_direct, kronecker, load_series,
                       overpartition_series, prove_theorem_mod11, scan,
                       verify_identity, verify_lemma1)
 from overcong.chars import factorize
-from overcong.modseries import cache_filename
-from overcong.prover import (PRIMORIAL_23, STORE, CoefficientStore,
+from overcong.modseries import TRUNC_CAP, cache_filename
+from overcong.prover import (INDEX_HARD_CAP, PRIMORIAL_23, STORE, CoefficientStore,
                              _compress_residues, _pbar_stream)
 
 
@@ -491,6 +491,21 @@ def test_verify_identity_degenerate_truncation():
             with pytest.raises(ValueError, match="below"):
                 verify_identity(modulus, trunc)
         assert verify_identity(modulus, floor).passed
+
+
+def test_verify_identity_stays_within_the_index_cap(monkeypatch):
+    # The left side reads the stream through index modulus * trunc, so a
+    # truncation past INDEX_HARD_CAP / modulus is refused before any stream
+    # is built, with the largest truncation that fits.
+    def no_stream(*args):
+        raise AssertionError("a stream was read")
+
+    monkeypatch.setattr(prover, "_pbar_stream", no_stream)
+    for modulus in (17, 23):
+        fit = INDEX_HARD_CAP // modulus
+        for trunc in (fit + 1, 5_000_000, TRUNC_CAP):
+            with pytest.raises(ValueError, match=f"trunc <= {fit} stays within it"):
+                verify_identity(modulus, trunc)
 
 
 def test_verify_identity_modulus_validation():

@@ -9,7 +9,7 @@ from overcong import (EtaQuotient, ResidueRing, eta_quotient, one_series,
                       overpartition_series, pochhammer, r_m_bruteforce,
                       r_m_exact, r_m_series, ring_mul, ring_pow, theta_phi,
                       transform, weight2_form)
-from overcong.qgen import theta_phi4
+from overcong.qgen import theta_phi2, theta_phi4
 
 CLOSED_FORM_MODULI = (2, 13, 223092870, 2**31 - 1)
 
@@ -109,6 +109,21 @@ def test_phi4_closed_form_matches_the_theta_power():
             fast = theta_phi4(trunc, ring)
             assert fast.trunc == trunc
             assert fast == ring_pow(theta_phi(trunc, ring), 4), (m, trunc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CLOSED_FORM_MODULI), st.integers(0, 3000))
+def test_phi2_closed_form_matches_the_theta_power(m, trunc):
+    # Jacobi's two-square form against phi multiplied out by ring_pow.
+    ring = ResidueRing(m)
+    fast = theta_phi2(trunc, ring)
+    assert fast.trunc == trunc
+    assert fast == ring_pow(theta_phi(trunc, ring), 2)
+
+
+def test_phi2_closed_form_counts_two_square_representations():
+    series = theta_phi2(50, ResidueRing(2**31 - 1))
+    assert [series[n] for n in range(51)] == [r_m_bruteforce(n, 2) for n in range(51)]
 
 
 def test_phi4_closed_form_counts_four_square_representations():
