@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import modseries, prover, sturm
 from .halfint import GAMMA0, GAMMA1, SpaceLabel, decompose
 from .modseries import ResidueRing, TruncSeries
@@ -36,17 +38,21 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _residues(series: TruncSeries) -> np.ndarray:
+    return series.coeffs.astype(np.int32)
+
+
 def _generator(name: str, ring: ResidueRing):
-    """(shift, build) for a named generator: build(trunc, ring, known) gives
-    its series through q^trunc, which runs `shift` terms past the requested
-    truncation (an eta quotient's leading q-power)."""
+    """(shift, build) for a named generator: build follows the store's build
+    contract, its residues through q^trunc running `shift` terms past the
+    requested truncation (an eta quotient's leading q-power)."""
     if name == "phi":
-        return 0, lambda t, r, known: theta_phi(t, r)
+        return 0, lambda t, r, known: _residues(theta_phi(t, r))
     if name == "F":
-        return 0, lambda t, r, known: weight2_form(t, r)
+        return 0, lambda t, r, known: _residues(weight2_form(t, r))
     if name.startswith("rm:"):
         m_exp = int(name[3:])
-        return 0, lambda t, r, known: r_m_series(m_exp, t, r)
+        return 0, lambda t, r, known: _residues(r_m_series(m_exp, t, r))
     if name.startswith("eta:"):
         factors = []
         for part in name[4:].split(","):
@@ -57,7 +63,8 @@ def _generator(name: str, ring: ResidueRing):
         # The empty expansion reports the leading power, or why it is not
         # an integral, nonnegative one.
         shift = eta_quotient(quotient, 0, ring).to_series().trunc
-        return shift, lambda t, r, known: eta_quotient(quotient, t - shift, r).to_series()
+        return shift, lambda t, r, known: _residues(
+            eta_quotient(quotient, t - shift, r).to_series())
     raise ValueError(f"unknown generator {name!r}")
 
 

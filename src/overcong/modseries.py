@@ -14,9 +14,15 @@ accumulator with one vectorised update each, down to leaves of at most
 _SOLVE_BLOCK coefficients; each leaf is one product with the divisor's
 truncated inverse, the head.  ring_invert and ring_div find a dense
 divisor's taps; invert_taps takes them as given, so a divisor such as
-phi(-q) is never built as a dense series.  A solve holds the output and
-the accumulator, both int64, and no reference cycle: both are freed as
-soon as it returns or raises.  Every leaf is an exact FFT product too.
+phi(-q) is never built as a dense series.  A solve holds its output as
+int32 residues and one int64 accumulator for the coefficients still to
+be solved, and no reference cycle: both are freed as soon as it returns
+or raises.  A push adds its taps in int32 runs into a scratch array over
+the push chunk, each run short enough that no sum can overflow, and adds
+each run into the accumulator once.  invert_taps_residues hands the int32
+output on as it is (the coefficient store holds it); every function that
+returns a TruncSeries casts it to int64 once.  Every leaf is an exact FFT
+product too.
 
 Every FFT product follows one plan, chosen once per modulus and length:
 CRT groups when every group fits one product, limbs otherwise.  m is
@@ -74,12 +80,16 @@ TRUNC_CAP = 1 << 27
 _SOLVE_BLOCK = 16384
 
 # A solver push over at least two chunks of this many positions is cut into
-# chunks shared with the worker pool.  Inverting phi(-q) mod 23# to 1.8e6
-# on two cores took 1.76 s at 2^14, where the GIL hand-offs cost more than
-# the second core gives, 1.18 s at 2^15, 1.05 s at 2^16 and 1.17 s at
-# 2^17.  With no pool the chunks run in turn: 1.41 s, against 1.66 s for
-# one pass over the whole range.
-_PUSH_CHUNK = 1 << 16
+# chunks shared with the worker pool.  Each tap's int32 add over a chunk
+# releases the GIL once, so a shorter chunk hands the GIL over more often
+# for the same work.  With an int64 output, inverting phi(-q) mod 23# to
+# 1.8e6 on two cores took 1.76 s at 2^14, 1.18 s at 2^15, 1.05 s at 2^16
+# and 1.17 s at 2^17.  With the int32 output and runs, a chunk of 2^17
+# positions holds the bytes 2^16 did in int64.  The rediscover scans (the
+# stream grown to 3e5, then to 1.5e6, two cores; medians of 8 interleaved
+# runs) took 0.68 s at 2^17 against 0.82 s at 2^18, and in another set
+# 0.77 s at 2^17 against 0.86 s at 2^16 (int64 output: 0.84 and 0.97 s).
+_PUSH_CHUNK = 1 << 17
 
 # Every exact output of one float product is planned to stay below this in
 # magnitude, so float64 FFT error stays well under 0.25.
@@ -511,6 +521,10 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
     the groups are shared with the worker pool.  Every call sharing one
     `spectra` must pass a prefix of the same series as a.
     """
+    # Narrower operands (the solver's int32 residues) are widened first:
+    # limbs and CRT residues are computed in int64.
+    a = np.asarray(a, np.int64)
+    b = np.asarray(b, np.int64)
     terms = min(len(a), len(b))
     size = _fft_size(len(a) + len(b) - 1)
     groups, w = _product_plan(m, terms, spectra is not None, _FFT_BOUND)
@@ -576,15 +590,15 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     """Solve den*c = rhs through q^t where den has unit constant term f0 and
     nonzero higher coefficients taps_val at exponents taps_exp (sorted, >= 1).
     rhs holds residues; entries past its end are zero, so an inversion
-    passes rhs = [1].
+    passes rhs = [1].  Returns c as int32 residues in [0, m).
 
     Divide-and-conquer online convolution down to leaves of at most
     _SOLVE_BLOCK coefficients.  The taps are g*u_j, where g is the
     magnitude they all share (phi(-q): g = 2, u_j = +-1), or 1 when their
     magnitudes differ.  acc[n] accumulates sum_j u_j * c[n - taps_exp[j]]
     over the solved c: the contributions of a solved half are pushed with
-    one vectorised update per tap, in place (np.add/np.subtract) for unit
-    u_j.  A leaf [lo, hi) of length k is then one exact FFT product
+    one vectorised update per tap.  A leaf [lo, hi) of length k is then one
+    exact FFT product
 
         c[lo:hi] = head * ((rhs - g*acc)[lo:hi] mod m)  mod q^k,
 
@@ -598,42 +612,80 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     shared with the worker pool when there is one.  Chunks write disjoint slices of
     acc; the output does not depend on how a push is cut.
 
-    Exact for every m < 2^31.  One update adds u*c with |u| <= umax <= m/2
-    and 0 <= c < m.  An entry starts at 0, or in [0, m) after a reduction,
-    so after p updates |acc| <= (m-1) + p*umax*(m-1), which stays below
-    2^63 for p <= `every`; the pending slice is reduced mod m before the
-    (every+1)-th update.  A chunk counts and reduces only its own slice,
-    and the push passes on the largest count of its chunks.  A leaf
-    reduces acc first, so g*(acc mod m) < 2^61.
+    Within a chunk, taps are summed in runs: each tap's slice of c is added
+    in int32 into a scratch array over the chunk, and a run ends when its
+    next tap would bring the units of either sign past
+    cap = (2^31 - 1) // (m - 1).  The scratch is then added into the int64
+    acc over the hull of the run's slices and cleared there.  A tap whose
+    unit alone exceeds cap is added into acc straight away.
+
+    Exact for every m < 2^31.  c holds residues 0 <= c < m.  At any
+    position, a run's partial sum lies between -(negative units)*(m-1) and
+    (positive units)*(m-1), so within cap*(m-1) <= 2^31 - 1 of zero: the
+    int32 scratch never overflows.  So one update of acc, a run or a large
+    tap, adds at most b = max(cap, umax)*(m-1) in magnitude.  An entry
+    starts at 0, or in [0, m) after a reduction, so after p updates
+    |acc| <= (m-1) + p*b, which stays below 2^63 for p <= `every`; the
+    pending slice is reduced mod m before the (every+1)-th update.  A chunk
+    counts and reduces only its own slice, and the push passes on the
+    largest count of its chunks.  A leaf reduces acc first, so
+    g*(acc mod m) < 2^61.
     """
     exps = taps_exp.tolist()
     vals = taps_val.tolist()
     mags = set(map(abs, vals))
     g = mags.pop() if len(mags) == 1 else 1
     units = [v // g for v in vals]
-    every = ((1 << 63) - m) // (max(map(abs, units), default=1) * (m - 1))
+    cap = ((1 << 31) - 1) // (m - 1)
+    every = ((1 << 63) - m) // (max([cap, *map(abs, units)]) * (m - 1))
+
+    def add_into(dst, off, a, b, t0, t1, values, pending):
+        # dst[t0 - off:t1 - off] += values, the chunk [a, b) reduced first
+        # if it already holds `every` unreduced updates; the new count.
+        if pending == every:
+            dst[a - off:b - off] %= m
+            pending = 0
+        out = dst[t0 - off:t1 - off]
+        out += values
+        return pending + 1
 
     def push_part(src, dst, off, lo, mid, a, b, pending):
         # Contributions of the solved src[lo:mid] to positions [a, b) within
         # [mid, hi), held at dst[pos - off]; returns the unreduced-update
         # count of those positions.  Only taps a - mid < j < b - lo reach them.
+        run = np.zeros(b - a, np.int32)
+        r0, r1 = b, a  # hull of the run's slices
+        plus = minus = 0  # the run's units of each sign
         for idx in range(bisect.bisect_right(exps, a - mid), bisect.bisect_left(exps, b - lo)):
             j = exps[idx]
             t0 = max(a, lo + j)
             t1 = min(b, mid + j)
-            if t0 < t1:
-                if pending == every:
-                    dst[a - off:b - off] %= m
-                    pending = 0
-                out = dst[t0 - off:t1 - off]
-                u = units[idx]
-                if u == 1:
-                    np.add(out, src[t0 - j:t1 - j], out=out)
-                elif u == -1:
-                    np.subtract(out, src[t0 - j:t1 - j], out=out)
-                else:
-                    out += u * src[t0 - j:t1 - j]
-                pending += 1
+            if t0 >= t1:
+                continue
+            part = src[t0 - j:t1 - j]
+            u = units[idx]
+            if abs(u) > cap:
+                pending = add_into(dst, off, a, b, t0, t1,
+                                   np.multiply(part, u, dtype=np.int64), pending)
+                continue
+            if (plus + u if u > 0 else minus - u) > cap:
+                pending = add_into(dst, off, a, b, r0, r1, run[r0 - a:r1 - a], pending)
+                run[r0 - a:r1 - a] = 0
+                r0, r1, plus, minus = b, a, 0, 0
+            out = run[t0 - a:t1 - a]
+            if u == 1:
+                np.add(out, part, out=out)
+            elif u == -1:
+                np.subtract(out, part, out=out)
+            else:
+                out += u * part
+            if u > 0:
+                plus += u
+            else:
+                minus -= u
+            r0, r1 = min(r0, t0), max(r1, t1)
+        if r0 < r1:
+            pending = add_into(dst, off, a, b, r0, r1, run[r0 - a:r1 - a], pending)
         return pending
 
     def push(src, dst, off, lo, mid, hi, pending):
@@ -648,7 +700,7 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     def inverse_head(n):
         # 1/den mod q^n by Newton doubling: h -> h - h*(den*h - 1), where
         # (den*h - 1)[:k] = 0 and (den*h)[k:2k] = g * (pushed taps of h).
-        h = np.array([f0inv % m], np.int64)
+        h = np.array([f0inv % m], np.int32)
         while len(h) < n:
             k = len(h)
             k2 = min(2 * k, n)
@@ -658,10 +710,10 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
             e *= g
             e %= m
             tail = _fft_mul(h[:k2 - k], e, k2 - k, m)
-            h = np.concatenate([h, (m - tail) % m])
+            h = np.concatenate([h, ((m - tail) % m).astype(np.int32)])
         return h
 
-    c = np.zeros(t + 1, np.int64)
+    c = np.zeros(t + 1, np.int32)
     start = 0
     if known is not None:
         start = min(len(known), t + 1)
@@ -719,23 +771,30 @@ def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int,
     taps_exp = np.flatnonzero(den.coeffs[1:t + 1]) + 1
     out = _solve_linear_core(taps_exp, _balanced(den.coeffs[taps_exp], m), f0inv,
                              rhs, t, m, known)
-    return TruncSeries._canonical(ring, out, t)
+    return TruncSeries._canonical(ring, out.astype(np.int64), t)
 
 
-def invert_taps(taps_exp: np.ndarray, taps_val: np.ndarray, trunc: int,
-                ring: ResidueRing, known: np.ndarray | None = None) -> TruncSeries:
+def invert_taps_residues(taps_exp: np.ndarray, taps_val: np.ndarray, trunc: int,
+                         ring: ResidueRing, known: np.ndarray | None = None) -> np.ndarray:
     """1/(1 + sum_j taps_val[j] * q^taps_exp[j]) through q^trunc, for a
     divisor given by its taps alone: integer values at distinct exponents
     >= 1, sorted ascending.  The same solve as ring_invert, without a dense
     divisor; taps past the truncation or divisible by m are dropped.
-    `known` is as in ring_invert."""
+    `known` is as in ring_invert.  The residues come as the solve wrote
+    them, in a new int32 array."""
     m = ring.modulus
     exps = np.asarray(taps_exp, np.int64)
     vals = np.asarray(taps_val, np.int64) % m
     keep = (vals != 0) & (exps <= trunc)
-    out = _solve_linear_core(exps[keep], _balanced(vals[keep], m), 1,
-                             np.ones(1, np.int64), trunc, m, known)
-    return TruncSeries._canonical(ring, out, trunc)
+    return _solve_linear_core(exps[keep], _balanced(vals[keep], m), 1,
+                              np.ones(1, np.int64), trunc, m, known)
+
+
+def invert_taps(taps_exp: np.ndarray, taps_val: np.ndarray, trunc: int,
+                ring: ResidueRing, known: np.ndarray | None = None) -> TruncSeries:
+    """invert_taps_residues as a series."""
+    out = invert_taps_residues(taps_exp, taps_val, trunc, ring, known)
+    return TruncSeries._canonical(ring, out.astype(np.int64), trunc)
 
 
 def ring_invert(f: TruncSeries, known: np.ndarray | None = None) -> TruncSeries:
@@ -821,20 +880,32 @@ def save_series(f: TruncSeries, path) -> None:
     """Write the cache format: magic, version byte, modulus and truncation as
     little-endian u64, then trunc+1 little-endian u32 residues, then one
     little-endian u32 zlib.crc32 per block of _CRC_BLOCK residues (the last
-    block may be short).
+    block may be short); see write_residues."""
+    write_residues(path, f.ring.modulus, f.coeffs)
+
+
+def write_residues(path, modulus: int, residues: np.ndarray) -> None:
+    """Write residues in [0, modulus) as a cache file of truncation
+    len(residues) - 1, the counterpart of read_residues.  An array whose
+    buffer already holds the little-endian u32 words (contiguous 4-byte
+    integers on a little-endian host, as the store holds them) is written
+    from that buffer; any other is copied once to u32.
 
     The bytes go to a temporary file in the same directory, which then
     replaces `path`, so a reader never sees a partly written file."""
     path = os.fspath(path)
-    # The bytes of the one u32 copy, without a second copy as a bytes object.
-    data = memoryview(f.coeffs.astype("<u4")).cast("B")
+    words = residues
+    if not (residues.dtype in (np.dtype("<i4"), np.dtype("<u4"))
+            and residues.flags.c_contiguous):
+        words = residues.astype("<u4")
+    data = memoryview(words).cast("B")
     step = 4 * _CRC_BLOCK
     crcs = [zlib.crc32(data[i:i + step]) for i in range(0, len(data), step)]
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<BQQ", _FORMAT_VERSION, f.ring.modulus, f.trunc))
+            fh.write(struct.pack("<BQQ", _FORMAT_VERSION, modulus, len(residues) - 1))
             fh.write(data)
             fh.write(struct.pack(f"<{len(crcs)}I", *crcs))
         os.replace(tmp, path)

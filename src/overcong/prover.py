@@ -25,11 +25,13 @@ from .halfint import (GAMMA0, Decomposition, SpaceLabel, apply_U,
                       basis_monomials, decompose, hecke_T, sieve_progression)
 from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, cache_filename,
                         extract_progression, read_residues, ring_div, ring_pow,
-                        save_series, transform)
-# Bound here although prover does not call it: perfbench's tracer self-test
-# checks that the tracer rebinds it at every import site, this one included.
+                        transform, write_residues)
+# Bound here although prover does not call them: perfbench's tracer
+# self-test checks that the tracer rebinds them at every import site, this
+# one included.
 from .modseries import ring_mul  # noqa: F401
-from .qgen import overpartition_series, pochhammer, r_m_series, theta_phi
+from .qgen import overpartition_series  # noqa: F401
+from .qgen import overpartition_residues, pochhammer, r_m_series, theta_phi
 from .sturm import progression_limit, sturm_bound
 
 # Largest coefficient index any scan or direct check may demand.
@@ -235,11 +237,17 @@ class CoefficientStore:
 
     A request up to the held truncation is answered with a read-only slice.
     A longer one first looks for a longer stream on disk, then hands the
-    held prefix to the build function, which computes only the coefficients
-    past it (or everything, if it cannot extend a prefix); the result
-    becomes the held array and is written back.  A cache file that fails validation is a
-    miss: it is recomputed and overwritten.  One lock serialises lookups, so
-    concurrent scans share a single computation.
+    held prefix to the build function.  A cache file that fails validation
+    is a miss: it is recomputed and overwritten.  One lock serialises
+    lookups, so concurrent scans share a single computation.
+
+    The build contract: build(trunc, ring, known) returns a new int32 array
+    of the generator's residues in [0, ring.modulus) through q^trunc.
+    `known` is the held prefix (int32, read-only) or None; a builder that
+    can extend a prefix computes only the coefficients past it, any other
+    ignores it.  The store takes the returned array over as it is: it
+    becomes the held array, its own buffer is written to disk, and it is
+    never copied or cast.
     """
 
     def __init__(self, cache_dir: str | None = None):
@@ -256,8 +264,8 @@ class CoefficientStore:
     def coefficients(self, generator: str, ring: ResidueRing, trunc: int,
                      build) -> np.ndarray:
         """Coefficients of `generator` mod ring.modulus through q^trunc (int32,
-        read-only).  build(trunc, ring, known) returns the TruncSeries through
-        q^trunc; `known` is a prefix of it, or None."""
+        read-only), built by `build` under the contract above when neither
+        the held array nor the disk reaches q^trunc."""
         trunc = int(trunc)
         if not 0 <= trunc <= TRUNC_CAP:
             raise ValueError(f"truncation must lie in [0, {TRUNC_CAP}], got {trunc}")
@@ -280,14 +288,16 @@ class CoefficientStore:
                     held = self._held[key] = stored
                     if len(held) > trunc:
                         return held
-            series = build(trunc, ring, held)
+            built = build(trunc, ring, held)
+            if built.dtype != np.int32 or len(built) != trunc + 1:
+                raise TypeError(f"build for {generator!r} returned {built.dtype} "
+                                f"[{len(built)}], not int32 [{trunc + 1}]")
+            built.setflags(write=False)
             if path is not None:
                 os.makedirs(self.cache_dir, exist_ok=True)
-                save_series(series, path)
-            held = series.coeffs.astype(np.int32)
-            held.setflags(write=False)
-            self._held[key] = held
-            return held
+                write_residues(path, ring.modulus, built)
+            self._held[key] = built
+            return built
 
 
 STORE = CoefficientStore()
@@ -307,7 +317,7 @@ def _pbar_stream(modulus: int, trunc: int) -> np.ndarray:
     modulus = ResidueRing(modulus).modulus
     stream = PRIMORIAL_23 if PRIMORIAL_23 % modulus == 0 else modulus
     return STORE.coefficients("overpartition", ResidueRing(stream), trunc,
-                              overpartition_series)
+                              overpartition_residues)
 
 
 def _signed_compacted_pbar(modulus: int, d: int, trunc: int) -> TruncSeries:

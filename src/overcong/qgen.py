@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, invert_taps,
-                        one_series, ring_invert, ring_mul, ring_pow)
+                        invert_taps_residues, one_series, ring_invert, ring_mul,
+                        ring_pow)
 
 R_M_BRUTE_MAX_N = 50
 R_M_BRUTE_MAX_M = 12
@@ -163,17 +164,29 @@ def r_m_exact(m_exp: int, trunc: int) -> list[int]:
     return out
 
 
+def _phi_minus_q_taps(trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """phi(-q) = 1 + sum_k 2*(-1)^k q^(k^2) as its taps through q^trunc."""
+    k = np.arange(1, math.isqrt(trunc) + 1, dtype=np.int64)
+    return k * k, np.where(k % 2 == 1, -2, 2)
+
+
 def overpartition_series(trunc: int, ring: ResidueRing,
                          known: np.ndarray | None = None) -> TruncSeries:
     """The overpartition generating function 1/phi(-q) through q^trunc.
 
-    phi(-q) = 1 + sum_k 2*(-1)^k q^(k^2) reaches the solver as its sqrt(trunc)
-    taps, never as a dense series, and the inversion runs in O(trunc^1.5).
-    `known`, if given, holds the first coefficients of the stream (mod the
-    same modulus); only the ones past it are computed.
+    phi(-q) reaches the solver as its sqrt(trunc) taps, never as a dense
+    series, and the inversion runs in O(trunc^1.5).  `known`, if given,
+    holds the first coefficients of the stream (mod the same modulus); only
+    the ones past it are computed.
     """
-    k = np.arange(1, math.isqrt(trunc) + 1, dtype=np.int64)
-    return invert_taps(k * k, np.where(k % 2 == 1, -2, 2), trunc, ring, known)
+    return invert_taps(*_phi_minus_q_taps(trunc), trunc, ring, known)
+
+
+def overpartition_residues(trunc: int, ring: ResidueRing,
+                           known: np.ndarray | None = None) -> np.ndarray:
+    """overpartition_series as the int32 residues the solve writes, with no
+    int64 copy: what the coefficient store holds."""
+    return invert_taps_residues(*_phi_minus_q_taps(trunc), trunc, ring, known)
 
 
 def _divisor_sums(trunc: int, weight: np.ndarray | None = None) -> np.ndarray:

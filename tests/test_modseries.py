@@ -20,7 +20,7 @@ from overcong import (ResidueRing, TruncSeries, extract_progression,
                       load_series, one_series, overpartition_series, ring_add,
                       ring_div, ring_invert, ring_mul, ring_pow, save_series,
                       scalar_mul, theta_phi, transform, zero_series)
-from overcong import modseries
+from overcong import modseries, prover
 from overcong.modseries import TRUNC_CAP, _fft_mul, _fft_size
 from overcong.qgen import theta_phi4
 
@@ -289,6 +289,25 @@ def test_planned_products_match_the_integer_product(m, len_f, len_g, kind_f, kin
     f = TruncSeries(ResidueRing(m), a, len_f - 1)
     g = TruncSeries(ResidueRing(m), b, len_g - 1)
     assert ring_mul(f, g).coeffs.tolist() == want[:min(len_f, len_g)]
+
+
+@pytest.mark.parametrize("m", sorted({*_FFT_MODULI, *_PLAN_MODULI}))
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 600), st.sampled_from(_FFT_INPUTS),
+       st.sampled_from(_FFT_INPUTS), st.integers(0, 2 ** 32 - 1))
+def test_int32_operands_match_the_integer_product(m, len_f, len_g, kind_f, kind_g, seed):
+    # The solver passes its int32 residues to _fft_mul: the head, with the
+    # right-hand side in int64, and in Newton doubling an int32 prefix.
+    # Both kernels widen them first; mod 2^31 - 1, x + offset in an int32
+    # limb split would overflow.
+    rng = np.random.default_rng(seed)
+    a = fft_input(kind_f, m, len_f, rng).astype(np.int32)
+    b = fft_input(kind_g, m, len_g, rng).astype(np.int32)
+    want = integer_product_mod(a, b, m)
+    n = len_f + len_g - 1
+    assert _fft_mul(a, b, n, m).tolist() == want
+    with worker_pool():
+        assert _fft_mul(a, b.astype(np.int64), n, m, {}).tolist() == want
 
 
 @pytest.mark.parametrize("m", [223_092_870, 65521, _THREE_GROUP_MODULUS, (1 << 31) - 1])
@@ -722,24 +741,33 @@ def test_cache_prefix_load_checks_its_whole_last_block(tmp_path):
 
 
 def test_cache_io_holds_one_copy_of_the_residues(tmp_path):
-    # save_series checksums and writes the buffer of its one u32 copy, and
+    # write_residues writes an int32 array's own buffer, as the store holds
+    # it, and allocates little beyond the CRC list.  save_series checksums
+    # and writes the buffer of its one u32 copy of an int64 series, and
     # read_residues reads the file straight into the int32 array it
     # returns: 4 bytes per coefficient each, where a bytes copy beside the
     # array would make 8.
     trunc = 1 << 18
-    f = random_series(np.random.default_rng(67), ResidueRing(223_092_870), trunc)
+    m = 223_092_870
+    f = random_series(np.random.default_rng(67), ResidueRing(m), trunc)
+    residues = f.coeffs.astype(np.int32)
     path = tmp_path / "series.qser"
-    peaks = []
-    for io in (lambda: save_series(f, path), lambda: modseries.read_residues(path)):
+
+    def peak(io):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             io()
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-    assert max(peaks) < 4 * (trunc + 1) + (64 << 10)
-    ring, residues = modseries.read_residues(path, 223_092_870, trunc - 3)
+
+    assert peak(lambda: modseries.write_residues(path, m, residues)) < 64 << 10
+    written = path.read_bytes()
+    assert peak(lambda: save_series(f, path)) < 4 * (trunc + 1) + (64 << 10)
+    assert path.read_bytes() == written
+    assert peak(lambda: modseries.read_residues(path)) < 4 * (trunc + 1) + (64 << 10)
+    ring, residues = modseries.read_residues(path, m, trunc - 3)
     assert residues.dtype == np.int32 and ring == f.ring
     assert residues.tolist() == f.coeffs[:trunc - 2].tolist()
 
@@ -926,6 +954,82 @@ def test_div_by_sparse_and_dense_divisors_across_leaves(m):
         with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
             for g, want in zip(divisors, expected):
                 assert ring_div(num, g).coeffs.tolist() == want
+
+
+def schoolbook_product(exps, vals, c, m):
+    # (1 + sum_j vals[j] q^exps[j]) * c through the length of c, mod m, in
+    # Python integers.
+    out = [int(x) for x in c]
+    for n in range(len(c)):
+        out[n] = (out[n] + sum(v * int(c[n - j]) for j, v in zip(exps, vals) if j <= n)) % m
+    return out
+
+
+# Moduli whose int32 runs hold cap = (2^31 - 1) // (m - 1) units of each
+# sign: 1 at 2^31 - 1 and 2^30 + 1, 2 at 2^30 - 1, 9 at 23#.  (At a power of
+# two such as 2^30 an int32 overflow would change nothing mod m.)
+_RUN_CAPS = {(1 << 31) - 1: 1, (1 << 30) + 1: 1, (1 << 30) - 1: 2, 223_092_870: 9}
+
+
+def run_taps(kind, cap, rng):
+    # Exponents 1..2*cap + 6, where every tap reaches every position past
+    # them, and the squares beyond; values g*u for units u.
+    exps = sorted(set(range(1, 2 * cap + 7)) | {k * k for k in range(1, 18)})
+    count = len(exps)
+    if kind == "plus":
+        vals = [1] * count
+    elif kind == "minus":
+        vals = [-3] * count  # g = 3, every unit -1
+    elif kind == "alternating":
+        vals = [2 if j % 2 else -2 for j in exps]  # g = 2, as in phi(-q)
+    else:
+        top = cap if kind == "mixed-to-cap" else cap + 3
+        units = rng.integers(1, top + 1, count) * rng.choice([-1, 1], count)
+        units[:2] = [top, -top]
+        vals = units.tolist()
+    return exps, vals
+
+
+def run_residues(kind, m, trunc, rng):
+    # Solutions with many residues of m - 1: everywhere, on even exponents
+    # only (so alternating taps stack one sign's units at odd positions),
+    # at random, or any residue.
+    if kind == "m-1":
+        return np.full(trunc + 1, m - 1)
+    if kind == "m-1-even":
+        return (np.arange(trunc + 1) % 2 == 0) * (m - 1)
+    if kind == "m-1-random":
+        return rng.integers(0, 2, trunc + 1) * (m - 1)
+    return rng.integers(0, m, trunc + 1)
+
+
+@pytest.mark.parametrize("units", ["plus", "minus", "alternating", "mixed-to-cap",
+                                   "mixed-past-cap"])
+@pytest.mark.parametrize("m", sorted(_RUN_CAPS))
+def test_int32_runs_match_the_schoolbook(m, units):
+    # The solver sums taps in int32 runs of at most cap units of each sign
+    # and sends any larger unit straight to its int64 accumulator.  Each
+    # solution c is chosen first, with many residues of m - 1, and the
+    # right-hand side is den * c by the schoolbook: the solve must give c
+    # back, cut into short leaves and short push chunks, from scratch and
+    # after a known prefix.
+    cap = _RUN_CAPS[m]
+    assert ((1 << 31) - 1) // (m - 1) == cap
+    rng = np.random.default_rng(m % 1013 + len(units))
+    trunc = 300
+    exps, vals = run_taps(units, cap, rng)
+    for residues in ("m-1", "m-1-even", "m-1-random", "random"):
+        c = run_residues(residues, m, trunc, rng)
+        rhs = np.array(schoolbook_product(exps, vals, c, m), np.int64)
+        for block, chunk in ((8, 16), (64, modseries._PUSH_CHUNK)):
+            for split in (0, 3 * block + 1):
+                with mock.patch.object(modseries, "_SOLVE_BLOCK", block), \
+                        mock.patch.object(modseries, "_PUSH_CHUNK", chunk):
+                    got = modseries._solve_linear_core(
+                        np.array(exps), np.array(vals), 1, rhs, trunc, m,
+                        c[:split] if split else None)
+                assert got.dtype == np.int32
+                assert got.tolist() == c.tolist(), (residues, block, split)
 
 
 def leaf_lengths(lo, hi, block):
@@ -1173,25 +1277,27 @@ def test_dense_mul_holds_one_spectrum_pair_at_a_time(m):
     assert peak <= 1.10 * _DENSE_PEAK_BYTES[m]
 
 
-# tracemalloc peak, in bytes, of overpartition_series(2^18) mod 23# from
-# scratch with no pool, numpy 2.4.6, in a fresh process: the solution c and
-# the accumulator acc at 8 bytes per coefficient each, one leaf's transforms
-# and the head's cached spectra.  A dense phi(-q) built beside them adds 8
-# bytes per coefficient (2.1 MB).
-_OVERPARTITION_PEAK_BYTES = 6_844_783
+# tracemalloc peak, in bytes, of the 23# stream to 2^18 from scratch through
+# the production store path (the store's builder, overpartition_residues)
+# with no pool, numpy 2.4.6, in a fresh process: the solution c (int32, 4
+# bytes per coefficient) and the accumulator acc (int64, 8), one leaf's
+# transforms and the head's cached spectra.  A dense phi(-q) built beside
+# them adds 8 bytes per coefficient (2.1 MB); an int64 c made 6_602_461.
+_OVERPARTITION_PEAK_BYTES = 5_672_779
 
 
-def test_overpartition_solve_holds_no_dense_divisor():
-    ring = ResidueRing(223_092_870)
+def test_overpartition_solve_holds_no_dense_divisor(solver_outputs):
     with mock.patch.object(modseries, "_POOL", None):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            overpartition_series(1 << 18, ring)
+            held = prover._pbar_stream(prover.PRIMORIAL_23, 1 << 18)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
     assert peak <= 1.10 * _OVERPARTITION_PEAK_BYTES
+    assert len(solver_outputs) == 1 and held.dtype == np.int32
+    assert np.shares_memory(held, solver_outputs[0])
 
 
 _TAPS_MODULI = (2, 3, 4, 5, 13, 223_092_870, (1 << 31) - 1)

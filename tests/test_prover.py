@@ -18,6 +18,7 @@ from overcong import (CongruenceClaim, ResidueRing, modseries, prover,
                       verify_identity, verify_lemma1)
 from overcong.chars import factorize
 from overcong.modseries import TRUNC_CAP, cache_filename
+from overcong.qgen import overpartition_residues
 from overcong.prover import (INDEX_HARD_CAP, PRIMORIAL_23, STORE, CoefficientStore,
                              _compress_residues, _pbar_stream)
 
@@ -276,7 +277,7 @@ def test_store_extends_the_held_prefix():
 
     def build(trunc, ring, known):
         calls.append((trunc, None if known is None else len(known)))
-        return overpartition_series(trunc, ring, known)
+        return overpartition_residues(trunc, ring, known)
 
     store = CoefficientStore()
     ring = ResidueRing(7)
@@ -289,25 +290,29 @@ def test_store_extends_the_held_prefix():
 
 
 # tracemalloc peak, in bytes, of growing the held 23# stream from 2^17 to
-# 2^18 with no pool, numpy 2.4.6: the held prefix (int32), the solution c
-# and the accumulator for the coefficients added (int64), one leaf's
-# transforms and the head's cached spectra.
-_GROWTH_PEAK_BYTES = 5_430_100
+# 2^18 through the production store path with no pool, numpy 2.4.6, in a
+# fresh process: the held prefix and the solve's output c (int32), the
+# accumulator for the coefficients added (int64), one leaf's transforms and
+# the head's cached spectra.  An int64 c, cast to int32 for the store, made
+# 5_172_476.
+_GROWTH_PEAK_BYTES = 4_250_964
 
 
-def test_store_growth_holds_no_dense_divisor():
-    ring = ResidueRing(PRIMORIAL_23)
-    store = CoefficientStore()
+def test_store_growth_holds_no_dense_divisor(solver_outputs):
     with mock.patch.object(modseries, "_POOL", None):
-        store.coefficients("overpartition", ring, 1 << 17, overpartition_series)
+        _pbar_stream(PRIMORIAL_23, 1 << 17)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            store.coefficients("overpartition", ring, 1 << 18, overpartition_series)
+            held = _pbar_stream(PRIMORIAL_23, 1 << 18)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
     assert peak <= 1.10 * _GROWTH_PEAK_BYTES
+    # The store holds the solve's own int32 output: never an int64 stream,
+    # never a copy.
+    assert len(solver_outputs) == 2 and held.dtype == np.int32
+    assert np.shares_memory(held, solver_outputs[-1])
 
 
 def _damage(raw: bytes, how: str) -> bytes:
@@ -335,18 +340,18 @@ def _damage(raw: bytes, how: str) -> bytes:
 def test_store_recomputes_a_damaged_cache_file(tmp_path, how):
     ring = ResidueRing(11)
     CoefficientStore(str(tmp_path)).coefficients(
-        "overpartition", ring, 600, overpartition_series)
+        "overpartition", ring, 600, overpartition_residues)
     path = tmp_path / cache_filename("overpartition", 11)
     if how == "other-modulus":
         CoefficientStore(str(tmp_path)).coefficients(
-            "overpartition", ResidueRing(13), 600, overpartition_series)
+            "overpartition", ResidueRing(13), 600, overpartition_residues)
         (tmp_path / cache_filename("overpartition", 13)).replace(path)
     else:
         path.write_bytes(_damage(path.read_bytes(), how))
     with pytest.raises(ValueError):
         load_series(path, 11)
     got = CoefficientStore(str(tmp_path)).coefficients(
-        "overpartition", ring, 300, overpartition_series)
+        "overpartition", ring, 300, overpartition_residues)
     assert np.array_equal(got, _fresh(11, 300))
     # The damaged file was overwritten with a valid one.
     assert np.array_equal(load_series(path, 11).coeffs, _fresh(11, 300))
