@@ -13,16 +13,16 @@ solver that pushes the divisor's nonzero terms (its taps) into an
 accumulator with one vectorised update each, down to leaves of at most
 _SOLVE_BLOCK coefficients; each leaf is one product with the divisor's
 truncated inverse, the head.  ring_invert and ring_div find a dense
-divisor's taps; invert_taps takes them as given, so a divisor such as
-phi(-q) is never built as a dense series.  A solve holds its output as
-int32 residues and one int64 accumulator for the coefficients still to
-be solved, and no reference cycle: both are freed as soon as it returns
-or raises.  A push adds its taps in int32 runs into a scratch array over
-the push chunk, each run short enough that no sum can overflow, and adds
-each run into the accumulator once.  invert_taps_residues hands the int32
-output on as it is (the coefficient store holds it); every function that
-returns a TruncSeries casts it to int64 once.  Every leaf is an exact FFT
-product too.
+divisor's taps; invert_taps_residues takes them as given, so a divisor
+such as phi(-q) is never built as a dense series.  A solve holds its
+output as int32 residues and one int64 accumulator for the coefficients
+still to be solved, and no reference cycle: both are freed as soon as it
+returns or raises.  A push adds its taps in int32 runs into a scratch
+array over the push chunk, each run short enough that no sum can
+overflow, and adds each run into the accumulator once.
+invert_taps_residues hands the int32 output on as it is (the coefficient
+store holds it); every function that returns a TruncSeries casts it to
+int64 once.  Every leaf is an exact FFT product too.
 
 Every FFT product follows one plan, chosen once per modulus and length:
 CRT groups when every group fits one product, limbs otherwise.  m is
@@ -30,10 +30,11 @@ split into the fewest coprime groups of its prime powers that each fit
 one exact float product, and the products mod each group are joined by
 the Chinese remainder theorem; m itself is the one group when it fits.
 When some prime power fits no product, or the split needs more groups
-than limbs, both sides are cut into signed limbs mod m.  A ring_mul
-product keeps one group's or one limb pair's spectra alive at a time; a
-solve transforms its head once per group (or limb) and leaf length, and
-in limbs sums each anti-diagonal of limb products before one inverse FFT.
+than limbs, both sides are cut into signed limbs mod m.  One kernel
+makes every product, one float product per group or limb pair: a ring_mul
+product keeps one group's or one limb pair's spectra alive at a time, and
+a solve transforms and reduces its head once per group (or limb) and
+leaf length, so each leaf transforms only its right-hand side.
 
 A solve spreads the independent work inside each step over its own thread
 and, when the process may run on two or more CPUs and its thread limit
@@ -41,11 +42,10 @@ allows a second thread, one pool thread (only two cores could be measured);
 with one CPU, or a limit of one thread, there is no pool.  A push over
 at least 2 * _PUSH_CHUNK positions is cut into chunks that each loop over
 only the taps reaching them and write only their own slice, and a leaf
-runs its group products, or transforms its right-hand side's limbs and
-then sums its anti-diagonals, as such tasks.  numpy releases the
-interpreter lock for long arrays.  Pool tasks never submit to the pool: a
-group product that fails its check is redone by the caller.  ring_mul
-stays on the calling thread.
+runs its group products as such tasks.  numpy releases the interpreter
+lock for long arrays.  Pool tasks never submit to the pool: a group
+product that fails its check is redone in narrower limbs within its own
+task.  ring_mul stays on the calling thread.
 
 Values are immutable after construction and safe to share across threads.
 Reading a coefficient past the truncation is an error, never a zero.
@@ -334,21 +334,26 @@ def _exact_residues(r: np.ndarray, m: int) -> np.ndarray | None:
 
 
 def _limb_pass(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,
-               w: int) -> np.ndarray | None:
+               w: int, fa: list[np.ndarray] | None = None) -> np.ndarray | None:
     """(a*b)[:n] mod m for residue vectors a, b, taking their balanced
     residues in k signed w-bit limbs, one float product per limb pair; None
-    if any product fails its check."""
+    if any product fails its check.  fa, when given, holds a's k limb
+    spectra at this width and size, and a is not read: each of b's limbs
+    is then transformed once, so a product takes k rffts and k^2 irffts."""
     k, offset = _limb_plan(m, w)
-    # Each buffer is dropped once spent, so at most one spectrum pair and
-    # one irfft output are alive at a time.
+    # Each buffer is dropped once spent, so at most one spectrum pair (with
+    # fa: b's spectrum and one product) and one irfft output are alive.
     out = None
-    for i in range(k):
-        fa = _limb_spectrum(a, i, m, w, offset, size)
-        for j in range(k):
-            spec = _limb_spectrum(b, j, m, w, offset, size)
-            spec *= fa
+    for j in range(k):
+        fb = _limb_spectrum(b, j, m, w, offset, size)
+        for i in range(k):
+            if fa is None:
+                spec = _limb_spectrum(a, i, m, w, offset, size)
+                spec *= fb
+            else:
+                spec = fa[i] * fb
             if k == 1:
-                del fa
+                del fb
             r = np.fft.irfft(spec, size)[:n]
             del spec
             part = _exact_residues(r, m)
@@ -364,70 +369,32 @@ def _limb_pass(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,
     return out
 
 
-def _diagonal_pass(fa: list[np.ndarray], b: np.ndarray, n: int, m: int, size: int,
-                   w: int) -> np.ndarray | None:
-    """(a*b)[:n] mod m from fa, the k limb spectra of a at width w and FFT
-    size `size`: b's k limbs are transformed once, and the limb products on
-    each anti-diagonal i + j = s are summed before a single irfft, so a
-    product takes k rffts and 2k - 1 irffts.  The rffts, and then the
-    diagonals, are shared with the worker pool.  None if any sum fails its
-    check."""
-    k, offset = _limb_plan(m, w)
-    fb = _pool_map(lambda j: _limb_spectrum(b, j, m, w, offset, size), range(k))
-
-    def diagonal(s):
-        lo, hi = max(0, s - k + 1), min(s, k - 1)
-        spec = fa[lo] * fb[s - lo]
-        for i in range(lo + 1, hi + 1):
-            spec += fa[i] * fb[s - i]
-        part = _exact_residues(np.fft.irfft(spec, size)[:n], m)
-        if part is not None and s:
-            part *= pow(2, w * s, m)
-            part %= m
-        return part
-
-    parts = _pool_map(diagonal, range(2 * k - 1))
-    if any(part is None for part in parts):
-        return None
-    # 2k - 1 residues below m < 2^31 each: the sum stays far inside int64.
-    out = parts[0]
-    if k > 1:
-        for part in parts[1:]:
-            out += part
-        out %= m
-    return out
-
-
-def _limb_width(m: int, terms: int, summed: bool, bound: int) -> int:
+def _limb_width(m: int, terms: int, bound: int) -> int:
     """Widest limb width w for m at which every float product of `terms`
     terms stays below `bound`: one limb, the balanced residues themselves,
-    when that fits.  `summed`: an anti-diagonal sum adds up to k limb
-    products per output."""
+    when that fits."""
     h = m // 2
     w = h.bit_length() + 1
     if terms * h * h >= bound:
-        while w > 2:
-            sums = _limb_plan(m, w)[0] if summed else 1
-            if sums * terms << (2 * w - 2) < bound:
-                break
+        while w > 2 and terms << (2 * w - 2) >= bound:
             w -= 1
     return w
 
 
 def _limb_mul(a: np.ndarray, b: np.ndarray, n: int, m: int, size: int,
               spectra: dict | None, w: int) -> np.ndarray:
-    """(a*b)[:n] mod m in signed limbs of width w, each product redone one
-    bit narrower while it fails its check; see _fft_mul."""
+    """(a*b)[:n] mod m in signed limbs of width w, redone one bit narrower
+    while it fails its check; see _fft_mul."""
     for width in range(w, 1, -1):
-        if spectra is None:
-            out = _limb_pass(a, b, n, m, size, width)
-        else:
+        fa = None
+        if spectra is not None:
             key = (m, len(a), width, size)
             if key not in spectra:
                 k, offset = _limb_plan(m, width)
                 spectra[key] = [_limb_spectrum(a, i, m, width, offset, size)
                                 for i in range(k)]
-            out = _diagonal_pass(spectra[key], b, n, m, size, width)
+            fa = spectra[key]
+        out = _limb_pass(a, b, n, m, size, width, fa)
         if out is not None:
             return out
     raise ArithmeticError(f"FFT product mod {m} failed its rounding check at every limb width")
@@ -458,7 +425,7 @@ def _pack(powers: list[int], groups: list[int], fits) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def _product_plan(m: int, terms: int, summed: bool, bound: int) -> tuple[tuple[int, ...], int]:
+def _product_plan(m: int, terms: int, bound: int) -> tuple[tuple[int, ...], int]:
     """(groups, w) for a product mod m of `terms` terms: w is the limb
     width _limb_width gives, and groups are the fewest coprime factors of
     m, each a product of whole prime powers of m, for which one float
@@ -466,7 +433,7 @@ def _product_plan(m: int, terms: int, summed: bool, bound: int) -> tuple[tuple[i
     itself, taken in limbs of width w: m fits one product, a prime power
     of m does not, or the split needs more groups than the k limbs of
     width w."""
-    w = _limb_width(m, terms, summed, bound)
+    w = _limb_width(m, terms, bound)
 
     def fits(g):
         return terms * (g // 2) ** 2 < bound
@@ -513,13 +480,13 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
     fails its rounding check is redone in limbs one bit narrower, mod its
     group; a value that failed the check is never returned.
 
-    Without `spectra`, each limb pair is one float product (_limb_pass),
-    and the groups run in turn, so at most one spectrum pair is alive.
-    With it, a's limb spectra are kept in `spectra` under (group, len(a),
-    w, size), each anti-diagonal of limb products is summed before one
-    irfft (_diagonal_pass), so w is planned for k products per output, and
-    the groups are shared with the worker pool.  Every call sharing one
-    `spectra` must pass a prefix of the same series as a.
+    Each limb pair, or each group, is one float product (_limb_pass), so
+    without `spectra` at most one spectrum pair is alive.  With it, a's
+    limb spectra are kept in `spectra` under (group, len(a), w, size), and
+    a mod each group under (group, len(a)), so only b is transformed and
+    reduced per call, and the groups are shared with the worker pool.
+    Every call sharing one `spectra` must pass a prefix of the same series
+    as a.
     """
     # Narrower operands (the solver's int32 residues) are widened first:
     # limbs and CRT residues are computed in int64.
@@ -527,25 +494,22 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
     b = np.asarray(b, np.int64)
     terms = min(len(a), len(b))
     size = _fft_size(len(a) + len(b) - 1)
-    groups, w = _product_plan(m, terms, spectra is not None, _FFT_BOUND)
+    groups, w = _product_plan(m, terms, _FFT_BOUND)
     if len(groups) == 1:
         return _limb_mul(a, b, n, m, size, spectra, w)
 
     def product(g):
         # One float product mod g: one limb of the balanced residues.
-        wg = (g // 2).bit_length() + 1
         if spectra is None:
-            return _limb_pass(a % g, b % g, n, g, size, wg)
-        key = (g, len(a), wg, size)
-        if key not in spectra:
-            spectra[key] = [_limb_spectrum(a % g, 0, g, wg, 1 << (wg - 1), size)]
-        return _diagonal_pass(spectra[key], b % g, n, g, size, wg)
+            ag = a % g
+        elif (g, len(a)) in spectra:
+            ag = spectra[g, len(a)]
+        else:
+            ag = spectra[g, len(a)] = a % g
+        return _limb_mul(ag, b % g, n, g, size, spectra, (g // 2).bit_length() + 1)
 
     parts = ([product(g) for g in groups] if spectra is None
              else _pool_map(product, groups))
-    for i, g in enumerate(groups):
-        if parts[i] is None:
-            parts[i] = _limb_mul(a % g, b % g, n, g, size, spectra, (g // 2).bit_length())
     return _crt_join(parts, groups)
 
 
@@ -729,8 +693,8 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     else:
         head = inverse_head(n)
     acc = np.zeros(t + 1 - start, np.int64)
-    # The head's limb spectra, built once per (leaf length, width, FFT size)
-    # and shared by every leaf of this solve.
+    # The head's residues mod each group and its limb spectra, built once
+    # per (leaf length, width, FFT size) and shared by every leaf.
     spectra = {}
 
     # [start, t] is solved left to right from a stack of (lo, mid, hi,
@@ -788,13 +752,6 @@ def invert_taps_residues(taps_exp: np.ndarray, taps_val: np.ndarray, trunc: int,
     keep = (vals != 0) & (exps <= trunc)
     return _solve_linear_core(exps[keep], _balanced(vals[keep], m), 1,
                               np.ones(1, np.int64), trunc, m, known)
-
-
-def invert_taps(taps_exp: np.ndarray, taps_val: np.ndarray, trunc: int,
-                ring: ResidueRing, known: np.ndarray | None = None) -> TruncSeries:
-    """invert_taps_residues as a series."""
-    out = invert_taps_residues(taps_exp, taps_val, trunc, ring, known)
-    return TruncSeries._canonical(ring, out.astype(np.int64), trunc)
 
 
 def ring_invert(f: TruncSeries, known: np.ndarray | None = None) -> TruncSeries:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, invert_taps,
-                        invert_taps_residues, one_series, ring_invert, ring_mul,
-                        ring_pow)
+from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, invert_taps_residues,
+                        one_series, ring_invert, ring_mul, ring_pow)
 
 R_M_BRUTE_MAX_N = 50
 R_M_BRUTE_MAX_M = 12
@@ -179,7 +178,8 @@ def overpartition_series(trunc: int, ring: ResidueRing,
     holds the first coefficients of the stream (mod the same modulus); only
     the ones past it are computed.
     """
-    return invert_taps(*_phi_minus_q_taps(trunc), trunc, ring, known)
+    out = overpartition_residues(trunc, ring, known)
+    return TruncSeries._canonical(ring, out.astype(np.int64), trunc)
 
 
 def overpartition_residues(trunc: int, ring: ResidueRing,

@@ -226,9 +226,9 @@ def test_dense_mul_retries_a_product_that_fails_its_check(monkeypatch):
     passes = []
     real_pass = modseries._limb_pass
 
-    def recording_pass(*args):
-        out = real_pass(*args)
-        passes.append((args[-1], out is not None))
+    def recording_pass(a, b, n, m, size, w, fa=None):
+        out = real_pass(a, b, n, m, size, w, fa)
+        passes.append((w, out is not None))
         return out
 
     monkeypatch.setattr(modseries, "_FFT_BOUND", 1 << 80)
@@ -328,8 +328,8 @@ def test_the_plan_takes_groups_when_they_fit_and_limbs_otherwise():
     bound = modseries._FFT_BOUND
     leaf = modseries._SOLVE_BLOCK
 
-    def plan(m, terms, summed=True):
-        groups, w = modseries._product_plan(m, terms, summed, bound)
+    def plan(m, terms):
+        groups, w = modseries._product_plan(m, terms, bound)
         assert math.prod(groups) == m
         assert all(math.gcd(g, h) == 1 for i, g in enumerate(groups) for h in groups[i + 1:])
         assert len(groups) == 1 or all(terms * (g // 2) ** 2 < bound for g in groups)
@@ -338,7 +338,7 @@ def test_the_plan_takes_groups_when_they_fit_and_limbs_otherwise():
     for m in (2, 13, 30030, 65521):
         assert plan(m, leaf) == ((m,), (m // 2).bit_length() + 1)  # one product
     assert len(plan(223_092_870, leaf)[0]) == 2
-    assert len(plan(223_092_870, 1 << 18, summed=False)[0]) == 2
+    assert len(plan(223_092_870, 1 << 18)[0]) == 2
     # A prime power too large for one product: limbs, at any length.
     for m in (3 ** 19, 1 << 30, 2 * 1_073_741_789, (1 << 31) - 1):
         for terms in (1, 300, leaf):
@@ -366,14 +366,16 @@ def test_a_group_product_that_fails_its_check_is_redone_in_limbs(monkeypatch):
     rng = np.random.default_rng(67)
     a, b = rng.integers(0, m, 300), rng.integers(0, m, 300)
     monkeypatch.setattr(modseries, "_FFT_BOUND", 1 << 67)
-    assert modseries._product_plan(m, 300, False, 1 << 67)[0] == (big, 2)
+    assert modseries._product_plan(m, 300, 1 << 67)[0] == (big, 2)
     attempts = []
-    for name in ("_limb_pass", "_diagonal_pass"):
-        def recording(*args, _real=getattr(modseries, name)):
-            out = _real(*args)
-            attempts.append((args[3], args[-1], out is not None))
-            return out
-        monkeypatch.setattr(modseries, name, recording)
+    real_pass = modseries._limb_pass
+
+    def recording(a, b, n, g, size, w, fa=None):
+        out = real_pass(a, b, n, g, size, w, fa)
+        attempts.append((g, w, out is not None))
+        return out
+
+    monkeypatch.setattr(modseries, "_limb_pass", recording)
     want = integer_product_mod(a, b, m)
     for spectra in (None, {}):
         attempts.clear()
@@ -1080,7 +1082,7 @@ def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
     f = random_series(rng, ring, 3 * 64 - 2, unit_constant=True)
     num = random_series(rng, ring, 3 * 64 - 2)
     built, kept, passes = {}, [], []
-    real_spectrum, real_pass = modseries._limb_spectrum, modseries._diagonal_pass
+    real_spectrum, real_pass = modseries._limb_spectrum, modseries._limb_pass
 
     def recording_spectrum(x, i, m, w, offset, size):
         out = real_spectrum(x, i, m, w, offset, size)
@@ -1088,15 +1090,17 @@ def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
         kept.append(out)  # keeps ids unique while the test runs
         return out
 
-    def recording_pass(fa, b, n, m, size, w):
+    def recording_pass(a, b, n, m, size, w, fa=None):
+        if fa is None:  # a Newton step of the head, not a leaf
+            return real_pass(a, b, n, m, size, w)
         assert all(built[id(spec)] == (n, w, size) for spec in fa)
-        out = real_pass(fa, b, n, m, size, w)
+        out = real_pass(a, b, n, m, size, w, fa)
         passes.append((w, out is not None))
         return out
 
     monkeypatch.setattr(modseries, "_FFT_BOUND", 1 << 80)
     monkeypatch.setattr(modseries, "_limb_spectrum", recording_spectrum)
-    monkeypatch.setattr(modseries, "_diagonal_pass", recording_pass)
+    monkeypatch.setattr(modseries, "_limb_pass", recording_pass)
     with mock.patch.object(modseries, "_SOLVE_BLOCK", 64):
         inverse = ring_invert(f)
         quotient = ring_div(num, f)
@@ -1107,14 +1111,15 @@ def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
 
 
 def test_leaves_transform_only_their_right_hand_side(monkeypatch):
-    # Inverting phi(-q) mod 23#: at every production leaf length the plan
-    # splits 23# into two coprime groups, one float product each.  The
-    # head is transformed once per group and leaf length, and each leaf
-    # transforms its right-hand side once per group and takes one irfft
-    # per group: 2 rfft and 2 irfft.
-    ring = ResidueRing(223_092_870)
-    block = modseries._SOLVE_BLOCK
+    # Inverting phi(-q).  Mod 23#, at every production leaf length the plan
+    # splits 23# into two coprime groups, one float product each; mod
+    # 2^31 - 1 no prime power fits one product, and the plan takes k = 2
+    # limbs.  The head is transformed once per group (or limb), leaf length
+    # and width, and each leaf transforms its right-hand side once per
+    # group (or limb) and takes one irfft per group (or limb pair): mod
+    # 23#, 2 rfft and 2 irfft; mod 2^31 - 1, 2 rfft and 4 irfft.
     counts = {}
+    heads = {}  # (group, leaf length, width) -> ids of the head spectra used
     lock = threading.Lock()  # pooled leaves transform on worker threads
     for name in ("rfft", "irfft"):
         def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
@@ -1122,22 +1127,42 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
                 counts[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
+    real_pass = modseries._limb_pass
 
-    def ffts(trunc):
-        counts.update(rfft=0, irfft=0)
-        overpartition_series(trunc, ring)
-        return counts["rfft"], counts["irfft"]
+    def recording_pass(a, b, n, g, size, w, fa=None):
+        if fa is not None:
+            with lock:
+                heads.setdefault((g, n, w), set()).add(id(fa))
+        return real_pass(a, b, n, g, size, w, fa)
 
-    head_rfft, head_irfft = ffts(block - 1)  # the Newton head alone
-    trunc = 5 * block - 2
-    lengths = leaf_lengths(block, trunc + 1, block)
-    assert len(lengths) == 4 and len(set(lengths)) == 2
-    for n in set(lengths):
-        groups, _ = modseries._product_plan(ring.modulus, n, True, modseries._FFT_BOUND)
-        assert len(groups) == 2 and math.prod(groups) == ring.modulus
-    rfft, irfft = ffts(trunc)
-    assert rfft - head_rfft == 2 * (len(lengths) + len(set(lengths)))
-    assert irfft - head_irfft == 2 * len(lengths)
+    monkeypatch.setattr(modseries, "_limb_pass", recording_pass)
+    for m, block, groups_per_leaf, limbs in ((223_092_870, modseries._SOLVE_BLOCK, 2, 1),
+                                             ((1 << 31) - 1, 256, 1, 2)):
+        ring = ResidueRing(m)
+
+        def ffts(trunc):
+            counts.update(rfft=0, irfft=0)
+            heads.clear()
+            with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+                overpartition_series(trunc, ring)
+            return counts["rfft"], counts["irfft"]
+
+        head_rfft, head_irfft = ffts(block - 1)  # the Newton head alone
+        trunc = 5 * block - 2
+        lengths = leaf_lengths(block, trunc + 1, block)
+        assert len(lengths) == 4 and len(set(lengths)) == 2
+        for n in set(lengths):
+            groups, w = modseries._product_plan(ring.modulus, n, modseries._FFT_BOUND)
+            assert len(groups) == groups_per_leaf and math.prod(groups) == ring.modulus
+            if len(groups) == 1:
+                assert modseries._limb_plan(m, w)[0] == limbs
+        rfft, irfft = ffts(trunc)
+        per_leaf = groups_per_leaf * limbs
+        assert rfft - head_rfft == per_leaf * (len(lengths) + len(set(lengths)))
+        assert irfft - head_irfft == per_leaf * limbs * len(lengths)
+        # Every leaf of one length reads the same head spectra.
+        assert len(heads) == groups_per_leaf * len(set(lengths))
+        assert all(len(ids) == 1 for ids in heads.values())
 
 
 @contextlib.contextmanager
