@@ -1119,7 +1119,7 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
     # group (or limb) and takes one irfft per group (or limb pair): mod
     # 23#, 2 rfft and 2 irfft; mod 2^31 - 1, 2 rfft and 4 irfft.
     counts = {}
-    heads = {}  # (group, leaf length, width) -> ids of the head spectra used
+    heads = {}  # (group, leaf length, width) -> (head spectra, head residues) per leaf
     lock = threading.Lock()  # pooled leaves transform on worker threads
     for name in ("rfft", "irfft"):
         def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
@@ -1132,7 +1132,7 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
     def recording_pass(a, b, n, g, size, w, fa=None):
         if fa is not None:
             with lock:
-                heads.setdefault((g, n, w), set()).add(id(fa))
+                heads.setdefault((g, n, w), []).append((fa, a))
         return real_pass(a, b, n, g, size, w, fa)
 
     monkeypatch.setattr(modseries, "_limb_pass", recording_pass)
@@ -1160,9 +1160,12 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
         per_leaf = groups_per_leaf * limbs
         assert rfft - head_rfft == per_leaf * (len(lengths) + len(set(lengths)))
         assert irfft - head_irfft == per_leaf * limbs * len(lengths)
-        # Every leaf of one length reads the same head spectra.
+        # Every leaf of one length reads the same head spectra and, mod each
+        # group of a split, the same head residues: one reduction per group.
         assert len(heads) == groups_per_leaf * len(set(lengths))
-        assert all(len(ids) == 1 for ids in heads.values())
+        for uses in heads.values():
+            assert all(fa is uses[0][0] for fa, _ in uses)
+            assert groups_per_leaf == 1 or all(a is uses[0][1] for _, a in uses)
 
 
 @contextlib.contextmanager
