@@ -17,8 +17,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import modseries, prover, sturm
 from .halfint import GAMMA0, GAMMA1, SpaceLabel, decompose
 from .modseries import ResidueRing, TruncSeries
@@ -38,8 +36,13 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _residues(series: TruncSeries) -> np.ndarray:
-    return series.coeffs.astype(np.int32)
+def _builder(series_of):
+    """The store's build function for a generator that cannot extend a
+    prefix: series_of(t, ring) is its whole series through q^t, and only
+    the entries past the known prefix are written."""
+    def build(out, start, ring):
+        out[start:] = series_of(len(out) - 1, ring).coeffs[start:]
+    return build
 
 
 def _generator(name: str, ring: ResidueRing):
@@ -47,12 +50,12 @@ def _generator(name: str, ring: ResidueRing):
     contract, its residues through q^trunc running `shift` terms past the
     requested truncation (an eta quotient's leading q-power)."""
     if name == "phi":
-        return 0, lambda t, r, known: _residues(theta_phi(t, r))
+        return 0, _builder(theta_phi)
     if name == "F":
-        return 0, lambda t, r, known: _residues(weight2_form(t, r))
+        return 0, _builder(weight2_form)
     if name.startswith("rm:"):
         m_exp = int(name[3:])
-        return 0, lambda t, r, known: _residues(r_m_series(m_exp, t, r))
+        return 0, _builder(lambda t, r: r_m_series(m_exp, t, r))
     if name.startswith("eta:"):
         factors = []
         for part in name[4:].split(","):
@@ -63,8 +66,7 @@ def _generator(name: str, ring: ResidueRing):
         # The empty expansion reports the leading power, or why it is not
         # an integral, nonnegative one.
         shift = eta_quotient(quotient, 0, ring).to_series().trunc
-        return shift, lambda t, r, known: _residues(
-            eta_quotient(quotient, t - shift, r).to_series())
+        return shift, _builder(lambda t, r: eta_quotient(quotient, t - shift, r).to_series())
     raise ValueError(f"unknown generator {name!r}")
 
 

@@ -14,15 +14,19 @@ accumulator with one vectorised update each, down to leaves of at most
 _SOLVE_BLOCK coefficients; each leaf is one product with the divisor's
 truncated inverse, the head.  ring_invert and ring_div find a dense
 divisor's taps; invert_taps_residues takes them as given, so a divisor
-such as phi(-q) is never built as a dense series.  A solve holds its
-output as int32 residues and one int64 accumulator for the coefficients
-still to be solved, and no reference cycle: both are freed as soon as it
-returns or raises.  A push adds its taps in int32 runs into a scratch
-array over the push chunk, each run short enough that no sum can
-overflow, and adds each run into the accumulator once.
-invert_taps_residues hands the int32 output on as it is (the coefficient
-store holds it); every function that returns a TruncSeries casts it to
-int64 once.  Every leaf is an exact FFT product too.
+such as phi(-q) is never built as a dense series.  A solve writes its
+output as int32 residues into an array its caller provides, past a known
+prefix it never copies, and walks the range in segments of
+2 * _PUSH_CHUNK coefficients, so its one int64 accumulator spans a
+segment however long the solve.  It holds no reference cycle: its arrays
+are freed as soon as it returns or raises.  A push adds its taps in int32
+runs into a scratch array over the push chunk, each run short enough that
+no sum can overflow, and adds each run into the accumulator once; when
+no run could hold two taps of one sign (m > 2^30), each tap goes into
+the accumulator straight away.  invert_taps_residues writes into the
+caller's array (the coefficient store's own buffer); every function that
+returns a TruncSeries casts its output to int64 once.  Every leaf is an
+exact FFT product too.
 
 Every FFT product follows one plan, chosen once per modulus and length:
 CRT groups when every group fits one product, limbs otherwise.  m is
@@ -89,6 +93,8 @@ _SOLVE_BLOCK = 16384
 # stream grown to 3e5, then to 1.5e6, two cores; medians of 8 interleaved
 # runs) took 0.68 s at 2^17 against 0.82 s at 2^18, and in another set
 # 0.77 s at 2^17 against 0.86 s at 2^16 (int64 output: 0.84 and 0.97 s).
+# A solve walks its range in segments of two chunks, so each segment's
+# push of the solved prefix is shared with the pool.
 _PUSH_CHUNK = 1 << 17
 
 # Every exact output of one float product is planned to stay below this in
@@ -549,12 +555,13 @@ def ring_pow(f: TruncSeries, e: int) -> TruncSeries:
 
 
 def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
-                       rhs: np.ndarray, t: int, m: int,
-                       known: np.ndarray | None = None) -> np.ndarray:
-    """Solve den*c = rhs through q^t where den has unit constant term f0 and
-    nonzero higher coefficients taps_val at exponents taps_exp (sorted, >= 1).
-    rhs holds residues; entries past its end are zero, so an inversion
-    passes rhs = [1].  Returns c as int32 residues in [0, m).
+                       rhs: np.ndarray, m: int, c: np.ndarray, start: int = 0) -> np.ndarray:
+    """Solve den*c = rhs through q^t, t = len(c) - 1, where den has unit
+    constant term f0 and nonzero higher coefficients taps_val at exponents
+    taps_exp (sorted, >= 1).  rhs holds residues; entries past its end are
+    zero, so an inversion passes rhs = [1].  c is the int32 output: its
+    first `start` entries are the known prefix, taken as solved and never
+    copied, and c[start:] is written with residues in [0, m).  Returns c.
 
     Divide-and-conquer online convolution down to leaves of at most
     _SOLVE_BLOCK coefficients.  The taps are g*u_j, where g is the
@@ -567,33 +574,42 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
         c[lo:hi] = head * ((rhs - g*acc)[lo:hi] mod m)  mod q^k,
 
     where head = 1/den mod q^n and n bounds every leaf's length.  When
-    inverting, head is the prefix of c itself, read from `known` when that
-    is long enough; otherwise head is built by Newton doubling.  A known
-    prefix c[0..s) is taken as solved: its contributions to [s, t] are
-    pushed in one update per tap, and only [s, t] is recursed on.
+    inverting, head is the prefix of c itself when the known prefix is long
+    enough; otherwise head is built by Newton doubling (and, inverting,
+    written over the head of c with the same residues).
+
+    [start, t] is solved left to right in segments of 2 * _PUSH_CHUNK
+    positions.  A segment [s0, s1) first takes the contributions of the
+    whole solved prefix c[0:s0], in one update per tap, then is halved down
+    to leaves; each (position, tap) pair is pushed exactly once.  acc
+    covers one segment and is zeroed for the next, so it never holds more
+    than 2 * _PUSH_CHUNK entries, however long the growth.
 
     A push over two or more _PUSH_CHUNKs of positions runs as chunks,
-    shared with the worker pool when there is one.  Chunks write disjoint slices of
-    acc; the output does not depend on how a push is cut.
+    shared with the worker pool when there is one.  Chunks write disjoint
+    slices of acc; the output does not depend on how a push is cut.
 
     Within a chunk, taps are summed in runs: each tap's slice of c is added
     in int32 into a scratch array over the chunk, and a run ends when its
     next tap would bring the units of either sign past
     cap = (2^31 - 1) // (m - 1).  The scratch is then added into the int64
     acc over the hull of the run's slices and cleared there.  A tap whose
-    unit alone exceeds cap is added into acc straight away.
+    unit alone exceeds cap is added into acc straight away, and so is every
+    tap when cap is 1 (m > 2^30), where a run would hold at most one tap of
+    each sign.
 
-    Exact for every m < 2^31.  c holds residues 0 <= c < m.  At any
-    position, a run's partial sum lies between -(negative units)*(m-1) and
-    (positive units)*(m-1), so within cap*(m-1) <= 2^31 - 1 of zero: the
-    int32 scratch never overflows.  So one update of acc, a run or a large
-    tap, adds at most b = max(cap, umax)*(m-1) in magnitude.  An entry
-    starts at 0, or in [0, m) after a reduction, so after p updates
+    Exact for every m < 2^31, segment by segment.  c holds residues
+    0 <= c < m.  At any position, a run's partial sum lies between
+    -(negative units)*(m-1) and (positive units)*(m-1), so within
+    cap*(m-1) <= 2^31 - 1 of zero: the int32 scratch never overflows.  So
+    one update of acc, a run or a tap added straight, adds at most
+    b = max(cap, umax)*(m-1) in magnitude.  An entry starts its segment
+    at 0, or lies in [0, m) after a reduction, so after p updates
     |acc| <= (m-1) + p*b, which stays below 2^63 for p <= `every`; the
-    pending slice is reduced mod m before the (every+1)-th update.  A chunk
-    counts and reduces only its own slice, and the push passes on the
-    largest count of its chunks.  A leaf reduces acc first, so
-    g*(acc mod m) < 2^61.
+    pending slice is reduced mod m before the (every+1)-th update, and the
+    count starts again at 0 with each segment.  A chunk counts and reduces
+    only its own slice, and the push passes on the largest count of its
+    chunks.  A leaf reduces acc first, so g*(acc mod m) < 2^61.
     """
     exps = taps_exp.tolist()
     vals = taps_val.tolist()
@@ -603,21 +619,26 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     cap = ((1 << 31) - 1) // (m - 1)
     every = ((1 << 63) - m) // (max([cap, *map(abs, units)]) * (m - 1))
 
-    def add_into(dst, off, a, b, t0, t1, values, pending):
-        # dst[t0 - off:t1 - off] += values, the chunk [a, b) reduced first
-        # if it already holds `every` unreduced updates; the new count.
+    def add_into(dst, off, a, b, t0, t1, values, u, pending):
+        # dst[t0 - off:t1 - off] += u * values, the chunk [a, b) reduced
+        # first if it already holds `every` unreduced updates; the new count.
         if pending == every:
             dst[a - off:b - off] %= m
             pending = 0
         out = dst[t0 - off:t1 - off]
-        out += values
+        if u == 1:
+            np.add(out, values, out=out)
+        elif u == -1:
+            np.subtract(out, values, out=out)
+        else:
+            out += np.multiply(values, u, dtype=np.int64)
         return pending + 1
 
     def push_part(src, dst, off, lo, mid, a, b, pending):
         # Contributions of the solved src[lo:mid] to positions [a, b) within
         # [mid, hi), held at dst[pos - off]; returns the unreduced-update
         # count of those positions.  Only taps a - mid < j < b - lo reach them.
-        run = np.zeros(b - a, np.int32)
+        run = np.zeros(b - a, np.int32) if cap > 1 else None
         r0, r1 = b, a  # hull of the run's slices
         plus = minus = 0  # the run's units of each sign
         for idx in range(bisect.bisect_right(exps, a - mid), bisect.bisect_left(exps, b - lo)):
@@ -628,12 +649,11 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
                 continue
             part = src[t0 - j:t1 - j]
             u = units[idx]
-            if abs(u) > cap:
-                pending = add_into(dst, off, a, b, t0, t1,
-                                   np.multiply(part, u, dtype=np.int64), pending)
+            if run is None or abs(u) > cap:
+                pending = add_into(dst, off, a, b, t0, t1, part, u, pending)
                 continue
             if (plus + u if u > 0 else minus - u) > cap:
-                pending = add_into(dst, off, a, b, r0, r1, run[r0 - a:r1 - a], pending)
+                pending = add_into(dst, off, a, b, r0, r1, run[r0 - a:r1 - a], 1, pending)
                 run[r0 - a:r1 - a] = 0
                 r0, r1, plus, minus = b, a, 0, 0
             out = run[t0 - a:t1 - a]
@@ -649,7 +669,7 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
                 minus -= u
             r0, r1 = min(r0, t0), max(r1, t1)
         if r0 < r1:
-            pending = add_into(dst, off, a, b, r0, r1, run[r0 - a:r1 - a], pending)
+            pending = add_into(dst, off, a, b, r0, r1, run[r0 - a:r1 - a], 1, pending)
         return pending
 
     def push(src, dst, off, lo, mid, hi, pending):
@@ -677,11 +697,8 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
             h = np.concatenate([h, ((m - tail) % m).astype(np.int32)])
         return h
 
-    c = np.zeros(t + 1, np.int32)
-    start = 0
-    if known is not None:
-        start = min(len(known), t + 1)
-        c[:start] = known[:start]
+    t = len(c) - 1
+    start = min(start, t + 1)
     # No leaf of [start, t] is longer than n.
     n = min(_SOLVE_BLOCK, t + 1 - start)
     if len(rhs) == 1 and rhs[0] == 1:
@@ -692,33 +709,37 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
         head = c[:min(_SOLVE_BLOCK, start)]
     else:
         head = inverse_head(n)
-    acc = np.zeros(t + 1 - start, np.int64)
+    segment = 2 * _PUSH_CHUNK
+    acc = np.empty(min(segment, t + 1 - start), np.int64)
     # The head's residues mod each group and its limb spectra, built once
     # per (leaf length, width, FFT size) and shared by every leaf.
     spectra = {}
 
-    # [start, t] is solved left to right from a stack of (lo, mid, hi,
+    # Each segment [s0, s1) is solved from a stack of (lo, mid, hi,
     # pending): push the solved c[lo:mid] into [mid, hi), whose acc entries
     # carry at most `pending` unreduced updates, then halve [mid, hi) down
     # to a leaf, stacking each right half behind the push that feeds it.
     # A loop, not a recursive closure: a closure that calls itself is a
     # reference cycle, and would keep c and acc alive after the solve until
     # the cyclic collector ran.
-    todo = [(0, start, t + 1, 0)] if start <= t else []
-    while todo:
-        lo, mid, hi, pending = todo.pop()
-        if lo < mid:
-            pending = push(c, acc, start, lo, mid, hi, pending)
-        while hi - mid > _SOLVE_BLOCK:
-            half = (mid + hi) // 2
-            todo.append((mid, half, hi, pending))
-            hi = half
-        blk = acc[mid - start:hi - start] % m
-        blk *= -g
-        tail = rhs[mid:hi]
-        blk[:len(tail)] += tail
-        blk %= m
-        c[mid:hi] = _fft_mul(head[:hi - mid], blk, hi - mid, m, spectra)
+    for s0 in range(start, t + 1, segment):
+        s1 = min(s0 + segment, t + 1)
+        acc[:s1 - s0] = 0
+        todo = [(0, s0, s1, 0)]
+        while todo:
+            lo, mid, hi, pending = todo.pop()
+            if lo < mid:
+                pending = push(c, acc, s0, lo, mid, hi, pending)
+            while hi - mid > _SOLVE_BLOCK:
+                half = (mid + hi) // 2
+                todo.append((mid, half, hi, pending))
+                hi = half
+            blk = acc[mid - s0:hi - s0] % m
+            blk *= -g
+            tail = rhs[mid:hi]
+            blk[:len(tail)] += tail
+            blk %= m
+            c[mid:hi] = _fft_mul(head[:hi - mid], blk, hi - mid, m, spectra)
     return c
 
 
@@ -733,25 +754,31 @@ def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int,
     m = ring.modulus
     f0inv = ring.inverse(den.coeffs[0])
     taps_exp = np.flatnonzero(den.coeffs[1:t + 1]) + 1
+    c = np.zeros(t + 1, np.int32)
+    start = 0
+    if known is not None:
+        start = min(len(known), t + 1)
+        c[:start] = known[:start]
     out = _solve_linear_core(taps_exp, _balanced(den.coeffs[taps_exp], m), f0inv,
-                             rhs, t, m, known)
+                             rhs, m, c, start)
     return TruncSeries._canonical(ring, out.astype(np.int64), t)
 
 
-def invert_taps_residues(taps_exp: np.ndarray, taps_val: np.ndarray, trunc: int,
-                         ring: ResidueRing, known: np.ndarray | None = None) -> np.ndarray:
-    """1/(1 + sum_j taps_val[j] * q^taps_exp[j]) through q^trunc, for a
-    divisor given by its taps alone: integer values at distinct exponents
-    >= 1, sorted ascending.  The same solve as ring_invert, without a dense
-    divisor; taps past the truncation or divisible by m are dropped.
-    `known` is as in ring_invert.  The residues come as the solve wrote
-    them, in a new int32 array."""
+def invert_taps_residues(taps_exp: np.ndarray, taps_val: np.ndarray, out: np.ndarray,
+                         start: int, ring: ResidueRing) -> np.ndarray:
+    """1/(1 + sum_j taps_val[j] * q^taps_exp[j]) through q^trunc,
+    trunc = len(out) - 1, for a divisor given by its taps alone: integer
+    values at distinct exponents >= 1, sorted ascending.  The same solve as
+    ring_invert, without a dense divisor; taps past the truncation or
+    divisible by m are dropped.  out[:start] must already hold the first
+    coefficients of the inverse; the solve writes the int32 residues of
+    out[start:] in place, never copying the prefix, and returns out."""
     m = ring.modulus
     exps = np.asarray(taps_exp, np.int64)
     vals = np.asarray(taps_val, np.int64) % m
-    keep = (vals != 0) & (exps <= trunc)
+    keep = (vals != 0) & (exps < len(out))
     return _solve_linear_core(exps[keep], _balanced(vals[keep], m), 1,
-                              np.ones(1, np.int64), trunc, m, known)
+                              np.ones(1, np.int64), m, out, start)
 
 
 def ring_invert(f: TruncSeries, known: np.ndarray | None = None) -> TruncSeries:

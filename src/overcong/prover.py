@@ -13,6 +13,7 @@ timings are kept out of the serialised form.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 import time
@@ -231,28 +232,47 @@ class _StepTimer:
 # ---------------------------------------------------------------------------
 # shared coefficient streams
 
+def _reserve(count: int) -> np.ndarray:
+    """A writable int32 array of `count` entries over an anonymous mapping:
+    a page costs memory only once it is written, so capacity that is never
+    used costs none, and the mapping is returned to the system as soon as
+    no array refers to it."""
+    return np.frombuffer(mmap.mmap(-1, 4 * count), np.int32)
+
+
 class CoefficientStore:
     """Per (generator, modulus), the longest coefficient array computed so
     far, in memory and, with a cache directory, on disk.
 
-    A request up to the held truncation is answered with a read-only slice.
-    A longer one first looks for a longer stream on disk, then hands the
-    held prefix to the build function.  A cache file that fails validation
-    is a miss: it is recomputed and overwritten.  One lock serialises
-    lookups, so concurrent scans share a single computation.
+    A request up to the held truncation is answered with a read-only view
+    of the held array.  A longer one first looks for a longer stream on
+    disk, then hands the held prefix to the build function.  A cache file
+    that fails validation is a miss: it is recomputed and overwritten.  One
+    lock serialises lookups, so concurrent scans share a single
+    computation.
 
-    The build contract: build(trunc, ring, known) returns a new int32 array
-    of the generator's residues in [0, ring.modulus) through q^trunc.
-    `known` is the held prefix (int32, read-only) or None; a builder that
-    can extend a prefix computes only the coefficients past it, any other
-    ignores it.  The store takes the returned array over as it is: it
-    becomes the held array, its own buffer is written to disk, and it is
-    never copied or cast.
+    The store owns one writable int32 buffer per stream; what it holds and
+    returns are read-only views of its head.  A stream built here lives in
+    an anonymous mapping reserved at twice the truncation asked for, so a
+    growth within that capacity writes in place, past the held entries,
+    and copies nothing.  A growth past it maps a new buffer, copies the
+    held prefix into it and drops the store's reference to the old buffer
+    before the builder runs.  A view returned earlier keeps the buffer it
+    was cut from, and its entries never change.
+
+    The build contract: build(out, start, ring) writes the generator's
+    residues in [0, ring.modulus) into out[start:], where `out` is a
+    writable int32 array of trunc + 1 entries whose first `start` entries
+    already hold the stream's known prefix.  A builder that can extend a
+    prefix computes only the coefficients past it; any other computes the
+    whole series and writes only out[start:].  If build raises, the held
+    length and values are unchanged.
     """
 
     def __init__(self, cache_dir: str | None = None):
         self.cache_dir = cache_dir
-        self._held: dict[tuple[str, int], np.ndarray] = {}
+        # (buffer, held length) per (generator, modulus).
+        self._held: dict[tuple[str, int], tuple[np.ndarray, int]] = {}
         self._lock = threading.Lock()
 
     def reset(self, cache_dir: str | None = None) -> None:
@@ -270,34 +290,40 @@ class CoefficientStore:
         if not 0 <= trunc <= TRUNC_CAP:
             raise ValueError(f"truncation must lie in [0, {TRUNC_CAP}], got {trunc}")
         key = (generator, ring.modulus)
+        path = None
+        if self.cache_dir:
+            path = os.path.join(self.cache_dir, cache_filename(*key))
         with self._lock:
-            held = self._held.get(key)
-            if held is not None and len(held) > trunc:
-                return held[:trunc + 1]
-            path = None
-            if self.cache_dir:
-                path = os.path.join(self.cache_dir, cache_filename(*key))
-                stored = None
-                if os.path.exists(path):
-                    try:
-                        stored = read_residues(path, ring.modulus, trunc)[1]
-                    except (OSError, ValueError):
-                        pass  # damaged or foreign: a miss, overwritten below
-                if stored is not None and (held is None or len(stored) > len(held)):
-                    stored.setflags(write=False)
-                    held = self._held[key] = stored
-                    if len(held) > trunc:
-                        return held
-            built = build(trunc, ring, held)
-            if built.dtype != np.int32 or len(built) != trunc + 1:
-                raise TypeError(f"build for {generator!r} returned {built.dtype} "
-                                f"[{len(built)}], not int32 [{trunc + 1}]")
-            built.setflags(write=False)
-            if path is not None:
+            buf, count = self._held.get(key, (None, 0))
+            if count <= trunc and path and os.path.exists(path):
+                try:
+                    stored = read_residues(path, ring.modulus, trunc)[1]
+                except (OSError, ValueError):
+                    stored = None  # damaged or foreign: a miss, overwritten below
+                if stored is not None and len(stored) > count:
+                    buf, count = stored, len(stored)
+                    self._held[key] = buf, count
+                del stored
+            if count > trunc:
+                view = buf[:trunc + 1]
+                view.setflags(write=False)
+                return view
+            if buf is None or len(buf) <= trunc:
+                # Past capacity: the store lets go of the old buffer before
+                # the build, so only views handed out earlier keep it.
+                grown = _reserve(2 * (trunc + 1))
+                if count:
+                    grown[:count] = buf[:count]
+                buf = grown
+                self._held[key] = buf, count
+            out = buf[:trunc + 1]
+            build(out, count, ring)
+            out.setflags(write=False)
+            if path:
                 os.makedirs(self.cache_dir, exist_ok=True)
-                write_residues(path, ring.modulus, built)
-            self._held[key] = built
-            return built
+                write_residues(path, ring.modulus, out)
+            self._held[key] = buf, trunc + 1
+            return out
 
 
 STORE = CoefficientStore()
@@ -630,6 +656,30 @@ def _column_any(flat: np.ndarray, a: int) -> np.ndarray:
     return flat[:a]
 
 
+# Stream entries reduced at a time by _nonzero_masks: 256 KB of int32.
+_SCAN_BLOCK = 1 << 16
+
+
+def _nonzero_masks(stream: np.ndarray, modulus: int, ds) -> dict[int, np.ndarray]:
+    """Per d in ds, the bool mask of stream[d*n] % modulus != 0 for
+    d*n < len(stream).  The stream is reduced _SCAN_BLOCK entries at a time
+    into one reused buffer, and every d's mask is filled from each block,
+    so each entry is reduced once and no reduced copy of the whole stream
+    is made."""
+    size = len(stream)
+    masks = {d: np.empty(-(-size // d), bool) for d in ds}
+    buf = np.empty(min(_SCAN_BLOCK, size), stream.dtype)
+    for lo in range(0, size, _SCAN_BLOCK):
+        block = buf[:min(_SCAN_BLOCK, size - lo)]
+        np.remainder(stream[lo:lo + len(block)], modulus, out=block)
+        for d, mask in masks.items():
+            # The first multiple of d at or past lo is d*n0.
+            n0 = -(-lo // d)
+            part = block[n0 * d - lo::d]
+            np.not_equal(part, 0, out=mask[n0:n0 + len(part)])
+    return masks
+
+
 def scan(modulus: int, d_list, a_list, n_max: int,
          min_support: int = DEFAULT_MIN_SUPPORT,
          max_index: int | None = None) -> list[CongruenceClaim]:
@@ -641,10 +691,11 @@ def scan(modulus: int, d_list, a_list, n_max: int,
     as one claim per offset, annotated with their compressed description when
     the whole set is exactly a mod-8 class cut by Kronecker signs.
 
-    The stream is reduced mod `modulus` once, and each distinct d reads
-    its strided view pbar(d*n), n <= max_index // d, once, as a nonzero
-    mask.  The pairs then run in turn: each lays its mask out in rows of A
-    offsets and takes one OR over the rows, so the depth cost is
+    The stream is reduced mod `modulus` once, block by block, and each
+    distinct d's nonzero mask of pbar(d*n), n <= max_index // d, is filled
+    from every block (_nonzero_masks): no reduced copy of the whole stream
+    is made.  The pairs then run in turn: each lays its mask out in rows of
+    A offsets and takes one OR over the rows, so the depth cost is
     O(max_index / d) per multiplier plus one reduction per pair; Python
     loops only over the offsets that survive it.
     """
@@ -656,9 +707,7 @@ def scan(modulus: int, d_list, a_list, n_max: int,
         max_index = default_scan_index(modulus)
     if max_index > INDEX_HARD_CAP:
         raise ValueError(f"budget exceeded: {max_index} > {INDEX_HARD_CAP}")
-    pb = _pbar_stream(modulus, max_index) % modulus
-    # Entry n of masks[d] is pbar(d*n) != 0, for n <= max_index // d.
-    masks = {d: pb[::d] != 0 for d in set(d_list)}
+    masks = _nonzero_masks(_pbar_stream(modulus, max_index), modulus, set(d_list))
 
     def scan_pair(d, a) -> list[CongruenceClaim]:
         mask = masks[d]

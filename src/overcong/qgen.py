@@ -178,15 +178,20 @@ def overpartition_series(trunc: int, ring: ResidueRing,
     holds the first coefficients of the stream (mod the same modulus); only
     the ones past it are computed.
     """
-    out = overpartition_residues(trunc, ring, known)
+    out = np.zeros(trunc + 1, np.int32)
+    start = 0
+    if known is not None:
+        start = min(len(known), trunc + 1)
+        out[:start] = known[:start]
+    overpartition_residues(out, start, ring)
     return TruncSeries._canonical(ring, out.astype(np.int64), trunc)
 
 
-def overpartition_residues(trunc: int, ring: ResidueRing,
-                           known: np.ndarray | None = None) -> np.ndarray:
-    """overpartition_series as the int32 residues the solve writes, with no
-    int64 copy: what the coefficient store holds."""
-    return invert_taps_residues(*_phi_minus_q_taps(trunc), trunc, ring, known)
+def overpartition_residues(out: np.ndarray, start: int, ring: ResidueRing) -> None:
+    """The coefficient store's builder for overpartition_series: writes the
+    int32 residues of out[start:], out[:start] being the stream's known
+    prefix, in place."""
+    invert_taps_residues(*_phi_minus_q_taps(len(out) - 1), out, start, ring)
 
 
 def _divisor_sums(trunc: int, weight: np.ndarray | None = None) -> np.ndarray:

@@ -309,7 +309,7 @@ def test_scan_reuses_disk_cache(capsys, tmp_path, monkeypatch):
     # from disk without being recomputed.
     prover.STORE.reset(cache)
     monkeypatch.setattr(prover, "overpartition_residues",
-                        lambda *a: (_ for _ in ()).throw(AssertionError("recomputed")))
+                        lambda out, start, ring: (_ for _ in ()).throw(AssertionError("recomputed")))
     code, out2, _ = run(capsys, *argv)
     assert code == 0 and out2 == out1
     # A shorter budget is a prefix of the file; a longer one must compute.

@@ -275,9 +275,9 @@ def test_divisors_of_the_primorial_share_one_stream(tmp_path):
 def test_store_extends_the_held_prefix():
     calls = []
 
-    def build(trunc, ring, known):
-        calls.append((trunc, None if known is None else len(known)))
-        return overpartition_residues(trunc, ring, known)
+    def build(out, start, ring):
+        calls.append((len(out) - 1, start or None))
+        overpartition_residues(out, start, ring)
 
     store = CoefficientStore()
     ring = ResidueRing(7)
@@ -289,30 +289,107 @@ def test_store_extends_the_held_prefix():
         store.coefficients("overpartition", ring, -1, build)
 
 
-# tracemalloc peak, in bytes, of growing the held 23# stream from 2^17 to
-# 2^18 through the production store path with no pool, numpy 2.4.6, in a
-# fresh process: the held prefix and the solve's output c (int32), the
-# accumulator for the coefficients added (int64), one leaf's transforms and
-# the head's cached spectra.  An int64 c, cast to int32 for the store, made
-# 5_172_476.
-_GROWTH_PEAK_BYTES = 4_250_964
+def test_views_survive_growth_in_place_and_past_capacity():
+    # The first build reserves capacity 2 * 301: a growth to 500 writes in
+    # place, one to 5000 moves the stream to a new buffer.  Views handed
+    # out before either stay read-only and keep their values.
+    store = CoefficientStore()
+    ring = ResidueRing(PRIMORIAL_23)
+    first = store.coefficients("overpartition", ring, 300, overpartition_residues)
+    within = store.coefficients("overpartition", ring, 500, overpartition_residues)
+    assert np.shares_memory(first, within)
+    past = store.coefficients("overpartition", ring, 5000, overpartition_residues)
+    assert not np.shares_memory(first, past)
+    want = _fresh(PRIMORIAL_23, 5000)
+    for view in (first, within, past):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 0
+        assert np.array_equal(view, want[:len(view)])
+    beyond = store.coefficients("overpartition", ring, 20_000, overpartition_residues)
+    assert np.array_equal(beyond, _fresh(PRIMORIAL_23, 20_000))
+    for view in (first, within, past):
+        assert np.array_equal(view, want[:len(view)])
 
 
-def test_store_growth_holds_no_dense_divisor(solver_outputs):
+@pytest.mark.parametrize("trunc", [500, 5000])
+def test_a_failed_build_leaves_the_held_stream_intact(trunc):
+    # A leaf fails after earlier leaves have written their coefficients,
+    # within the capacity (500) and past it (5000): the store keeps its
+    # length and values, and the next request grows it as a fresh solve.
+    store = CoefficientStore()
+    ring = ResidueRing(PRIMORIAL_23)
+    held = store.coefficients("overpartition", ring, 300, overpartition_residues)
+    kept = held.copy()
+    leaves = []
+    real_mul = modseries._fft_mul
+
+    def failing_leaf(a, b, n, m, spectra=None):
+        if spectra is not None:
+            leaves.append(n)
+            if len(leaves) == 4:
+                raise ArithmeticError("leaf failed its rounding check")
+        return real_mul(a, b, n, m, spectra)
+
+    def unexpected(out, start, ring):
+        raise AssertionError(f"rebuilt from {start}")
+
+    with mock.patch.object(modseries, "_SOLVE_BLOCK", 16), \
+            mock.patch.object(modseries, "_fft_mul", failing_leaf):
+        with pytest.raises(ArithmeticError):
+            store.coefficients("overpartition", ring, trunc, overpartition_residues)
+    assert len(leaves) == 4
+    assert np.array_equal(held, kept)
+    again = store.coefficients("overpartition", ring, 300, unexpected)
+    assert np.array_equal(again, kept)
+    with pytest.raises(AssertionError, match="rebuilt from 301"):
+        store.coefficients("overpartition", ring, 301, unexpected)
+    grown = store.coefficients("overpartition", ring, trunc, overpartition_residues)
+    assert np.array_equal(grown, _fresh(PRIMORIAL_23, trunc))
+
+
+def _traced_growth(top_exp):
+    # tracemalloc peak, in bytes, of growing the 23# stream from 2^17 to
+    # 2^top_exp through the production store path with no pool, and the
+    # stream grown.
+    STORE.reset()
     with mock.patch.object(modseries, "_POOL", None):
         _pbar_stream(PRIMORIAL_23, 1 << 17)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            held = _pbar_stream(PRIMORIAL_23, 1 << 18)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            held = _pbar_stream(PRIMORIAL_23, 1 << top_exp)
+            return tracemalloc.get_traced_memory()[1] - base, held
         finally:
             tracemalloc.stop()
-    assert peak <= 1.10 * _GROWTH_PEAK_BYTES
+
+
+# Peak bytes of growing the held 23# stream from 2^17 to 2^18 with no pool,
+# numpy 2.4.6, in a fresh process: the traced peak (the accumulator for the
+# coefficients added, int64, one leaf's transforms and the head's cached
+# spectra) plus the stream, which the store grows in place in an anonymous
+# mapping that tracemalloc cannot see (int32, 4 bytes per coefficient).
+# Holding the old stream beside a new int32 copy made 4_250_964, and an
+# int64 c, cast to int32 for the store, 5_172_476.
+_GROWTH_PEAK_BYTES = 3_988_784
+
+
+def test_store_growth_holds_no_dense_divisor(solver_outputs):
+    peak, held = _traced_growth(18)
+    assert peak + held.nbytes <= 1.10 * _GROWTH_PEAK_BYTES
     # The store holds the solve's own int32 output: never an int64 stream,
     # never a copy.
     assert len(solver_outputs) == 2 and held.dtype == np.int32
     assert np.shares_memory(held, solver_outputs[-1])
+
+
+def test_growth_memory_does_not_scale_with_the_growth():
+    # acc spans one segment of the growth, never the whole of it: growing
+    # 2^17 -> 2^20 (seven segments of 2^18) peaks within a few percent of
+    # 2^17 -> 2^19 (three).  An acc over the whole growth took 13.5 MB
+    # against 6.9 MB.  (2^17 -> 2^18 spans half a segment, so its acc is
+    # half as long.)
+    assert _traced_growth(20)[0] <= 1.05 * _traced_growth(19)[0]
 
 
 def _damage(raw: bytes, how: str) -> bytes:
@@ -417,19 +494,23 @@ _SCAN_MULTIPLIERS = st.one_of(st.integers(1, 12), st.sampled_from([16, 20_001, 1
        a_list=st.lists(_SCAN_STEPS, min_size=1, max_size=3),
        n_max=st.one_of(st.sampled_from([0, 10 ** 30]), st.integers(1, 300)),
        min_support=st.sampled_from([0, 1, 20]),
-       max_index=st.one_of(st.integers(0, 300), st.integers(0, 20_000)))
+       max_index=st.one_of(st.integers(0, 300), st.integers(0, 20_000)),
+       block=st.sampled_from([61, 1000, prover._SCAN_BLOCK]))
 @example(modulus=7, d_list=[16, 3, 16, 20_001], a_list=[56, 1, 130, 10 ** 30], n_max=10 ** 30,
-         min_support=20, max_index=20_000)
+         min_support=20, max_index=20_000, block=61)
 @example(modulus=5, d_list=[1, 1], a_list=[40, 8, 101], n_max=7, min_support=1,
-         max_index=20_000)
+         max_index=20_000, block=1000)
 @example(modulus=2, d_list=[1, 2], a_list=[1, 2, 3, 100, 101], n_max=0, min_support=0,
-         max_index=100)
+         max_index=100, block=61)
 @example(modulus=29, d_list=[1], a_list=[10 ** 30], n_max=5, min_support=1,
-         max_index=100)
+         max_index=100, block=prover._SCAN_BLOCK)
 def test_scan_matches_the_per_offset_reference(modulus, d_list, a_list, n_max,
-                                               min_support, max_index):
-    got = scan(modulus, d_list, a_list, n_max, min_support=min_support,
-               max_index=max_index)
+                                               min_support, max_index, block):
+    # `block` is how many stream entries the masks are reduced from at a
+    # time; blocks shorter than the budget cut every mask at their edges.
+    with mock.patch.object(prover, "_SCAN_BLOCK", block):
+        got = scan(modulus, d_list, a_list, n_max, min_support=min_support,
+                   max_index=max_index)
     want = reference_scan(modulus, d_list, a_list, n_max, min_support, max_index)
     assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
 
