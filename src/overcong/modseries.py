@@ -17,16 +17,21 @@ divisor's taps; invert_taps_residues takes them as given, so a divisor
 such as phi(-q) is never built as a dense series.  A solve writes its
 output as int32 residues into an array its caller provides, past a known
 prefix it never copies, and walks the range in segments of
-2 * _PUSH_CHUNK coefficients, so its one int64 accumulator spans a
-segment however long the solve.  It holds no reference cycle: its arrays
-are freed as soon as it returns or raises.  A push adds its taps in int32
-runs into a scratch array over the push chunk, each run short enough that
-no sum can overflow, and adds each run into the accumulator once; when
-no run could hold two taps of one sign (m > 2^30), each tap goes into
-the accumulator straight away.  invert_taps_residues writes into the
-caller's array (the coefficient store's own buffer); every function that
-returns a TruncSeries casts its output to int64 once.  Every leaf is an
-exact FFT product too.
+max(2 * _PUSH_CHUNK, _SOLVE_BLOCK) coefficients, so its one int64
+accumulator spans a segment however long the solve.  It holds no
+reference cycle: its arrays are freed as soon as it returns or raises.
+A push adds its taps in int32 runs into a scratch array over the push
+chunk, each run short enough that no sum can overflow, and adds each run
+into the accumulator once.  A tap whose unit is too large for a run, and
+every tap when no run could hold two taps of one sign (m > 2^30), goes
+into the accumulator straight away, its product reduced mod m unless its
+unit is +-1.  So every update of the accumulator is below 2^31 in
+magnitude, and a position takes at most one update per tap in a
+segment: through q^T the accumulator stays below T * 2^31 < 2^63 for any
+T < 2^32, and a leaf reduces it once, when it reads it.
+invert_taps_residues writes into the caller's array (the coefficient
+store's own buffer); every function that returns a TruncSeries casts its
+output to int64 once.  Every leaf is an exact FFT product too.
 
 Every FFT product follows one plan, chosen once per modulus and length:
 CRT groups when every group fits one product, limbs otherwise.  m is
@@ -93,8 +98,9 @@ _SOLVE_BLOCK = 16384
 # stream grown to 3e5, then to 1.5e6, two cores; medians of 8 interleaved
 # runs) took 0.68 s at 2^17 against 0.82 s at 2^18, and in another set
 # 0.77 s at 2^17 against 0.86 s at 2^16 (int64 output: 0.84 and 0.97 s).
-# A solve walks its range in segments of two chunks, so each segment's
-# push of the solved prefix is shared with the pool.
+# A solve walks its range in segments of two chunks (of one leaf when
+# that is longer), so each segment's push of the solved prefix is shared
+# with the pool.
 _PUSH_CHUNK = 1 << 17
 
 # Every exact output of one float product is planned to stay below this in
@@ -578,12 +584,13 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     enough; otherwise head is built by Newton doubling (and, inverting,
     written over the head of c with the same residues).
 
-    [start, t] is solved left to right in segments of 2 * _PUSH_CHUNK
-    positions.  A segment [s0, s1) first takes the contributions of the
+    [start, t] is solved left to right in segments of
+    max(2 * _PUSH_CHUNK, _SOLVE_BLOCK) positions, so a segment never cuts a
+    leaf short.  A segment [s0, s1) first takes the contributions of the
     whole solved prefix c[0:s0], in one update per tap, then is halved down
     to leaves; each (position, tap) pair is pushed exactly once.  acc
     covers one segment and is zeroed for the next, so it never holds more
-    than 2 * _PUSH_CHUNK entries, however long the growth.
+    than one segment's entries, however long the growth.
 
     A push over two or more _PUSH_CHUNKs of positions runs as chunks,
     shared with the worker pool when there is one.  Chunks write disjoint
@@ -596,20 +603,17 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     acc over the hull of the run's slices and cleared there.  A tap whose
     unit alone exceeds cap is added into acc straight away, and so is every
     tap when cap is 1 (m > 2^30), where a run would hold at most one tap of
-    each sign.
+    each sign; such a tap adds u*c mod m unless u is +-1.
 
-    Exact for every m < 2^31, segment by segment.  c holds residues
-    0 <= c < m.  At any position, a run's partial sum lies between
-    -(negative units)*(m-1) and (positive units)*(m-1), so within
-    cap*(m-1) <= 2^31 - 1 of zero: the int32 scratch never overflows.  So
-    one update of acc, a run or a tap added straight, adds at most
-    b = max(cap, umax)*(m-1) in magnitude.  An entry starts its segment
-    at 0, or lies in [0, m) after a reduction, so after p updates
-    |acc| <= (m-1) + p*b, which stays below 2^63 for p <= `every`; the
-    pending slice is reduced mod m before the (every+1)-th update, and the
-    count starts again at 0 with each segment.  A chunk counts and reduces
-    only its own slice, and the push passes on the largest count of its
-    chunks.  A leaf reduces acc first, so g*(acc mod m) < 2^61.
+    Exact for every m < 2^31.  c holds residues 0 <= c < m.  At any
+    position, a run's partial sum lies between -(negative units)*(m-1) and
+    (positive units)*(m-1), so within cap*(m-1) <= 2^31 - 1 of zero: the
+    int32 scratch never overflows.  So every update of acc is below 2^31 in
+    magnitude: a run's by cap*(m-1), a unit tap's and a reduced product's
+    by m.  An update covers at least one tap, and acc starts each segment
+    at 0, so a position takes at most t updates and |acc| < t * 2^31 < 2^63
+    for t < 2^32 (c alone would then take 16 GiB).  A leaf reduces acc
+    first, so g*(acc mod m) < 2^61.
     """
     exps = taps_exp.tolist()
     vals = taps_val.tolist()
@@ -617,27 +621,23 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     g = mags.pop() if len(mags) == 1 else 1
     units = [v // g for v in vals]
     cap = ((1 << 31) - 1) // (m - 1)
-    every = ((1 << 63) - m) // (max([cap, *map(abs, units)]) * (m - 1))
 
-    def add_into(dst, off, a, b, t0, t1, values, u, pending):
-        # dst[t0 - off:t1 - off] += u * values, the chunk [a, b) reduced
-        # first if it already holds `every` unreduced updates; the new count.
-        if pending == every:
-            dst[a - off:b - off] %= m
-            pending = 0
+    def add_into(dst, off, t0, t1, values, u):
+        # dst[t0 - off:t1 - off] += u * values, reduced mod m unless u = +-1.
         out = dst[t0 - off:t1 - off]
         if u == 1:
             np.add(out, values, out=out)
         elif u == -1:
             np.subtract(out, values, out=out)
         else:
-            out += np.multiply(values, u, dtype=np.int64)
-        return pending + 1
+            prod = np.multiply(values, u, dtype=np.int64)
+            prod %= m
+            out += prod
 
-    def push_part(src, dst, off, lo, mid, a, b, pending):
+    def push_part(src, dst, off, lo, mid, a, b):
         # Contributions of the solved src[lo:mid] to positions [a, b) within
-        # [mid, hi), held at dst[pos - off]; returns the unreduced-update
-        # count of those positions.  Only taps a - mid < j < b - lo reach them.
+        # [mid, hi), held at dst[pos - off].  Only taps a - mid < j < b - lo
+        # reach them.
         run = np.zeros(b - a, np.int32) if cap > 1 else None
         r0, r1 = b, a  # hull of the run's slices
         plus = minus = 0  # the run's units of each sign
@@ -650,10 +650,10 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
             part = src[t0 - j:t1 - j]
             u = units[idx]
             if run is None or abs(u) > cap:
-                pending = add_into(dst, off, a, b, t0, t1, part, u, pending)
+                add_into(dst, off, t0, t1, part, u)
                 continue
             if (plus + u if u > 0 else minus - u) > cap:
-                pending = add_into(dst, off, a, b, r0, r1, run[r0 - a:r1 - a], 1, pending)
+                add_into(dst, off, r0, r1, run[r0 - a:r1 - a], 1)
                 run[r0 - a:r1 - a] = 0
                 r0, r1, plus, minus = b, a, 0, 0
             out = run[t0 - a:t1 - a]
@@ -669,17 +669,15 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
                 minus -= u
             r0, r1 = min(r0, t0), max(r1, t1)
         if r0 < r1:
-            pending = add_into(dst, off, a, b, r0, r1, run[r0 - a:r1 - a], 1, pending)
-        return pending
+            add_into(dst, off, r0, r1, run[r0 - a:r1 - a], 1)
 
-    def push(src, dst, off, lo, mid, hi, pending):
+    def push(src, dst, off, lo, mid, hi):
         # push_part over [mid, hi).  A range of two or more _PUSH_CHUNKs is
-        # cut into chunks shared with the pool: each writes only its own
-        # slice and keeps its own count, and the range carries the largest.
+        # cut into chunks shared with the pool, each writing only its slice.
         cuts = max(1, (hi - mid) // _PUSH_CHUNK)
         bounds = [mid + (hi - mid) * i // cuts for i in range(cuts + 1)]
-        return max(_pool_map(lambda ab: push_part(src, dst, off, lo, mid, *ab, pending),
-                             list(zip(bounds, bounds[1:]))))
+        _pool_map(lambda ab: push_part(src, dst, off, lo, mid, *ab),
+                  list(zip(bounds, bounds[1:])))
 
     def inverse_head(n):
         # 1/den mod q^n by Newton doubling: h -> h - h*(den*h - 1), where
@@ -689,7 +687,7 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
             k = len(h)
             k2 = min(2 * k, n)
             e = np.zeros(k2 - k, np.int64)
-            push(h, e, k, 0, k, k2, 0)
+            push(h, e, k, 0, k, k2)
             e %= m
             e *= g
             e %= m
@@ -709,30 +707,29 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
         head = c[:min(_SOLVE_BLOCK, start)]
     else:
         head = inverse_head(n)
-    segment = 2 * _PUSH_CHUNK
+    segment = max(2 * _PUSH_CHUNK, _SOLVE_BLOCK)
     acc = np.empty(min(segment, t + 1 - start), np.int64)
     # The head's residues mod each group and its limb spectra, built once
     # per (leaf length, width, FFT size) and shared by every leaf.
     spectra = {}
 
-    # Each segment [s0, s1) is solved from a stack of (lo, mid, hi,
-    # pending): push the solved c[lo:mid] into [mid, hi), whose acc entries
-    # carry at most `pending` unreduced updates, then halve [mid, hi) down
-    # to a leaf, stacking each right half behind the push that feeds it.
-    # A loop, not a recursive closure: a closure that calls itself is a
+    # Each segment [s0, s1) is solved from a stack of (lo, mid, hi): push
+    # the solved c[lo:mid] into [mid, hi), then halve [mid, hi) down to a
+    # leaf, stacking each right half behind the push that feeds it.  A
+    # loop, not a recursive closure: a closure that calls itself is a
     # reference cycle, and would keep c and acc alive after the solve until
     # the cyclic collector ran.
     for s0 in range(start, t + 1, segment):
         s1 = min(s0 + segment, t + 1)
         acc[:s1 - s0] = 0
-        todo = [(0, s0, s1, 0)]
+        todo = [(0, s0, s1)]
         while todo:
-            lo, mid, hi, pending = todo.pop()
+            lo, mid, hi = todo.pop()
             if lo < mid:
-                pending = push(c, acc, s0, lo, mid, hi, pending)
+                push(c, acc, s0, lo, mid, hi)
             while hi - mid > _SOLVE_BLOCK:
                 half = (mid + hi) // 2
-                todo.append((mid, half, hi, pending))
+                todo.append((mid, half, hi))
                 hi = half
             blk = acc[mid - s0:hi - s0] % m
             blk *= -g
@@ -748,19 +745,14 @@ def _balanced(vals: np.ndarray, m: int) -> np.ndarray:
     return np.where(vals > m // 2, vals - m, vals)
 
 
-def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int,
-                  known: np.ndarray | None = None) -> TruncSeries:
+def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int) -> TruncSeries:
+    """den^-1 * rhs through q^t from the dense divisor's taps; den needs a
+    unit constant term."""
     ring = den.ring
     m = ring.modulus
-    f0inv = ring.inverse(den.coeffs[0])
     taps_exp = np.flatnonzero(den.coeffs[1:t + 1]) + 1
-    c = np.zeros(t + 1, np.int32)
-    start = 0
-    if known is not None:
-        start = min(len(known), t + 1)
-        c[:start] = known[:start]
-    out = _solve_linear_core(taps_exp, _balanced(den.coeffs[taps_exp], m), f0inv,
-                             rhs, m, c, start)
+    out = _solve_linear_core(taps_exp, _balanced(den.coeffs[taps_exp], m),
+                             ring.inverse(den.coeffs[0]), rhs, m, np.zeros(t + 1, np.int32))
     return TruncSeries._canonical(ring, out.astype(np.int64), t)
 
 
@@ -781,16 +773,14 @@ def invert_taps_residues(taps_exp: np.ndarray, taps_val: np.ndarray, out: np.nda
                               np.ones(1, np.int64), m, out, start)
 
 
-def ring_invert(f: TruncSeries, known: np.ndarray | None = None) -> TruncSeries:
+def ring_invert(f: TruncSeries) -> TruncSeries:
     """Multiplicative inverse through the truncation.
 
     Requires a unit constant term.  The recurrence iterates only over the
     nonzero support of f, so inverting a series with O(sqrt(T)) support
-    costs O(T^1.5).  `known`, if given, must be the first coefficients of
-    the inverse, as residues in [0, m) (for instance a shorter inversion of
-    the same f); only the coefficients past it are computed.
+    costs O(T^1.5).
     """
-    return _solve_linear(f, np.ones(1, np.int64), f.trunc, known)
+    return _solve_linear(f, np.ones(1, np.int64), f.trunc)
 
 
 def ring_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -800,8 +790,7 @@ def ring_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     by a sparse series never materialises the dense inverse.
     """
     _check_rings(f, g)
-    t = min(f.trunc, g.trunc)
-    return _solve_linear(g, f.coeffs, t)
+    return _solve_linear(g, f.coeffs, min(f.trunc, g.trunc))
 
 
 def transform(f: TruncSeries, d: int, sign: int) -> TruncSeries:

@@ -169,21 +169,14 @@ def _phi_minus_q_taps(trunc: int) -> tuple[np.ndarray, np.ndarray]:
     return k * k, np.where(k % 2 == 1, -2, 2)
 
 
-def overpartition_series(trunc: int, ring: ResidueRing,
-                         known: np.ndarray | None = None) -> TruncSeries:
+def overpartition_series(trunc: int, ring: ResidueRing) -> TruncSeries:
     """The overpartition generating function 1/phi(-q) through q^trunc.
 
     phi(-q) reaches the solver as its sqrt(trunc) taps, never as a dense
-    series, and the inversion runs in O(trunc^1.5).  `known`, if given,
-    holds the first coefficients of the stream (mod the same modulus); only
-    the ones past it are computed.
+    series, and the inversion runs in O(trunc^1.5).
     """
     out = np.zeros(trunc + 1, np.int32)
-    start = 0
-    if known is not None:
-        start = min(len(known), trunc + 1)
-        out[:start] = known[:start]
-    overpartition_residues(out, start, ring)
+    overpartition_residues(out, 0, ring)
     return TruncSeries._canonical(ring, out.astype(np.int64), trunc)
 
 

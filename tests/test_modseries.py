@@ -22,7 +22,7 @@ from overcong import (ResidueRing, TruncSeries, extract_progression,
                       scalar_mul, theta_phi, transform, zero_series)
 from overcong import modseries, prover
 from overcong.modseries import TRUNC_CAP, _fft_mul, _fft_size
-from overcong.qgen import theta_phi4
+from overcong.qgen import overpartition_residues, theta_phi4
 
 
 def random_series(rng, ring, trunc, density=1.0, unit_constant=False):
@@ -813,6 +813,31 @@ def leaf_starts(lo, hi, block):
     return leaf_starts(lo, mid, block) + leaf_starts(mid, hi, block)
 
 
+def invert_after(f, known):
+    # 1/f through its truncation with its first len(known) coefficients
+    # taken as solved: the solver core's (out, start) contract, fed the
+    # dense divisor's taps as ring_invert finds them.
+    m = f.ring.modulus
+    out = np.zeros(f.trunc + 1, np.int32)
+    start = min(len(known), f.trunc + 1)
+    out[:start] = known[:start]
+    taps = np.flatnonzero(f.coeffs[1:]) + 1
+    modseries._solve_linear_core(taps, modseries._balanced(f.coeffs[taps], m),
+                                 f.ring.inverse(f.coeffs[0]), np.ones(1, np.int64),
+                                 m, out, start)
+    return TruncSeries(f.ring, out, f.trunc)
+
+
+def grown_stream(trunc, ring, known):
+    # The overpartition stream through q^trunc grown from the prefix
+    # `known` in place, as the coefficient store grows it.
+    out = np.zeros(trunc + 1, np.int32)
+    start = min(len(known), trunc + 1)
+    out[:start] = known[:start]
+    overpartition_residues(out, start, ring)
+    return TruncSeries(ring, out, trunc)
+
+
 @st.composite
 def _unit_series_and_split(draw):
     m = draw(st.sampled_from(_GROWTH_MODULI))
@@ -840,7 +865,7 @@ def test_invert_extends_a_known_prefix(case):
     f, split, block = case
     short = TruncSeries(f.ring, f.coeffs[:split + 1], split)
     with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
-        grown = ring_invert(f, known=ring_invert(short).coeffs)
+        grown = invert_after(f, ring_invert(short).coeffs)
         assert grown == ring_invert(f)
     assert ring_mul(f, grown) == one_series(f.ring, f.trunc)
 
@@ -873,8 +898,9 @@ def test_invert_matches_schoolbook_oracle(m):
              for density in (1.0, 0.3, 0.02)]
     # Taps at the extremes of the signed range, m//2 and m//2 + 1, and m - 1:
     # all equal (one magnitude g), and with every third tap set to 1.  For
-    # m//2 and m//2 + 1 that mix takes the multiply path, whose accumulator
-    # needs reducing every few updates when m is near 2^31.
+    # m//2 and m//2 + 1 that mix takes the multiply path; those units pass
+    # the int32 run cap, so each such tap goes straight into the int64
+    # accumulator, its product reduced mod m.
     for value in (m // 2, m // 2 + 1, m - 1):
         coeffs = np.full(trunc + 1, value)
         coeffs[0] = m - 1
@@ -1045,7 +1071,7 @@ def _segment_case(draw):
     m = draw(st.sampled_from(_SEGMENT_MODULI))
     chunk = draw(st.sampled_from((2, 4, 8)))
     block = draw(st.sampled_from((1, 2, 8, 64)))
-    segment = 2 * chunk
+    segment = max(2 * chunk, block)
     # Truncations and known-prefix lengths at and next to the segment
     # boundaries k * segment (the solve walks [start, t] from start, so a
     # boundary is also start + k * segment), or anywhere.
@@ -1063,9 +1089,9 @@ def _segment_case(draw):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_segment_case())
 def test_segments_match_the_schoolbook(case):
-    # The solver walks [start, t] in segments of 2 * _PUSH_CHUNK positions,
-    # each fed the whole solved prefix in one push, with acc zeroed and its
-    # pending count restarted per segment.  Against the Python-int
+    # The solver walks [start, t] in segments of max(2 * _PUSH_CHUNK,
+    # _SOLVE_BLOCK) positions, each fed the whole solved prefix in one push,
+    # with acc zeroed per segment.  Against the Python-int
     # recurrence: inversions (rhs = [1]) and a general right-hand side,
     # after known prefixes that straddle the segment boundaries.
     m, chunk, block, trunc, start, taps, invert, seed = case
@@ -1132,6 +1158,41 @@ def test_leaves_sharing_head_spectra_match_the_oracle(m):
             assert ring_invert(f).coeffs.tolist() == schoolbook_inverse(f.coeffs, m)
             assert ring_div(num, den).coeffs.tolist() == \
                 schoolbook_quotient(num.coeffs, den.coeffs, m)
+
+
+def solve_leaves(solve, block, chunk):
+    # The result of solve() and the lengths of the leaves it made, in order:
+    # a leaf is the one _fft_mul call given the head's spectra.
+    lengths = []
+    real_mul = modseries._fft_mul
+
+    def recording_mul(a, b, n, m, spectra=None):
+        if spectra is not None:
+            lengths.append(n)
+        return real_mul(a, b, n, m, spectra)
+
+    with mock.patch.object(modseries, "_fft_mul", recording_mul), \
+            mock.patch.object(modseries, "_SOLVE_BLOCK", block), \
+            mock.patch.object(modseries, "_PUSH_CHUNK", chunk):
+        return solve(), lengths
+
+
+def test_a_short_push_chunk_keeps_full_leaves():
+    # A segment spans at least one leaf, so the push chunk cuts the pushes
+    # but never the leaves: chunks of 1, 2 and 8 positions give the leaves
+    # of chunks of 32, whose two-chunk segment is one 64-position leaf.
+    rng = np.random.default_rng(64)
+    ring = ResidueRing(223_092_870)
+    trunc = 1000
+    num = random_series(rng, ring, trunc)
+    den = sparse_unit_series(rng, ring, trunc)
+    for solve in (lambda: overpartition_series(trunc, ring), lambda: ring_div(num, den)):
+        want, want_leaves = solve_leaves(solve, 64, 32)
+        assert want_leaves[:-1] == [64] * (len(want_leaves) - 1)
+        for chunk in (1, 2, 8):
+            got, leaves = solve_leaves(solve, 64, chunk)
+            assert leaves == want_leaves, chunk
+            assert got == want
 
 
 def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
@@ -1244,8 +1305,9 @@ _PUSH_CHUNKS = (1, 2, 8, 64)
 
 def extreme_tap_series(ring, trunc, taps=30):
     # Taps at 1..taps, each m//2 but every third 1: mixed magnitudes take
-    # the multiply path with umax = m//2, so near 2^31 `every` is 4, and the
-    # slice a chunk owns must be reduced within the chunk.
+    # the multiply path with umax = m//2, which passes the int32 run cap
+    # mod 23# and near 2^31, so those taps go straight into the accumulator,
+    # each product reduced mod m on the way.
     m = ring.modulus
     coeffs = np.zeros(trunc + 1, np.int64)
     coeffs[1:taps + 1] = m // 2
@@ -1263,7 +1325,7 @@ def test_chunked_pushes_and_pooled_leaves_match_the_oracle(m):
     ring = ResidueRing(m)
     if m == (1 << 31) - 1:
         umax = m // 2
-        assert ((1 << 63) - m) // (umax * (m - 1)) == 4
+        assert umax > ((1 << 31) - 1) // (m - 1)  # past cap: reduce on add
     for block in _BLOCKS[:-1]:
         # One-coefficient leaves cost one FFT product each: solve a prefix.
         trunc = min(200, 24 * block + 17)
@@ -1326,7 +1388,7 @@ def test_concurrent_streams_match_serial_runs():
         def grow(m):
             ring = ResidueRing(m)
             known = overpartition_series(known_at, ring).coeffs
-            got[m] = overpartition_series(trunc, ring, known).coeffs
+            got[m] = grown_stream(trunc, ring, known).coeffs
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1416,13 +1478,14 @@ def _overpartition_case(draw):
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_overpartition_case())
 def test_overpartition_taps_match_the_dense_divisor(case):
-    # overpartition_series hands phi(-q)'s taps to the solver; ring_invert
-    # finds them in the dense series.  Both must give the same stream.
+    # overpartition_residues hands phi(-q)'s taps to the solver; the dense
+    # entry finds them in the dense series.  Both must give the same stream
+    # after the same known prefix.
     ring, block, trunc, split = case
     with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
         den = transform(theta_phi(trunc, ring), 1, -1)
         known = ring_invert(den).coeffs[:split]
-        assert overpartition_series(trunc, ring, known) == ring_invert(den, known)
+        assert grown_stream(trunc, ring, known) == invert_after(den, known)
 
 
 def _solves(ring, trunc):
@@ -1431,10 +1494,10 @@ def _solves(ring, trunc):
     known = overpartition_series(trunc // 3, ring).coeffs
     return {
         "invert": lambda: ring_invert(den),
-        "invert-known": lambda: ring_invert(den, known),
+        "invert-known": lambda: invert_after(den, known),
         "div": lambda: ring_div(num, den),
         "overpartition": lambda: overpartition_series(trunc, ring),
-        "overpartition-known": lambda: overpartition_series(trunc, ring, known),
+        "overpartition-known": lambda: grown_stream(trunc, ring, known),
     }
 
 
