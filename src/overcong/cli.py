@@ -19,8 +19,9 @@ import sys
 
 from . import modseries, prover, sturm
 from .halfint import GAMMA0, GAMMA1, SpaceLabel, decompose
-from .modseries import ResidueRing, TruncSeries
-from .qgen import EtaQuotient, eta_quotient, r_m_series, theta_phi, weight2_form
+from .modseries import TRUNC_CAP, ResidueRing, TruncSeries
+from .qgen import (EtaQuotient, eta_quotient, leading_shift, r_m_series, theta_phi,
+                   weight2_form)
 # Bound here although cli does not call them: perfbench's tracer self-test
 # checks that the tracer rebinds them at every import site, this one included.
 from .modseries import load_series  # noqa: F401
@@ -36,26 +37,11 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _builder(series_of):
-    """The store's build function for a generator that cannot extend a
-    prefix: series_of(t, ring) is its whole series through q^t, and only
-    the entries past the known prefix are written."""
-    def build(out, start, ring):
-        out[start:] = series_of(len(out) - 1, ring).coeffs[start:]
-    return build
-
-
-def _generator(name: str, ring: ResidueRing):
-    """(shift, build) for a named generator: build follows the store's build
-    contract, its residues through q^trunc running `shift` terms past the
-    requested truncation (an eta quotient's leading q-power)."""
-    if name == "phi":
-        return 0, _builder(theta_phi)
-    if name == "F":
-        return 0, _builder(weight2_form)
-    if name.startswith("rm:"):
-        m_exp = int(name[3:])
-        return 0, _builder(lambda t, r: r_m_series(m_exp, t, r))
+def _generator_series(name: str, trunc: int, ring: ResidueRing) -> TruncSeries:
+    """The named generator through q^trunc; an eta quotient runs past it by
+    its leading q-power.  Only the overpartition stream goes through the
+    coefficient store."""
+    shift = 0
     if name.startswith("eta:"):
         factors = []
         for part in name[4:].split(","):
@@ -63,20 +49,23 @@ def _generator(name: str, ring: ResidueRing):
             factors.append((int(delta), int(power) if power else 1))
         factors.sort()
         quotient = EtaQuotient(tuple(factors))
-        # The empty expansion reports the leading power, or why it is not
-        # an integral, nonnegative one.
-        shift = eta_quotient(quotient, 0, ring).to_series().trunc
-        return shift, _builder(lambda t, r: eta_quotient(quotient, t - shift, r).to_series())
-    raise ValueError(f"unknown generator {name!r}")
-
-
-def _generator_series(name: str, trunc: int, ring: ResidueRing) -> TruncSeries:
+        shift = leading_shift(quotient.prefactor24)
+    # Checked before anything is allocated, in the store's wording, so a bad
+    # leading power or one that runs past the cap costs no expansion.
+    if trunc + shift > TRUNC_CAP:
+        raise ValueError(f"truncation must lie in [0, {TRUNC_CAP}], got {trunc + shift}")
     if name == "overpartition":
         # The constructor reduces the stream mod ring.modulus.
         return TruncSeries(ring, prover._pbar_stream(ring.modulus, trunc), trunc)
-    shift, build = _generator(name, ring)
-    coeffs = prover.STORE.coefficients(name, ring, trunc + shift, build)
-    return TruncSeries(ring, coeffs, trunc + shift)
+    if name == "phi":
+        return theta_phi(trunc, ring)
+    if name == "F":
+        return weight2_form(trunc, ring)
+    if name.startswith("rm:"):
+        return r_m_series(int(name[3:]), trunc, ring)
+    if name.startswith("eta:"):
+        return eta_quotient(quotient, trunc, ring).to_series()
+    raise ValueError(f"unknown generator {name!r}")
 
 
 def _report_exit(args, report: prover.ProofReport) -> int:

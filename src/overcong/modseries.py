@@ -282,12 +282,13 @@ def _check_rings(f: TruncSeries, g: TruncSeries):
 def ring_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     _check_rings(f, g)
     t = min(f.trunc, g.trunc)
-    return TruncSeries(f.ring, (f.coeffs[:t + 1] + g.coeffs[:t + 1]) % f.ring.modulus, t)
+    m = f.ring.modulus
+    return TruncSeries._canonical(f.ring, (f.coeffs[:t + 1] + g.coeffs[:t + 1]) % m, t)
 
 
 def scalar_mul(c: int, f: TruncSeries) -> TruncSeries:
     c = int(c) % f.ring.modulus
-    return TruncSeries(f.ring, (c * f.coeffs) % f.ring.modulus, f.trunc)
+    return TruncSeries._canonical(f.ring, (c * f.coeffs) % f.ring.modulus, f.trunc)
 
 
 def _fft_size(n: int) -> int:
@@ -834,14 +835,6 @@ def extract_progression(f: TruncSeries, a: int, b: int, compact: bool = False) -
     out = np.zeros(f.trunc + 1, np.int64)
     out[b::a] = f.coeffs[b::a]
     return TruncSeries(f.ring, out, f.trunc)
-
-
-def cache_filename(generator: str, modulus: int) -> str:
-    """Cache files are keyed by a hash of (generator, modulus); one file
-    holds the longest expansion computed so far."""
-    import hashlib
-    key = hashlib.sha256(f"{generator}:{modulus}".encode()).hexdigest()[:24]
-    return f"{key}.qser"
 
 
 def _crc_blocks(count: int) -> int:

@@ -24,9 +24,8 @@ import numpy as np
 from . import chars
 from .halfint import (GAMMA0, Decomposition, SpaceLabel, apply_U,
                       basis_monomials, decompose, hecke_T, sieve_progression)
-from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, cache_filename,
-                        extract_progression, read_residues, ring_div, ring_pow,
-                        transform, write_residues)
+from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, extract_progression,
+                        read_residues, ring_div, ring_pow, transform, write_residues)
 # Bound here although prover does not call them: perfbench's tracer
 # self-test checks that the tracer rebinds them at every import site, this
 # one included.
@@ -240,9 +239,15 @@ def _reserve(count: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 4 * count), np.int32)
 
 
+def cache_filename(modulus: int) -> str:
+    """The cache file of the overpartition stream mod `modulus`; its header
+    records the modulus too, so a file for another one is a miss."""
+    return f"overpartition-{modulus}.qser"
+
+
 class CoefficientStore:
-    """Per (generator, modulus), the longest coefficient array computed so
-    far, in memory and, with a cache directory, on disk.
+    """Per stream modulus, the longest prefix of the overpartition stream
+    computed so far, in memory and, with a cache directory, on disk.
 
     A request up to the held truncation is answered with a read-only view
     of the held array.  A longer one first looks for a longer stream on
@@ -260,19 +265,17 @@ class CoefficientStore:
     before the builder runs.  A view returned earlier keeps the buffer it
     was cut from, and its entries never change.
 
-    The build contract: build(out, start, ring) writes the generator's
+    The build contract: build(out, start, ring) writes the stream's
     residues in [0, ring.modulus) into out[start:], where `out` is a
     writable int32 array of trunc + 1 entries whose first `start` entries
-    already hold the stream's known prefix.  A builder that can extend a
-    prefix computes only the coefficients past it; any other computes the
-    whole series and writes only out[start:].  If build raises, the held
+    already hold the stream's known prefix.  If build raises, the held
     length and values are unchanged.
     """
 
     def __init__(self, cache_dir: str | None = None):
         self.cache_dir = cache_dir
-        # (buffer, held length) per (generator, modulus).
-        self._held: dict[tuple[str, int], tuple[np.ndarray, int]] = {}
+        # (buffer, held length) per stream modulus.
+        self._held: dict[int, tuple[np.ndarray, int]] = {}
         self._lock = threading.Lock()
 
     def reset(self, cache_dir: str | None = None) -> None:
@@ -281,18 +284,17 @@ class CoefficientStore:
             self._held.clear()
             self.cache_dir = cache_dir
 
-    def coefficients(self, generator: str, ring: ResidueRing, trunc: int,
-                     build) -> np.ndarray:
-        """Coefficients of `generator` mod ring.modulus through q^trunc (int32,
-        read-only), built by `build` under the contract above when neither
-        the held array nor the disk reaches q^trunc."""
+    def coefficients(self, ring: ResidueRing, trunc: int, build) -> np.ndarray:
+        """The stream mod ring.modulus through q^trunc (int32, read-only),
+        built by `build` under the contract above when neither the held
+        array nor the disk reaches q^trunc."""
         trunc = int(trunc)
         if not 0 <= trunc <= TRUNC_CAP:
             raise ValueError(f"truncation must lie in [0, {TRUNC_CAP}], got {trunc}")
-        key = (generator, ring.modulus)
+        key = ring.modulus
         path = None
         if self.cache_dir:
-            path = os.path.join(self.cache_dir, cache_filename(*key))
+            path = os.path.join(self.cache_dir, cache_filename(key))
         with self._lock:
             buf, count = self._held.get(key, (None, 0))
             if count <= trunc and path and os.path.exists(path):
@@ -342,8 +344,7 @@ def _pbar_stream(modulus: int, trunc: int) -> np.ndarray:
     other modulus keeps its own stream."""
     modulus = ResidueRing(modulus).modulus
     stream = PRIMORIAL_23 if PRIMORIAL_23 % modulus == 0 else modulus
-    return STORE.coefficients("overpartition", ResidueRing(stream), trunc,
-                              overpartition_residues)
+    return STORE.coefficients(ResidueRing(stream), trunc, overpartition_residues)
 
 
 def _signed_compacted_pbar(modulus: int, d: int, trunc: int) -> TruncSeries:

@@ -70,6 +70,16 @@ class EtaQuotient:
         return sum(d * r for d, r in self.factors)
 
 
+def leading_shift(prefactor24: int) -> int:
+    """q^(prefactor24/24) as an exponent shift.  Requires an integral,
+    nonnegative q-power, i.e. prefactor24 a nonnegative multiple of 24."""
+    if prefactor24 % 24 != 0:
+        raise ValueError(f"prefactor q^({prefactor24}/24) is not an integral power")
+    if prefactor24 < 0:
+        raise ValueError("negative leading q-power cannot become a power series")
+    return prefactor24 // 24
+
+
 @dataclass(frozen=True)
 class QExpansion:
     """An eta-quotient expansion: q^(prefactor24/24) times a power series."""
@@ -78,13 +88,8 @@ class QExpansion:
     series: TruncSeries
 
     def to_series(self) -> TruncSeries:
-        """Absorb the prefactor as an exponent shift.  Requires an integral,
-        nonnegative q-power, i.e. prefactor24 a nonnegative multiple of 24."""
-        if self.prefactor24 % 24 != 0:
-            raise ValueError(f"prefactor q^({self.prefactor24}/24) is not an integral power")
-        shift = self.prefactor24 // 24
-        if shift < 0:
-            raise ValueError("negative leading q-power cannot become a power series")
+        """Absorb the prefactor as an exponent shift (see leading_shift)."""
+        shift = leading_shift(self.prefactor24)
         if self.series.trunc + shift > TRUNC_CAP:
             raise ValueError(f"truncation cap exceeded: leading power q^{shift}")
         out = np.zeros(self.series.trunc + shift + 1, np.int64)

@@ -5,8 +5,12 @@ import io
 import json
 import os
 import signal
+import subprocess
+import sys
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -58,6 +62,19 @@ def test_expand_eta_spec(capsys):
                        "--mod", "11", "--trunc", "4")
     assert code == 0
     assert out == "1 2 0 0 2"
+
+
+@pytest.mark.parametrize("generator, trunc, message", [
+    ("eta:3^1,5^-7", 5_000_000, "not an integral power"),
+    ("eta:2^-4,4^8", modseries.TRUNC_CAP, "truncation must lie in"),
+], ids=["fractional-power", "shift-past-the-cap"])
+def test_a_bad_eta_quotient_is_rejected_before_its_expansion(capsys, monkeypatch, generator,
+                                                            trunc, message):
+    # The leading power is read from the quotient; the expansion, seconds
+    # and hundreds of MB at these truncations, never starts.
+    monkeypatch.setattr("overcong.cli.eta_quotient", lambda *args: pytest.fail("expanded"))
+    code, _, err = run(capsys, "expand", generator, "--mod", "13", "--trunc", str(trunc))
+    assert code == 2 and message in err
 
 
 def test_expand_weight2_generator(capsys):
@@ -293,9 +310,43 @@ def test_cache_reuse_and_determinism(capsys, tmp_path):
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("OVERCONG_CACHE_DIR", str(tmp_path / "envcache"))
-    code, _, _ = run(capsys, "expand", "phi", "--mod", "11", "--trunc", "20")
+    code, _, _ = run(capsys, "expand", "overpartition", "--mod", "11", "--trunc", "20")
     assert code == 0
     assert list((tmp_path / "envcache").glob("*.qser"))
+
+
+@pytest.mark.parametrize("generator", ["phi", "F", "rm:12", "eta:2^-4,4^8"])
+def test_only_the_overpartition_stream_is_cached(capsys, tmp_path, generator):
+    cache = tmp_path / "cache"
+    expand = ("expand", generator, "--mod", "13", "--trunc", "30")
+    code, plain, _ = run(capsys, *expand)
+    assert code == 0
+    code, cached, _ = run(capsys, "--cache-dir", str(cache), *expand)
+    assert code == 0 and cached == plain
+    assert not list(cache.rglob("*"))
+
+
+def test_a_cached_command_does_not_load_openssl(tmp_path):
+    # Naming a cache file needs no hash, so a --cache-dir run never imports
+    # hashlib and, through it, the OpenSSL bindings.
+    code = (
+        "import sys\n"
+        "from overcong.cli import main\n"
+        "cache = sys.argv[1]\n"
+        "assert main(['--cache-dir', cache, 'scan', '--mod', '5', '--d', '1', '--A', '40',\n"
+        "             '--nmax', '1000', '--max-index', '20000']) == 0\n"
+        "assert main(['--cache-dir', cache, 'expand', 'overpartition', '--mod', '13',\n"
+        "             '--trunc', '30']) == 0\n"
+        "loaded = sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cache")],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert list((tmp_path / "cache").glob("*.qser"))
 
 
 def test_scan_reuses_disk_cache(capsys, tmp_path, monkeypatch):
@@ -351,12 +402,15 @@ def test_cache_file_serves_shorter_truncations_and_grows(capsys, tmp_path):
     ("check", "--claim", "[" * 100_000, "--nmax", "1"),
     ("decompose", "--k2", "1000000000", "--mod", "13"),
     ("bound", "--weight2", "3", "--level", "9223372036854775804", "--group", "g0"),
+    ("expand", "phi", "--mod", "11", "--trunc", str(modseries.TRUNC_CAP + 1)),
+    ("expand", "eta:2^-4,4^8", "--mod", "11", "--trunc", str(modseries.TRUNC_CAP + 1)),
 ], ids=["expand-negative-trunc", "scan-d-zero", "scan-A-zero", "check-empty-claim",
         "check-list-claim", "lemma1-negative-trunc", "bound-g1-offset-past-step",
         "check-kronecker-p-zero", "check-empty-residue-list", "check-support-zero",
         "verify-identity-trunc-below-basis", "verify-identity-trunc-past-the-index-cap",
         "check-claim-nested-too-deeply",
-        "decompose-input-shorter-than-its-basis", "bound-level-past-the-cap"])
+        "decompose-input-shorter-than-its-basis", "bound-level-past-the-cap",
+        "expand-phi-trunc-past-the-cap", "expand-eta-trunc-past-the-cap"])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
     try:
@@ -419,11 +473,17 @@ def _opt(flag, values):
     return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
 
 
+# A generated command line holds this in place of a cache directory; the
+# test makes a fresh one for each example.
+_FRESH_CACHE = "<fresh cache directory>"
+
+
 @st.composite
 def _argv(draw):
     """A generated command line for one of the subcommands, with a stdin."""
     argv = draw(_opt("--output", st.sampled_from(["text", "json", "xml"])))
     argv += draw(_opt("--threads", st.sampled_from([-1, 0, 1, 2])))
+    argv += draw(_opt("--cache-dir", st.just(_FRESH_CACHE)))
     cmd = draw(st.sampled_from(["expand", "decompose", "bound", "prove",
                                 "verify-identity", "lemma1", "scan", "check"]))
     stdin = ""
@@ -458,7 +518,8 @@ def _argv(draw):
 
 
 def _run_contained(argv, stdin):
-    # No cache directory from the environment: generated runs stay in memory.
+    # No cache directory from the environment: only a drawn --cache-dir
+    # reaches the disk.
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), mock.patch("sys.stdin", io.StringIO(stdin)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -489,9 +550,15 @@ def _run_contained(argv, stdin):
            {"type": "residue", "modulus": 10 ** 30, "residues": [1]}]}), "--nmax", "9"], ""))
 @example((["--threads", "2", "scan", "--mod", "5", "--d", "1,2", "--A", "40,8",
            "--nmax", "40", "--max-index", "40", "--min-support", "0"], ""))
+@example((["--cache-dir", _FRESH_CACHE, "expand", "overpartition", "--mod", "13",
+           "--trunc", "6"], ""))
 def test_any_argv_keeps_the_exit_code_contract(case):
+    # With a cache directory the second run reads the stream from disk.
     argv, stdin = case
-    code, out, err = _run_contained(argv, stdin)
-    assert code in (0, 1, 2), (argv, code, err)
-    assert "Traceback" not in err, (argv, err)
-    assert _run_contained(argv, stdin)[1] == out, argv
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "cache")
+        argv = [cache if arg == _FRESH_CACHE else arg for arg in argv]
+        code, out, err = _run_contained(argv, stdin)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        assert _run_contained(argv, stdin)[1] == out, argv

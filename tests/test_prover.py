@@ -17,10 +17,10 @@ from overcong import (CongruenceClaim, ResidueRing, modseries, prover,
                       overpartition_series, prove_theorem_mod11, scan,
                       verify_identity, verify_lemma1)
 from overcong.chars import factorize
-from overcong.modseries import TRUNC_CAP, cache_filename
+from overcong.modseries import TRUNC_CAP
 from overcong.qgen import overpartition_residues
 from overcong.prover import (INDEX_HARD_CAP, PRIMORIAL_23, STORE, CoefficientStore,
-                             _compress_residues, _pbar_stream)
+                             _compress_residues, _pbar_stream, cache_filename)
 
 
 def reference_scan(modulus, d_list, a_list, n_max, min_support, max_index):
@@ -257,17 +257,15 @@ def test_store_grow_shrink_grow_matches_fresh(modulus, truncs, on_disk):
             STORE.reset(tmp)
             top = max(truncs) + 500
             assert np.array_equal(_pbar_stream(modulus, top) % modulus, _fresh(modulus, top))
-            assert [p.name for p in Path(tmp).iterdir()] == [
-                cache_filename("overpartition", stream)]
-            assert load_series(Path(tmp) / cache_filename("overpartition", stream)).trunc == top
+            assert [p.name for p in Path(tmp).iterdir()] == [cache_filename(stream)]
+            assert load_series(Path(tmp) / cache_filename(stream)).trunc == top
 
 
 def test_divisors_of_the_primorial_share_one_stream(tmp_path):
     STORE.reset(str(tmp_path))
     for modulus in (7, 17, 23, 5):
         assert np.array_equal(_pbar_stream(modulus, 2000) % modulus, _fresh(modulus, 2000))
-    assert [p.name for p in tmp_path.iterdir()] == [
-        cache_filename("overpartition", PRIMORIAL_23)]
+    assert [p.name for p in tmp_path.iterdir()] == [cache_filename(PRIMORIAL_23)]
     with pytest.raises(ValueError, match="modulus"):
         _pbar_stream(1, 10)
 
@@ -282,11 +280,11 @@ def test_store_extends_the_held_prefix():
     store = CoefficientStore()
     ring = ResidueRing(7)
     for trunc in (400, 100, 900, 900, 50):
-        assert np.array_equal(store.coefficients("overpartition", ring, trunc, build),
+        assert np.array_equal(store.coefficients(ring, trunc, build),
                               _fresh(7, trunc))
     assert calls == [(400, None), (900, 401)]
     with pytest.raises(ValueError, match="truncation"):
-        store.coefficients("overpartition", ring, -1, build)
+        store.coefficients(ring, -1, build)
 
 
 def test_views_survive_growth_in_place_and_past_capacity():
@@ -295,10 +293,10 @@ def test_views_survive_growth_in_place_and_past_capacity():
     # out before either stay read-only and keep their values.
     store = CoefficientStore()
     ring = ResidueRing(PRIMORIAL_23)
-    first = store.coefficients("overpartition", ring, 300, overpartition_residues)
-    within = store.coefficients("overpartition", ring, 500, overpartition_residues)
+    first = store.coefficients(ring, 300, overpartition_residues)
+    within = store.coefficients(ring, 500, overpartition_residues)
     assert np.shares_memory(first, within)
-    past = store.coefficients("overpartition", ring, 5000, overpartition_residues)
+    past = store.coefficients(ring, 5000, overpartition_residues)
     assert not np.shares_memory(first, past)
     want = _fresh(PRIMORIAL_23, 5000)
     for view in (first, within, past):
@@ -306,7 +304,7 @@ def test_views_survive_growth_in_place_and_past_capacity():
         with pytest.raises(ValueError):
             view[0] = 0
         assert np.array_equal(view, want[:len(view)])
-    beyond = store.coefficients("overpartition", ring, 20_000, overpartition_residues)
+    beyond = store.coefficients(ring, 20_000, overpartition_residues)
     assert np.array_equal(beyond, _fresh(PRIMORIAL_23, 20_000))
     for view in (first, within, past):
         assert np.array_equal(view, want[:len(view)])
@@ -319,7 +317,7 @@ def test_a_failed_build_leaves_the_held_stream_intact(trunc):
     # length and values, and the next request grows it as a fresh solve.
     store = CoefficientStore()
     ring = ResidueRing(PRIMORIAL_23)
-    held = store.coefficients("overpartition", ring, 300, overpartition_residues)
+    held = store.coefficients(ring, 300, overpartition_residues)
     kept = held.copy()
     leaves = []
     real_mul = modseries._fft_mul
@@ -337,14 +335,14 @@ def test_a_failed_build_leaves_the_held_stream_intact(trunc):
     with mock.patch.object(modseries, "_SOLVE_BLOCK", 16), \
             mock.patch.object(modseries, "_fft_mul", failing_leaf):
         with pytest.raises(ArithmeticError):
-            store.coefficients("overpartition", ring, trunc, overpartition_residues)
+            store.coefficients(ring, trunc, overpartition_residues)
     assert len(leaves) == 4
     assert np.array_equal(held, kept)
-    again = store.coefficients("overpartition", ring, 300, unexpected)
+    again = store.coefficients(ring, 300, unexpected)
     assert np.array_equal(again, kept)
     with pytest.raises(AssertionError, match="rebuilt from 301"):
-        store.coefficients("overpartition", ring, 301, unexpected)
-    grown = store.coefficients("overpartition", ring, trunc, overpartition_residues)
+        store.coefficients(ring, 301, unexpected)
+    grown = store.coefficients(ring, trunc, overpartition_residues)
     assert np.array_equal(grown, _fresh(PRIMORIAL_23, trunc))
 
 
@@ -416,19 +414,17 @@ def _damage(raw: bytes, how: str) -> bytes:
                                  "crc", "format-v1", "other-modulus"])
 def test_store_recomputes_a_damaged_cache_file(tmp_path, how):
     ring = ResidueRing(11)
-    CoefficientStore(str(tmp_path)).coefficients(
-        "overpartition", ring, 600, overpartition_residues)
-    path = tmp_path / cache_filename("overpartition", 11)
+    CoefficientStore(str(tmp_path)).coefficients(ring, 600, overpartition_residues)
+    path = tmp_path / cache_filename(11)
     if how == "other-modulus":
-        CoefficientStore(str(tmp_path)).coefficients(
-            "overpartition", ResidueRing(13), 600, overpartition_residues)
-        (tmp_path / cache_filename("overpartition", 13)).replace(path)
+        CoefficientStore(str(tmp_path)).coefficients(ResidueRing(13), 600,
+                                                     overpartition_residues)
+        (tmp_path / cache_filename(13)).replace(path)
     else:
         path.write_bytes(_damage(path.read_bytes(), how))
     with pytest.raises(ValueError):
         load_series(path, 11)
-    got = CoefficientStore(str(tmp_path)).coefficients(
-        "overpartition", ring, 300, overpartition_residues)
+    got = CoefficientStore(str(tmp_path)).coefficients(ring, 300, overpartition_residues)
     assert np.array_equal(got, _fresh(11, 300))
     # The damaged file was overwritten with a valid one.
     assert np.array_equal(load_series(path, 11).coeffs, _fresh(11, 300))
