@@ -16,7 +16,7 @@ truncated inverse, the head.  ring_invert and ring_div find a dense
 divisor's taps; invert_taps_residues takes them as given, so a divisor
 such as phi(-q) is never built as a dense series.  A solve writes its
 output as int32 residues into an array its caller provides, past a known
-prefix it never copies, and walks the range in segments of
+prefix it never copies or writes, and walks the range in segments of
 max(2 * _PUSH_CHUNK, _SOLVE_BLOCK) coefficients, so its one int64
 accumulator spans a segment however long the solve.  It holds no
 reference cycle: its arrays are freed as soon as it returns or raises.
@@ -575,15 +575,17 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     magnitude they all share (phi(-q): g = 2, u_j = +-1), or 1 when their
     magnitudes differ.  acc[n] accumulates sum_j u_j * c[n - taps_exp[j]]
     over the solved c: the contributions of a solved half are pushed with
-    one vectorised update per tap.  A leaf [lo, hi) of length k is then one
+    one vectorised update per tap.  A leaf [mid, hi) of length k is then one
     exact FFT product
 
-        c[lo:hi] = head * ((rhs - g*acc)[lo:hi] mod m)  mod q^k,
+        c[mid:hi] = head * ((rhs - g*acc)[mid:hi] mod m)  mod q^k,
 
-    where head = 1/den mod q^n and n bounds every leaf's length.  When
-    inverting, head is the prefix of c itself when the known prefix is long
-    enough; otherwise head is built by Newton doubling (and, inverting,
-    written over the head of c with the same residues).
+    where head = 1/den mod q^k.  A solve from 0 writes c[0] = f0inv*rhs[0]
+    and starts at 1, and no leaf [mid, hi) is longer than min(_SOLVE_BLOCK,
+    mid), so the leaves double in length from c[0].  Inverting, the head is
+    c[:k] itself, already solved; a quotient's head is this solve's
+    inversion of den through min(_SOLVE_BLOCK, t + 1 - start) terms, into
+    an array of its own.  No entry of c[:start] is ever written.
 
     [start, t] is solved left to right in segments of
     max(2 * _PUSH_CHUNK, _SOLVE_BLOCK) positions, so a segment never cuts a
@@ -680,34 +682,16 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
         _pool_map(lambda ab: push_part(src, dst, off, lo, mid, *ab),
                   list(zip(bounds, bounds[1:])))
 
-    def inverse_head(n):
-        # 1/den mod q^n by Newton doubling: h -> h - h*(den*h - 1), where
-        # (den*h - 1)[:k] = 0 and (den*h)[k:2k] = g * (pushed taps of h).
-        h = np.array([f0inv % m], np.int32)
-        while len(h) < n:
-            k = len(h)
-            k2 = min(2 * k, n)
-            e = np.zeros(k2 - k, np.int64)
-            push(h, e, k, 0, k, k2)
-            e %= m
-            e *= g
-            e %= m
-            tail = _fft_mul(h[:k2 - k], e, k2 - k, m)
-            h = np.concatenate([h, ((m - tail) % m).astype(np.int32)])
-        return h
-
     t = len(c) - 1
     start = min(start, t + 1)
-    # No leaf of [start, t] is longer than n.
-    n = min(_SOLVE_BLOCK, t + 1 - start)
+    if start == 0 < len(c):
+        c[0] = f0inv * int(rhs[0]) % m
+        start = 1
     if len(rhs) == 1 and rhs[0] == 1:
-        # The solution is 1/den, so its own prefix serves as head.
-        if start < n:
-            start = min(_SOLVE_BLOCK, t + 1)
-            c[:start] = inverse_head(start)
-        head = c[:min(_SOLVE_BLOCK, start)]
+        head = c  # the solution is 1/den: its own solved prefix is the head
     else:
-        head = inverse_head(n)
+        head = _solve_linear_core(taps_exp, taps_val, f0inv, np.ones(1, np.int64), m,
+                                  np.empty(min(_SOLVE_BLOCK, t + 1 - start), np.int32))
     segment = max(2 * _PUSH_CHUNK, _SOLVE_BLOCK)
     acc = np.empty(min(segment, t + 1 - start), np.int64)
     # The head's residues mod each group and its limb spectra, built once
@@ -728,7 +712,7 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
             lo, mid, hi = todo.pop()
             if lo < mid:
                 push(c, acc, s0, lo, mid, hi)
-            while hi - mid > _SOLVE_BLOCK:
+            while hi - mid > min(_SOLVE_BLOCK, mid):
                 half = (mid + hi) // 2
                 todo.append((mid, half, hi))
                 hi = half
@@ -765,7 +749,7 @@ def invert_taps_residues(taps_exp: np.ndarray, taps_val: np.ndarray, out: np.nda
     ring_invert, without a dense divisor; taps past the truncation or
     divisible by m are dropped.  out[:start] must already hold the first
     coefficients of the inverse; the solve writes the int32 residues of
-    out[start:] in place, never copying the prefix, and returns out."""
+    out[start:] in place, never copying or writing the prefix."""
     m = ring.modulus
     exps = np.asarray(taps_exp, np.int64)
     vals = np.asarray(taps_val, np.int64) % m
@@ -880,32 +864,40 @@ def write_residues(path, modulus: int, residues: np.ndarray) -> None:
         raise
 
 
+def read_header(fh, modulus: int | None = None) -> tuple[int, int]:
+    """(modulus, truncation) from the header of the cache file open as fh,
+    checked as load_series describes; fh is left just past the header."""
+    magic = fh.read(4)
+    if magic != _MAGIC:
+        raise ValueError(f"bad cache magic {magic!r}")
+    header = fh.read(_HEADER_SIZE - 4)
+    if len(header) != _HEADER_SIZE - 4:
+        raise ValueError("cache file truncated in its header")
+    version, stored_modulus, stored_trunc = struct.unpack("<BQQ", header)
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported cache format version {version}")
+    if modulus is not None and stored_modulus != modulus:
+        raise ValueError(f"cache file holds modulus {stored_modulus}, not {modulus}")
+    if stored_trunc > TRUNC_CAP:
+        raise ValueError(f"cache truncation {stored_trunc} exceeds {TRUNC_CAP}")
+    size = os.fstat(fh.fileno()).st_size
+    count = stored_trunc + 1
+    expected = _HEADER_SIZE + 4 * count + 4 * _crc_blocks(count)
+    if size < expected:
+        raise ValueError(f"cache file truncated: {size} bytes, expected {expected}")
+    if size > expected:
+        raise ValueError(f"cache file has {size - expected} trailing bytes")
+    return stored_modulus, stored_trunc
+
+
 def read_residues(path, modulus: int | None = None,
                   trunc: int | None = None) -> tuple[ResidueRing, np.ndarray]:
     """The ring and the residues of a cache file, as load_series checks and
     keeps them, in one int32 array (every residue lies below 2^31): they
     are read straight into it, with no other copy."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad cache magic {magic!r}")
-        header = fh.read(_HEADER_SIZE - 4)
-        if len(header) != _HEADER_SIZE - 4:
-            raise ValueError("cache file truncated in its header")
-        version, stored_modulus, stored_trunc = struct.unpack("<BQQ", header)
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported cache format version {version}")
-        if modulus is not None and stored_modulus != modulus:
-            raise ValueError(f"cache file holds modulus {stored_modulus}, not {modulus}")
-        if stored_trunc > TRUNC_CAP:
-            raise ValueError(f"cache truncation {stored_trunc} exceeds {TRUNC_CAP}")
-        size = os.fstat(fh.fileno()).st_size
+        stored_modulus, stored_trunc = read_header(fh, modulus)
         count = stored_trunc + 1
-        expected = _HEADER_SIZE + 4 * count + 4 * _crc_blocks(count)
-        if size < expected:
-            raise ValueError(f"cache file truncated: {size} bytes, expected {expected}")
-        if size > expected:
-            raise ValueError(f"cache file has {size - expected} trailing bytes")
         ring = ResidueRing(stored_modulus)
         keep = stored_trunc if trunc is None else min(int(trunc), stored_trunc)
         blocks = _crc_blocks(keep + 1)

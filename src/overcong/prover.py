@@ -13,6 +13,7 @@ timings are kept out of the serialised form.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import threading
@@ -24,7 +25,7 @@ import numpy as np
 from . import chars
 from .halfint import (GAMMA0, Decomposition, SpaceLabel, apply_U,
                       basis_monomials, decompose, hecke_T, sieve_progression)
-from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, extract_progression,
+from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, extract_progression, read_header,
                         read_residues, ring_div, ring_pow, transform, write_residues)
 # Bound here although prover does not call them: perfbench's tracer
 # self-test checks that the tracer rebinds them at every import site, this
@@ -252,8 +253,9 @@ class CoefficientStore:
     A request up to the held truncation is answered with a read-only view
     of the held array.  A longer one first looks for a longer stream on
     disk, then hands the held prefix to the build function.  A cache file
-    that fails validation is a miss: it is recomputed and overwritten.  One
-    lock serialises lookups, so concurrent scans share a single
+    that fails validation is a miss: it is recomputed and overwritten.  A
+    valid one never shrinks, though another process may grow it during a
+    build.  One lock serialises lookups, so concurrent scans share a single
     computation.
 
     The store owns one writable int32 buffer per stream; what it holds and
@@ -297,11 +299,12 @@ class CoefficientStore:
             path = os.path.join(self.cache_dir, cache_filename(key))
         with self._lock:
             buf, count = self._held.get(key, (None, 0))
+            damaged = False
             if count <= trunc and path and os.path.exists(path):
                 try:
                     stored = read_residues(path, ring.modulus, trunc)[1]
-                except (OSError, ValueError):
-                    stored = None  # damaged or foreign: a miss, overwritten below
+                except (OSError, ValueError):  # a miss, overwritten below
+                    stored, damaged = None, True
                 if stored is not None and len(stored) > count:
                     buf, count = stored, len(stored)
                     self._held[key] = buf, count
@@ -323,7 +326,11 @@ class CoefficientStore:
             out.setflags(write=False)
             if path:
                 os.makedirs(self.cache_dir, exist_ok=True)
-                write_residues(path, ring.modulus, out)
+                on_disk = -1  # a valid file as long or longer is kept
+                with contextlib.suppress(OSError, ValueError), open(path, "rb") as fh:
+                    on_disk = read_header(fh, key)[1]
+                if damaged or on_disk < trunc:
+                    write_residues(path, ring.modulus, out)
             self._held[key] = buf, trunc + 1
             return out
 

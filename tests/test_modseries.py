@@ -296,10 +296,9 @@ def test_planned_products_match_the_integer_product(m, len_f, len_g, kind_f, kin
 @given(st.integers(1, 600), st.integers(1, 600), st.sampled_from(_FFT_INPUTS),
        st.sampled_from(_FFT_INPUTS), st.integers(0, 2 ** 32 - 1))
 def test_int32_operands_match_the_integer_product(m, len_f, len_g, kind_f, kind_g, seed):
-    # The solver passes its int32 residues to _fft_mul: the head, with the
-    # right-hand side in int64, and in Newton doubling an int32 prefix.
-    # Both kernels widen them first; mod 2^31 - 1, x + offset in an int32
-    # limb split would overflow.
+    # The solver passes its int32 residues to _fft_mul: the head, an int32
+    # prefix, with the right-hand side in int64.  Both kernels widen them
+    # first; mod 2^31 - 1, x + offset in an int32 limb split would overflow.
     rng = np.random.default_rng(seed)
     a = fft_input(kind_f, m, len_f, rng).astype(np.int32)
     b = fft_input(kind_g, m, len_g, rng).astype(np.int32)
@@ -806,8 +805,9 @@ _BLOCKS = (1, 2, 8, 64, modseries._SOLVE_BLOCK)
 
 
 def leaf_starts(lo, hi, block):
-    # Where the solver's leaves over [lo, hi) begin, halving as it does.
-    if hi - lo <= block:
+    # Where the solver's leaves over [lo, hi) begin, halving as it does
+    # until a leaf is no longer than min(block, its start); lo >= 1.
+    if hi - lo <= min(block, lo):
         return [lo]
     mid = (lo + hi) // 2
     return leaf_starts(lo, mid, block) + leaf_starts(mid, hi, block)
@@ -849,10 +849,9 @@ def _unit_series_and_split(draw):
     coeffs = rng.integers(0, m, trunc + 1)
     coeffs[rng.random(trunc + 1) > density] = 0
     coeffs[0] = draw(st.integers(1, m - 1).filter(lambda u: np.gcd(u, m) == 1))
-    # An inversion takes its first min(block, trunc + 1) coefficients as
-    # the head and cuts the rest into leaves: split at every boundary +-1.
-    head = min(block, trunc + 1)
-    bounds = [k * block for k in (1, 2, 3)] + leaf_starts(head, trunc + 1, block)
+    # An inversion writes c[0] and cuts [1, trunc] into leaves, doubling
+    # in length up to block: split at every boundary +-1.
+    bounds = [k * block for k in (1, 2, 3)] + leaf_starts(1, trunc + 1, block)
     splits = [0, trunc] + [s + e for s in bounds for e in (-1, 0, 1)]
     split = draw(st.sampled_from([s for s in splits if 0 <= s <= trunc]
                                  + [draw(st.integers(0, trunc))]))
@@ -868,6 +867,39 @@ def test_invert_extends_a_known_prefix(case):
         grown = invert_after(f, ring_invert(short).coeffs)
         assert grown == ring_invert(f)
     assert ring_mul(f, grown) == one_series(f.ring, f.trunc)
+
+
+_PREFIX_MODULI = (13, 223_092_870, (1 << 31) - 1)
+
+
+def phi_minus_q_taps(trunc):
+    # phi(-q) = 1 + sum_k 2*(-1)^k q^(k^2): its taps through q^trunc.
+    k = np.arange(1, math.isqrt(trunc) + 1)
+    return k * k, np.where(k % 2 == 1, -2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PREFIX_MODULI), st.sampled_from((1, 2, 8, 64)), st.data())
+def test_the_solver_never_writes_the_known_prefix(m, block, data):
+    # out[:start] holds a sentinel, not the inverse's prefix: the solve
+    # must take it as given and leave every entry of it as it was.
+    start = data.draw(st.integers(1, 2 * block))
+    trunc = data.draw(st.integers(start - 1, 4 * block + 8))
+    out = np.zeros(trunc + 1, np.int32)
+    out[:start] = m - 1
+    with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+        modseries.invert_taps_residues(*phi_minus_q_taps(trunc), out, start, ResidueRing(m))
+    assert (out[:start] == m - 1).all()
+
+
+def test_a_stream_grown_from_a_short_prefix_keeps_it():
+    # The production constants: a prefix of 301 entries, far shorter than
+    # one leaf, grown to 20000 mod 23#.
+    out = np.zeros(20_001, np.int32)
+    out[:301] = 7
+    modseries.invert_taps_residues(*phi_minus_q_taps(20_000), out, 301,
+                                   ResidueRing(223_092_870))
+    assert (out[:301] == 7).all()
 
 
 def schoolbook_quotient(num, den, m):
@@ -1128,6 +1160,13 @@ def leaf_lengths(lo, hi, block):
     return [b - a for a, b in zip(starts, starts[1:] + [hi])]
 
 
+def past_head_lengths(hi, block):
+    # The lengths of a solve's leaves over [1, hi) that start at block or
+    # later, past the head phase.
+    starts = leaf_starts(1, hi, block)
+    return [k for a, k in zip(starts, leaf_lengths(1, hi, block)) if a >= block]
+
+
 def sparse_unit_series(rng, ring, trunc, taps=12):
     # A unit constant and a few random taps: its inverse is dense, so every
     # leaf is a full product, while the oracle sums over a dozen taps.
@@ -1141,15 +1180,16 @@ def sparse_unit_series(rng, ring, trunc, taps=12):
 @pytest.mark.parametrize("m", [2, 13, 65521, 223_092_870, (1 << 31) - 1])
 def test_leaves_sharing_head_spectra_match_the_oracle(m):
     # One solve reuses the head's limb spectra for every leaf of a length.
-    # An inversion takes a head of `block` terms and halves the next
-    # 2*block - 1 into leaves of block - 1 and block; a quotient by a
-    # dense divisor halves block + 1 terms into two leaves of unequal length.
+    # A solve of 4*block - 2 terms writes c[0], doubles its leaves through
+    # [1, block) and cuts the rest into leaves of block, block - 1 and
+    # block (two leaves of 1 when block is 1); a quotient by a dense
+    # divisor takes its head from an inversion of block terms.
     rng = np.random.default_rng(m % 1009)
     ring = ResidueRing(m)
     for block in _BLOCKS:
-        t_inv, t_div = 3 * block - 2, block
-        assert len(set(leaf_lengths(block, t_inv + 1, block))) == min(block, 2)
-        assert len(set(leaf_lengths(0, t_div + 1, block))) == min(block, 2)
+        t_inv = t_div = 4 * block - 2
+        past = past_head_lengths(t_inv + 1, block)
+        assert len(set(past)) == min(block, 2) < len(past)
         f = sparse_unit_series(rng, ring, t_inv)
         num = random_series(rng, ring, t_div)
         den = (random_series(rng, ring, t_div, unit_constant=True) if block <= 64
@@ -1161,34 +1201,48 @@ def test_leaves_sharing_head_spectra_match_the_oracle(m):
 
 
 def solve_leaves(solve, block, chunk):
-    # The result of solve() and the lengths of the leaves it made, in order:
-    # a leaf is the one _fft_mul call given the head's spectra.
-    lengths = []
+    # The result of solve() and, for each solver core call in the order
+    # they start, the lengths of the leaves it made, in order: a leaf is
+    # the one _fft_mul call given its solve's head spectra.
+    solves = {}  # id of a solve's spectra -> its leaf lengths
+    kept = []  # keeps each spectra alive, so ids stay unique
     real_mul = modseries._fft_mul
 
     def recording_mul(a, b, n, m, spectra=None):
         if spectra is not None:
-            lengths.append(n)
+            solves.setdefault(id(spectra), []).append(n)
+            kept.append(spectra)
         return real_mul(a, b, n, m, spectra)
 
     with mock.patch.object(modseries, "_fft_mul", recording_mul), \
             mock.patch.object(modseries, "_SOLVE_BLOCK", block), \
             mock.patch.object(modseries, "_PUSH_CHUNK", chunk):
-        return solve(), lengths
+        return solve(), list(solves.values())
 
 
 def test_a_short_push_chunk_keeps_full_leaves():
     # A segment spans at least one leaf, so the push chunk cuts the pushes
     # but never the leaves: chunks of 1, 2 and 8 positions give the leaves
     # of chunks of 32, whose two-chunk segment is one 64-position leaf.
+    # Each solve writes c[0], and its head-phase leaves [mid, hi), those
+    # with mid < 64, are at most mid long; every later leaf is 64 long but
+    # the last.  A quotient's head is an inversion of 64 terms, a solve of
+    # its own that starts first and has only head-phase leaves.
     rng = np.random.default_rng(64)
     ring = ResidueRing(223_092_870)
     trunc = 1000
     num = random_series(rng, ring, trunc)
     den = sparse_unit_series(rng, ring, trunc)
-    for solve in (lambda: overpartition_series(trunc, ring), lambda: ring_div(num, den)):
+    for solve, solves in ((lambda: overpartition_series(trunc, ring), 1),
+                          (lambda: ring_div(num, den), 2)):
         want, want_leaves = solve_leaves(solve, 64, 32)
-        assert want_leaves[:-1] == [64] * (len(want_leaves) - 1)
+        assert len(want_leaves) == solves
+        for lengths in want_leaves:
+            mids = np.cumsum([1] + lengths[:-1]).tolist()
+            assert all(k <= mid for k, mid in zip(lengths, mids) if mid < 64)
+            past = [k for k, mid in zip(lengths, mids) if mid >= 64]
+            assert past[:-1] == [64] * (len(past) - 1)
+        assert sum(past) == trunc - 64  # the last solve's: [65, trunc]
         for chunk in (1, 2, 8):
             got, leaves = solve_leaves(solve, 64, chunk)
             assert leaves == want_leaves, chunk
@@ -1203,8 +1257,9 @@ def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
     m = (1 << 31) - 1
     rng = np.random.default_rng(7)
     ring = ResidueRing(m)
-    f = random_series(rng, ring, 3 * 64 - 2, unit_constant=True)
-    num = random_series(rng, ring, 3 * 64 - 2)
+    # 4*64 - 2 terms take leaves of the full length 64 past the head phase.
+    f = random_series(rng, ring, 4 * 64 - 2, unit_constant=True)
+    num = random_series(rng, ring, 4 * 64 - 2)
     built, kept, passes = {}, [], []
     real_spectrum, real_pass = modseries._limb_spectrum, modseries._limb_pass
 
@@ -1215,11 +1270,9 @@ def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
         return out
 
     def recording_pass(a, b, n, m, size, w, fa=None):
-        if fa is None:  # a Newton step of the head, not a leaf
-            return real_pass(a, b, n, m, size, w)
         assert all(built[id(spec)] == (n, w, size) for spec in fa)
         out = real_pass(a, b, n, m, size, w, fa)
-        passes.append((w, out is not None))
+        passes.append((n, w, out is not None))
         return out
 
     monkeypatch.setattr(modseries, "_FFT_BOUND", 1 << 80)
@@ -1228,8 +1281,8 @@ def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
     with mock.patch.object(modseries, "_SOLVE_BLOCK", 64):
         inverse = ring_invert(f)
         quotient = ring_div(num, f)
-    assert passes[0] == (31, False)
-    assert any(ok for _, ok in passes)
+    assert next(p for p in passes if p[0] == 64) == (64, 31, False)
+    assert any(ok for *_, ok in passes)
     assert inverse.coeffs.tolist() == schoolbook_inverse(f.coeffs, m)
     assert quotient.coeffs.tolist() == schoolbook_quotient(num.coeffs, f.coeffs, m)
 
@@ -1271,10 +1324,14 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
                 overpartition_series(trunc, ring)
             return counts["rfft"], counts["irfft"]
 
-        head_rfft, head_irfft = ffts(block - 1)  # the Newton head alone
-        trunc = 5 * block - 2
-        lengths = leaf_lengths(block, trunc + 1, block)
-        assert len(lengths) == 4 and len(set(lengths)) == 2
+        # The head phase alone: c[0] and the leaves of [1, block), which a
+        # solve of 4*block - 2 terms takes too, before three leaves of
+        # block, block - 1 and block.
+        head_rfft, head_irfft = ffts(block - 1)
+        trunc = 4 * block - 2
+        lengths = past_head_lengths(trunc + 1, block)
+        assert len(lengths) == 3 and len(set(lengths)) == 2
+        assert all(k < block - 1 for k in leaf_lengths(1, block, block))
         for n in set(lengths):
             groups, w = modseries._product_plan(ring.modulus, n, modseries._FFT_BOUND)
             assert len(groups) == groups_per_leaf and math.prod(groups) == ring.modulus
@@ -1286,8 +1343,9 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
         assert irfft - head_irfft == per_leaf * limbs * len(lengths)
         # Every leaf of one length reads the same head spectra and, mod each
         # group of a split, the same head residues: one reduction per group.
-        assert len(heads) == groups_per_leaf * len(set(lengths))
-        for uses in heads.values():
+        past = {key: uses for key, uses in heads.items() if key[1] in lengths}
+        assert len(past) == groups_per_leaf * len(set(lengths))
+        for uses in past.values():
             assert all(fa is uses[0][0] for fa, _ in uses)
             assert groups_per_leaf == 1 or all(a is uses[0][1] for _, a in uses)
 

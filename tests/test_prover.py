@@ -17,8 +17,8 @@ from overcong import (CongruenceClaim, ResidueRing, modseries, prover,
                       overpartition_series, prove_theorem_mod11, scan,
                       verify_identity, verify_lemma1)
 from overcong.chars import factorize
-from overcong.modseries import TRUNC_CAP
-from overcong.qgen import overpartition_residues
+from overcong.modseries import TRUNC_CAP, transform
+from overcong.qgen import overpartition_residues, theta_phi2, theta_phi4
 from overcong.prover import (INDEX_HARD_CAP, PRIMORIAL_23, STORE, CoefficientStore,
                              _compress_residues, _pbar_stream, cache_filename)
 
@@ -428,6 +428,43 @@ def test_store_recomputes_a_damaged_cache_file(tmp_path, how):
     assert np.array_equal(got, _fresh(11, 300))
     # The damaged file was overwritten with a valid one.
     assert np.array_equal(load_series(path, 11).coeffs, _fresh(11, 300))
+
+
+def test_the_cache_file_never_shrinks(tmp_path):
+    # Store A grows the stream to 2000; while its build runs, store B on
+    # the same directory grows it to 6000.  A's write must not replace B's
+    # longer file.
+    ring = ResidueRing(11)
+
+    def build_while_another_store_grows(out, start, ring):
+        CoefficientStore(str(tmp_path)).coefficients(ring, 6000, overpartition_residues)
+        overpartition_residues(out, start, ring)
+
+    got = CoefficientStore(str(tmp_path)).coefficients(ring, 2000,
+                                                       build_while_another_store_grows)
+    assert np.array_equal(got, _fresh(11, 2000))
+    assert np.array_equal(load_series(tmp_path / cache_filename(11), 11).coeffs,
+                          _fresh(11, 6000))
+
+
+def test_the_stream_passes_a_sampled_frobenius_audit():
+    # An audit of the production stream that shares no code with the
+    # solver.  P = 1/phi(-q) and phi(-q)^p = phi(-q^p) mod p give
+    # P(q) = phi(-q)^(p-1) * P(q^p) mod p, so
+    # pbar(n) = sum_k a_p(n - p*k) * pbar(k) mod p, a_p(n) the coefficients
+    # of phi(-q)^(p-1): from the two- and four-square theorems for p = 3
+    # and 5, with no FFT.  Mod 2, phi(-q) = 1, so pbar(n) is even for every
+    # n >= 1.  The 23# stream through 2^20 spans four solver segments at
+    # the production constants.
+    trunc = 1 << 20
+    stream = _pbar_stream(PRIMORIAL_23, trunc)
+    assert not (stream[1:] % 2).any()
+    rng = np.random.default_rng(2026)
+    for p, phi_power in ((3, theta_phi2), (5, theta_phi4)):
+        a_p = transform(phi_power(trunc, ResidueRing(p)), 1, -1).coeffs
+        pbar = stream % p
+        for n in rng.integers(trunc // 2, trunc + 1, 200):
+            assert a_p[n::-p] @ pbar[:n // p + 1] % p == pbar[n], (p, n)
 
 
 def test_scan_rediscovers_chen_xia_mod5():
