@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument("--threads", type=_positive, default=None,
                         help="most threads a series solve may use, the calling thread "
-                             "included (default: the usable CPUs; 1: no pool thread)")
+                             "included (default: two when two or more CPUs are usable; "
+                             "1: no pool thread)")
     parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -7,19 +7,20 @@ product has two outcomes: when one operand is a constant through the
 truncation (the zero series included), the other is scaled by it; every
 other product is one exact float FFT product in O(T log T), sparse or
 dense, checked for rounding error.  The generating series used here
-(theta series, Euler products) have O(sqrt(T)) nonzero terms, so division
-by them costs O(T^1.5) instead of O(T^2).  Division is a divide-and-conquer
+(theta series, Euler products) have O(sqrt(T)) nonzero terms, so inverting
+them costs O(T^1.5) instead of O(T^2).  Inversion is a divide-and-conquer
 solver that pushes the divisor's nonzero terms (its taps) into an
 accumulator with one vectorised update each, down to leaves of at most
 _SOLVE_BLOCK coefficients; each leaf is one product with the divisor's
-truncated inverse, the head.  ring_invert and ring_div find a dense
-divisor's taps; invert_taps_residues takes them as given, so a divisor
-such as phi(-q) is never built as a dense series.  A solve writes its
-output as int32 residues into an array its caller provides, past a known
-prefix it never copies or writes, and walks the range in segments of
-max(2 * _PUSH_CHUNK, _SOLVE_BLOCK) coefficients, so its one int64
-accumulator spans a segment however long the solve.  It holds no
-reference cycle: its arrays are freed as soon as it returns or raises.
+truncated inverse, the head.  ring_invert finds a dense divisor's taps,
+and ring_div multiplies by that inverse; invert_taps_residues takes the
+taps as given, so a divisor such as phi(-q) is never built as a dense
+series.  A solve writes its output as int32 residues into an array its
+caller provides, past a known prefix it never copies or writes, and
+walks the range in segments of max(2 * _PUSH_CHUNK, _SOLVE_BLOCK)
+coefficients, so its one int64 accumulator spans a segment however long
+the solve.  It holds no reference cycle: its arrays are freed as soon as
+it returns or raises.
 A push adds its taps in int32 runs into a scratch array over the push
 chunk, each run short enough that no sum can overflow, and adds each run
 into the accumulator once.  A tap whose unit is too large for a run, and
@@ -562,13 +563,12 @@ def ring_pow(f: TruncSeries, e: int) -> TruncSeries:
 
 
 def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
-                       rhs: np.ndarray, m: int, c: np.ndarray, start: int = 0) -> np.ndarray:
-    """Solve den*c = rhs through q^t, t = len(c) - 1, where den has unit
-    constant term f0 and nonzero higher coefficients taps_val at exponents
-    taps_exp (sorted, >= 1).  rhs holds residues; entries past its end are
-    zero, so an inversion passes rhs = [1].  c is the int32 output: its
-    first `start` entries are the known prefix, taken as solved and never
-    copied, and c[start:] is written with residues in [0, m).  Returns c.
+                       m: int, c: np.ndarray, start: int = 0) -> np.ndarray:
+    """c = 1/den through q^t, t = len(c) - 1, where den has unit constant
+    term f0 and nonzero higher coefficients taps_val at exponents taps_exp
+    (sorted, >= 1).  c is the int32 output: its first `start` entries are
+    the known prefix, taken as solved and never copied, and c[start:] is
+    written with residues in [0, m).  Returns c.
 
     Divide-and-conquer online convolution down to leaves of at most
     _SOLVE_BLOCK coefficients.  The taps are g*u_j, where g is the
@@ -578,14 +578,12 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     one vectorised update per tap.  A leaf [mid, hi) of length k is then one
     exact FFT product
 
-        c[mid:hi] = head * ((rhs - g*acc)[mid:hi] mod m)  mod q^k,
+        c[mid:hi] = head * (-g*acc[mid:hi] mod m)  mod q^k,
 
-    where head = 1/den mod q^k.  A solve from 0 writes c[0] = f0inv*rhs[0]
-    and starts at 1, and no leaf [mid, hi) is longer than min(_SOLVE_BLOCK,
-    mid), so the leaves double in length from c[0].  Inverting, the head is
-    c[:k] itself, already solved; a quotient's head is this solve's
-    inversion of den through min(_SOLVE_BLOCK, t + 1 - start) terms, into
-    an array of its own.  No entry of c[:start] is ever written.
+    where head = 1/den mod q^k.  A solve from 0 writes c[0] = f0inv and
+    starts at 1, and no leaf [mid, hi) is longer than min(_SOLVE_BLOCK,
+    mid), so the leaves double in length from c[0] and the head is c[:k]
+    itself, already solved.  No entry of c[:start] is ever written.
 
     [start, t] is solved left to right in segments of
     max(2 * _PUSH_CHUNK, _SOLVE_BLOCK) positions, so a segment never cuts a
@@ -685,13 +683,8 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     t = len(c) - 1
     start = min(start, t + 1)
     if start == 0 < len(c):
-        c[0] = f0inv * int(rhs[0]) % m
+        c[0] = f0inv % m
         start = 1
-    if len(rhs) == 1 and rhs[0] == 1:
-        head = c  # the solution is 1/den: its own solved prefix is the head
-    else:
-        head = _solve_linear_core(taps_exp, taps_val, f0inv, np.ones(1, np.int64), m,
-                                  np.empty(min(_SOLVE_BLOCK, t + 1 - start), np.int32))
     segment = max(2 * _PUSH_CHUNK, _SOLVE_BLOCK)
     acc = np.empty(min(segment, t + 1 - start), np.int64)
     # The head's residues mod each group and its limb spectra, built once
@@ -718,10 +711,8 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
                 hi = half
             blk = acc[mid - s0:hi - s0] % m
             blk *= -g
-            tail = rhs[mid:hi]
-            blk[:len(tail)] += tail
             blk %= m
-            c[mid:hi] = _fft_mul(head[:hi - mid], blk, hi - mid, m, spectra)
+            c[mid:hi] = _fft_mul(c[:hi - mid], blk, hi - mid, m, spectra)
     return c
 
 
@@ -730,14 +721,14 @@ def _balanced(vals: np.ndarray, m: int) -> np.ndarray:
     return np.where(vals > m // 2, vals - m, vals)
 
 
-def _solve_linear(den: TruncSeries, rhs: np.ndarray, t: int) -> TruncSeries:
-    """den^-1 * rhs through q^t from the dense divisor's taps; den needs a
-    unit constant term."""
+def _solve_linear(den: TruncSeries, t: int) -> TruncSeries:
+    """den^-1 through q^t from the dense divisor's taps; den needs a unit
+    constant term."""
     ring = den.ring
     m = ring.modulus
     taps_exp = np.flatnonzero(den.coeffs[1:t + 1]) + 1
     out = _solve_linear_core(taps_exp, _balanced(den.coeffs[taps_exp], m),
-                             ring.inverse(den.coeffs[0]), rhs, m, np.zeros(t + 1, np.int32))
+                             ring.inverse(den.coeffs[0]), m, np.zeros(t + 1, np.int32))
     return TruncSeries._canonical(ring, out.astype(np.int64), t)
 
 
@@ -754,8 +745,7 @@ def invert_taps_residues(taps_exp: np.ndarray, taps_val: np.ndarray, out: np.nda
     exps = np.asarray(taps_exp, np.int64)
     vals = np.asarray(taps_val, np.int64) % m
     keep = (vals != 0) & (exps < len(out))
-    return _solve_linear_core(exps[keep], _balanced(vals[keep], m), 1,
-                              np.ones(1, np.int64), m, out, start)
+    return _solve_linear_core(exps[keep], _balanced(vals[keep], m), 1, m, out, start)
 
 
 def ring_invert(f: TruncSeries) -> TruncSeries:
@@ -765,17 +755,20 @@ def ring_invert(f: TruncSeries) -> TruncSeries:
     nonzero support of f, so inverting a series with O(sqrt(T)) support
     costs O(T^1.5).
     """
-    return _solve_linear(f, np.ones(1, np.int64), f.trunc)
+    return _solve_linear(f, f.trunc)
 
 
 def ring_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """Quotient f/g through min(f.trunc, g.trunc); g needs a unit constant.
+    """Quotient f/g through t = min(f.trunc, g.trunc); g needs a unit
+    constant.
 
-    Same recurrence as ring_invert with f as the right-hand side, so dividing
-    by a sparse series never materialises the dense inverse.
+    f times the inverse of g through t, never past it: one solve and one
+    ring_mul.  The inverse is dense, so a long quotient costs what a dense
+    product of its length costs in time and memory: mod 23# at T = 1e6,
+    about 0.8 s and 156 MB ru_maxrss on a 2-core Xeon.
     """
     _check_rings(f, g)
-    return _solve_linear(g, f.coeffs, min(f.trunc, g.trunc))
+    return ring_mul(f, _solve_linear(g, min(f.trunc, g.trunc)))
 
 
 def transform(f: TruncSeries, d: int, sign: int) -> TruncSeries:

@@ -823,8 +823,7 @@ def invert_after(f, known):
     out[:start] = known[:start]
     taps = np.flatnonzero(f.coeffs[1:]) + 1
     modseries._solve_linear_core(taps, modseries._balanced(f.coeffs[taps], m),
-                                 f.ring.inverse(f.coeffs[0]), np.ones(1, np.int64),
-                                 m, out, start)
+                                 f.ring.inverse(f.coeffs[0]), m, out, start)
     return TruncSeries(f.ring, out, f.trunc)
 
 
@@ -902,15 +901,16 @@ def test_a_stream_grown_from_a_short_prefix_keeps_it():
     assert (out[:301] == 7).all()
 
 
-def schoolbook_quotient(num, den, m):
+def schoolbook_quotient(num, den, m, known=()):
     # Independent oracle: the defining recurrence of num/den in Python
-    # integers, summed over den's nonzero taps only.
+    # integers, summed over den's nonzero taps only, continued from the
+    # prefix `known` (taken as given, whatever it holds) through len(den).
     f = [int(x) for x in den]
     taps = [(j, v) for j, v in enumerate(f) if j and v]
     exps = [j for j, _ in taps]
     f0inv = pow(f[0], -1, m)
-    g = []
-    for n in range(len(f)):
+    g = [int(x) for x in known]
+    for n in range(len(g), len(f)):
         s = int(num[n]) if n < len(num) else 0
         below = taps[:bisect.bisect_right(exps, n)]
         g.append(f0inv * (s - sum(v * g[n - j] for j, v in below)) % m)
@@ -1001,8 +1001,8 @@ def test_mixed_and_shared_tap_magnitudes_match_the_oracle(m):
 
 @pytest.mark.parametrize("m", [13, 223_092_870, (1 << 31) - 1])
 def test_div_by_sparse_and_dense_divisors_across_leaves(m):
-    # A dense right-hand side enters every leaf; the divisor is phi (g = 2),
-    # phi(-q) (g = 2, signs +-1) or a dense random unit series.
+    # A dense numerator times the divisor's inverse; the divisor is phi
+    # (g = 2), phi(-q) (g = 2, signs +-1) or a dense random unit series.
     rng = np.random.default_rng(m % 991)
     trunc = 260
     ring = ResidueRing(m)
@@ -1014,15 +1014,6 @@ def test_div_by_sparse_and_dense_divisors_across_leaves(m):
         with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
             for g, want in zip(divisors, expected):
                 assert ring_div(num, g).coeffs.tolist() == want
-
-
-def schoolbook_product(exps, vals, c, m):
-    # (1 + sum_j vals[j] q^exps[j]) * c through the length of c, mod m, in
-    # Python integers.
-    out = [int(x) for x in c]
-    for n in range(len(c)):
-        out[n] = (out[n] + sum(v * int(c[n - j]) for j, v in zip(exps, vals) if j <= n)) % m
-    return out
 
 
 # Moduli whose int32 runs hold cap = (2^31 - 1) // (m - 1) units of each
@@ -1051,7 +1042,7 @@ def run_taps(kind, cap, rng):
 
 
 def run_residues(kind, m, trunc, rng):
-    # Solutions with many residues of m - 1: everywhere, on even exponents
+    # Prefixes with many residues of m - 1: everywhere, on even exponents
     # only (so alternating taps stack one sign's units at odd positions),
     # at random, or any residue.
     if kind == "m-1":
@@ -1069,28 +1060,34 @@ def run_residues(kind, m, trunc, rng):
 def test_int32_runs_match_the_schoolbook(m, units):
     # The solver sums taps in int32 runs of at most cap units of each sign
     # and sends any larger unit straight to its int64 accumulator.  Each
-    # solution c is chosen first, with many residues of m - 1, and the
-    # right-hand side is den * c by the schoolbook: the solve must give c
-    # back, cut into short leaves and short push chunks, from scratch and
-    # after a known prefix.
+    # known prefix c[:split] is chosen with many residues of m - 1 past its
+    # first `block` entries, which are the inverse's own, as every leaf
+    # reads them as its head; the solve, cut into short leaves and short
+    # push chunks, must continue the recurrence c[n] = -sum_j den_j c[n - j]
+    # from that prefix as the schoolbook does.
     cap = _RUN_CAPS[m]
     assert ((1 << 31) - 1) // (m - 1) == cap
     rng = np.random.default_rng(m % 1013 + len(units))
     trunc = 300
     exps, vals = run_taps(units, cap, rng)
+    den = np.zeros(trunc + 1, np.int64)
+    den[exps] = np.array(vals) % m
+    den[0] = 1
+    inverse = schoolbook_inverse(den, m)
     for residues in ("m-1", "m-1-even", "m-1-random", "random"):
         c = run_residues(residues, m, trunc, rng)
-        rhs = np.array(schoolbook_product(exps, vals, c, m), np.int64)
         for block, chunk in ((8, 16), (64, modseries._PUSH_CHUNK)):
-            for split in (0, 3 * block + 1):
-                out = np.zeros(trunc + 1, np.int32)
-                out[:split] = c[:split]
-                with mock.patch.object(modseries, "_SOLVE_BLOCK", block), \
-                        mock.patch.object(modseries, "_PUSH_CHUNK", chunk):
-                    got = modseries._solve_linear_core(
-                        np.array(exps), np.array(vals), 1, rhs, m, out, split)
-                assert got.dtype == np.int32
-                assert got.tolist() == c.tolist(), (residues, block, split)
+            split = 3 * block + 1
+            out = np.zeros(trunc + 1, np.int32)
+            out[:split] = c[:split]
+            out[:block] = inverse[:block]
+            want = schoolbook_quotient([1], den, m, known=out[:split])
+            with mock.patch.object(modseries, "_SOLVE_BLOCK", block), \
+                    mock.patch.object(modseries, "_PUSH_CHUNK", chunk):
+                got = modseries._solve_linear_core(
+                    np.array(exps), np.array(vals), 1, m, out, split)
+            assert got.dtype == np.int32
+            assert got.tolist() == want, (residues, block)
 
 
 # Moduli for the segment oracle, with their int32 run caps: 23# (9),
@@ -1113,9 +1110,9 @@ def _segment_case(draw):
                                   if s <= trunc + 1])
                  | st.integers(0, trunc + 1))
     taps = draw(st.sampled_from(("phi", "random", "extreme")))
-    invert = draw(st.booleans())
+    prefix = draw(st.sampled_from(("inverse", "m-1", "divide")))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return m, chunk, block, trunc, start, taps, invert, seed
+    return m, chunk, block, trunc, start, taps, prefix, seed
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1123,10 +1120,11 @@ def _segment_case(draw):
 def test_segments_match_the_schoolbook(case):
     # The solver walks [start, t] in segments of max(2 * _PUSH_CHUNK,
     # _SOLVE_BLOCK) positions, each fed the whole solved prefix in one push,
-    # with acc zeroed per segment.  Against the Python-int
-    # recurrence: inversions (rhs = [1]) and a general right-hand side,
-    # after known prefixes that straddle the segment boundaries.
-    m, chunk, block, trunc, start, taps, invert, seed = case
+    # with acc zeroed per segment.  Against the Python-int recurrence,
+    # continued from known prefixes that straddle the segment boundaries:
+    # the inverse's own, or m - 1 past the first `block` entries (the
+    # leaves' head); or a quotient by ring_div.
+    m, chunk, block, trunc, start, taps, prefix, seed = case
     rng = np.random.default_rng(seed)
     den = np.zeros(trunc + 1, np.int64)
     if taps == "phi":  # phi(-q): g = 2, units +-1
@@ -1136,23 +1134,43 @@ def test_segments_match_the_schoolbook(case):
         exps = rng.choice(np.arange(1, trunc + 1), min(trunc, 12), replace=False)
         den[exps] = (rng.choice([m // 2, m // 2 + 1, m - 1, 1], len(exps)) if taps == "extreme"
                      else rng.integers(1, m, len(exps)))
-    den[0] = 1
-    if not invert:
-        den[0] = rng.integers(1, m)
-        while math.gcd(int(den[0]), m) != 1:
-            den[0] += 1
-    num = [1] if invert else rng.integers(0, m, trunc + 1).tolist()
-    want = schoolbook_quotient(num, den, m)
-    taps_exp = np.flatnonzero(den[1:]) + 1
+    den[0] = rng.integers(1, m)
+    while math.gcd(int(den[0]), m) != 1:
+        den[0] += 1
+    if prefix == "divide":
+        ring = ResidueRing(m)
+        num = rng.integers(0, m, trunc + 1)
+        with mock.patch.object(modseries, "_PUSH_CHUNK", chunk), \
+                mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+            got = ring_div(TruncSeries(ring, num, trunc), TruncSeries(ring, den, trunc))
+        assert got.coeffs.tolist() == schoolbook_quotient(num, den, m)
+        return
     out = np.zeros(trunc + 1, np.int32)
-    out[:start] = want[:start]
+    out[:start] = schoolbook_inverse(den, m)[:start]
+    if prefix == "m-1":
+        out[block:start] = m - 1
+    want = schoolbook_quotient([1], den, m, known=out[:start])
+    taps_exp = np.flatnonzero(den[1:]) + 1
     with mock.patch.object(modseries, "_PUSH_CHUNK", chunk), \
             mock.patch.object(modseries, "_SOLVE_BLOCK", block):
         got = modseries._solve_linear_core(
             taps_exp, modseries._balanced(den[taps_exp], m), pow(int(den[0]), -1, m),
-            np.array(num, np.int64), m, out, start)
+            m, out, start)
     assert got is out
     assert got.tolist() == want
+
+
+def test_a_quotient_inverts_only_through_its_own_truncation(solver_outputs):
+    # The divisor is ten times longer than the numerator: ring_div makes
+    # one solve, the divisor's inverse through f.trunc, and no other.
+    m = 223_092_870
+    rng = np.random.default_rng(10)
+    ring = ResidueRing(m)
+    f = random_series(rng, ring, 300)
+    g = sparse_unit_series(rng, ring, 3000)
+    quotient = ring_div(f, g)
+    assert [len(c) for c in solver_outputs] == [301]
+    assert quotient.coeffs.tolist() == schoolbook_quotient(f.coeffs, g.coeffs[:301], m)
 
 
 def leaf_lengths(lo, hi, block):
@@ -1183,7 +1201,7 @@ def test_leaves_sharing_head_spectra_match_the_oracle(m):
     # A solve of 4*block - 2 terms writes c[0], doubles its leaves through
     # [1, block) and cuts the rest into leaves of block, block - 1 and
     # block (two leaves of 1 when block is 1); a quotient by a dense
-    # divisor takes its head from an inversion of block terms.
+    # divisor is that divisor's inversion times the numerator.
     rng = np.random.default_rng(m % 1009)
     ring = ResidueRing(m)
     for block in _BLOCKS:
@@ -1226,23 +1244,22 @@ def test_a_short_push_chunk_keeps_full_leaves():
     # of chunks of 32, whose two-chunk segment is one 64-position leaf.
     # Each solve writes c[0], and its head-phase leaves [mid, hi), those
     # with mid < 64, are at most mid long; every later leaf is 64 long but
-    # the last.  A quotient's head is an inversion of 64 terms, a solve of
-    # its own that starts first and has only head-phase leaves.
+    # the last.  A quotient is one solve, the divisor's inversion, and one
+    # product, which takes no head spectra and so makes no leaf.
     rng = np.random.default_rng(64)
     ring = ResidueRing(223_092_870)
     trunc = 1000
     num = random_series(rng, ring, trunc)
     den = sparse_unit_series(rng, ring, trunc)
-    for solve, solves in ((lambda: overpartition_series(trunc, ring), 1),
-                          (lambda: ring_div(num, den), 2)):
+    for solve in (lambda: overpartition_series(trunc, ring), lambda: ring_div(num, den)):
         want, want_leaves = solve_leaves(solve, 64, 32)
-        assert len(want_leaves) == solves
-        for lengths in want_leaves:
-            mids = np.cumsum([1] + lengths[:-1]).tolist()
-            assert all(k <= mid for k, mid in zip(lengths, mids) if mid < 64)
-            past = [k for k, mid in zip(lengths, mids) if mid >= 64]
-            assert past[:-1] == [64] * (len(past) - 1)
-        assert sum(past) == trunc - 64  # the last solve's: [65, trunc]
+        assert len(want_leaves) == 1
+        lengths = want_leaves[0]
+        mids = np.cumsum([1] + lengths[:-1]).tolist()
+        assert all(k <= mid for k, mid in zip(lengths, mids) if mid < 64)
+        past = [k for k, mid in zip(lengths, mids) if mid >= 64]
+        assert past[:-1] == [64] * (len(past) - 1)
+        assert sum(past) == trunc - 64  # [65, trunc]
         for chunk in (1, 2, 8):
             got, leaves = solve_leaves(solve, 64, chunk)
             assert leaves == want_leaves, chunk
@@ -1270,9 +1287,10 @@ def test_a_leaf_that_fails_its_check_is_redone_narrower(monkeypatch):
         return out
 
     def recording_pass(a, b, n, m, size, w, fa=None):
-        assert all(built[id(spec)] == (n, w, size) for spec in fa)
         out = real_pass(a, b, n, m, size, w, fa)
-        passes.append((n, w, out is not None))
+        if fa is not None:  # a leaf, not ring_div's product with the inverse
+            assert all(built[id(spec)] == (n, w, size) for spec in fa)
+            passes.append((n, w, out is not None))
         return out
 
     monkeypatch.setattr(modseries, "_FFT_BOUND", 1 << 80)
