@@ -157,7 +157,7 @@ def decompose(f: TruncSeries, k2: int) -> Decomposition:
         coeffs.append(c)
         if c:
             mono = expand_monomial(a, b, f.trunc, f.ring)
-            resid = (resid - c * mono.coeffs) % m
+            resid = (resid - np.multiply(mono.coeffs, c, dtype=np.int64)) % m
     bad = np.flatnonzero(resid)
     if len(bad):
         raise ValueError(f"not in span at this truncation: residual at q^{int(bad[0])}")
@@ -182,10 +182,10 @@ def hecke_T(f: TruncSeries, k2even: int, ell: int,
     k = k2even // 2
     m = f.ring.modulus
     factor = chi.value_int(ell) * pow(ell, k - 1, m) % m
-    out = f.coeffs[::ell].copy()  # a(ell*n) for n <= f.trunc // ell
+    out = f.coeffs[::ell].astype(np.int64)  # a(ell*n) for n <= f.trunc // ell
     low = out[::ell]  # the n divisible by ell, a view into out
-    low += factor * f.coeffs[:len(low)]
-    return TruncSeries(f.ring, out % m, len(out) - 1)
+    low += np.multiply(f.coeffs[:len(low)], factor, dtype=np.int64)
+    return TruncSeries(f.ring, out, len(out) - 1)
 
 
 def _inflate_level(label: SpaceLabel, d: int) -> SpaceLabel:

@@ -31,8 +31,8 @@ magnitude, and a position takes at most one update per tap in a
 segment: through q^T the accumulator stays below T * 2^31 < 2^63 for any
 T < 2^32, and a leaf reduces it once, when it reads it.
 invert_taps_residues writes into the caller's array (the coefficient
-store's own buffer); every function that returns a TruncSeries casts its
-output to int64 once.  Every leaf is an exact FFT product too.
+store's own buffer).  Residues are int32 (m < 2^31), in a solve and in a
+TruncSeries; sums and products of them are taken in int64, then reduced.
 
 Every FFT product follows one plan, chosen once per modulus and length:
 CRT groups when every group fits one product, limbs otherwise.  m is
@@ -182,7 +182,7 @@ class ResidueRing:
         self.modulus = modulus
 
     def reduce(self, values) -> np.ndarray:
-        return np.asarray(values, dtype=np.int64) % self.modulus
+        return (np.asarray(values, dtype=np.int64) % self.modulus).astype(np.int32)
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse of a mod m; ValueError if a is not a unit."""
@@ -203,7 +203,7 @@ class ResidueRing:
 
 
 class TruncSeries:
-    """A power series known exactly through q^trunc, coefficients in [0, m)."""
+    """A power series known exactly through q^trunc: int32 coefficients in [0, m)."""
 
     __slots__ = ("ring", "trunc", "coeffs", "support")
 
@@ -212,7 +212,7 @@ class TruncSeries:
 
     @classmethod
     def _canonical(cls, ring: ResidueRing, arr: np.ndarray, trunc: int) -> TruncSeries:
-        """A series over `arr`, an int64 array whose entries already lie in
+        """A series over `arr`, an int32 array whose entries already lie in
         [0, m): it is taken over (made read-only), not reduced or copied."""
         self = cls.__new__(cls)
         self._adopt(ring, arr, trunc)
@@ -229,7 +229,7 @@ class TruncSeries:
         if len(arr) > trunc + 1:
             raise ValueError(f"{len(arr)} coefficients exceed truncation {trunc}")
         if len(arr) < trunc + 1:
-            arr = np.concatenate([arr, np.zeros(trunc + 1 - len(arr), np.int64)])
+            arr = np.concatenate([arr, np.zeros(trunc + 1 - len(arr), np.int32)])
         arr.setflags(write=False)
         self.ring = ring
         self.trunc = trunc
@@ -266,11 +266,11 @@ class TruncSeries:
 
 
 def zero_series(ring: ResidueRing, trunc: int) -> TruncSeries:
-    return TruncSeries(ring, np.zeros(trunc + 1, np.int64), trunc)
+    return TruncSeries(ring, np.zeros(trunc + 1, np.int32), trunc)
 
 
 def one_series(ring: ResidueRing, trunc: int) -> TruncSeries:
-    c = np.zeros(trunc + 1, np.int64)
+    c = np.zeros(trunc + 1, np.int32)
     c[0] = 1 % ring.modulus
     return TruncSeries(ring, c, trunc)
 
@@ -284,12 +284,16 @@ def ring_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     _check_rings(f, g)
     t = min(f.trunc, g.trunc)
     m = f.ring.modulus
-    return TruncSeries._canonical(f.ring, (f.coeffs[:t + 1] + g.coeffs[:t + 1]) % m, t)
+    out = np.add(f.coeffs[:t + 1], g.coeffs[:t + 1], dtype=np.int64)
+    out %= m
+    return TruncSeries._canonical(f.ring, out.astype(np.int32), t)
 
 
 def scalar_mul(c: int, f: TruncSeries) -> TruncSeries:
     c = int(c) % f.ring.modulus
-    return TruncSeries._canonical(f.ring, (c * f.coeffs) % f.ring.modulus, f.trunc)
+    out = np.multiply(f.coeffs, c, dtype=np.int64)
+    out %= f.ring.modulus
+    return TruncSeries._canonical(f.ring, out.astype(np.int32), f.trunc)
 
 
 def _fft_size(n: int) -> int:
@@ -325,7 +329,7 @@ def _limb_spectrum(x: np.ndarray, i: int, m: int, w: int, offset: int,
         y = np.empty(len(x))
         np.subtract(x, (x > m // 2) * m, out=y)
         return np.fft.rfft(y, size)
-    y = x + offset
+    y = x + np.int64(offset)  # in int64: x + offset passes 2^31
     y -= (x > m // 2) * m
     y >>= w * i
     y &= (1 << w) - 1
@@ -500,12 +504,8 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
     a mod each group under (group, len(a)), so only b is transformed and
     reduced per call, and the groups are shared with the worker pool.
     Every call sharing one `spectra` must pass a prefix of the same series
-    as a.
+    as a.  a and b may be int32: only each limb's temporary is int64.
     """
-    # Narrower operands (the solver's int32 residues) are widened first:
-    # limbs and CRT residues are computed in int64.
-    a = np.asarray(a, np.int64)
-    b = np.asarray(b, np.int64)
     terms = min(len(a), len(b))
     size = _fft_size(len(a) + len(b) - 1)
     groups, w = _product_plan(m, terms, _FFT_BOUND)
@@ -540,10 +540,10 @@ def ring_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     for const, other in ((a, b), (b, a)):
         if not const[1:].any():
             # Both factors lie in [0, m), so the product stays below 2^62.
-            out = other * const[0]
+            out = np.multiply(other, const[0], dtype=np.int64)
             out %= m
-            return TruncSeries._canonical(ring, out, t)
-    return TruncSeries._canonical(ring, _fft_mul(a, b, t + 1, m), t)
+            return TruncSeries._canonical(ring, out.astype(np.int32), t)
+    return TruncSeries._canonical(ring, _fft_mul(a, b, t + 1, m).astype(np.int32), t)
 
 
 def ring_pow(f: TruncSeries, e: int) -> TruncSeries:
@@ -729,7 +729,7 @@ def _solve_linear(den: TruncSeries, t: int) -> TruncSeries:
     taps_exp = np.flatnonzero(den.coeffs[1:t + 1]) + 1
     out = _solve_linear_core(taps_exp, _balanced(den.coeffs[taps_exp], m),
                              ring.inverse(den.coeffs[0]), m, np.zeros(t + 1, np.int32))
-    return TruncSeries._canonical(ring, out.astype(np.int64), t)
+    return TruncSeries._canonical(ring, out, t)
 
 
 def invert_taps_residues(taps_exp: np.ndarray, taps_val: np.ndarray, out: np.ndarray,
@@ -784,7 +784,7 @@ def transform(f: TruncSeries, d: int, sign: int) -> TruncSeries:
     m = f.ring.modulus
     # Strided views, so no index or mask array as long as the series is
     # built.
-    out = np.zeros(new_trunc + 1, np.int64)
+    out = np.zeros(new_trunc + 1, np.int32)
     out[::d] = f.coeffs
     if sign == -1:
         odd = out[d::2 * d]
@@ -808,10 +808,10 @@ def extract_progression(f: TruncSeries, a: int, b: int, compact: bool = False) -
         new_trunc = (f.trunc - b) // a
         if new_trunc < 0:
             raise ValueError(f"truncation {f.trunc} has no exponent >= {b}")
-        return TruncSeries(f.ring, f.coeffs[b::a][:new_trunc + 1], new_trunc)
-    out = np.zeros(f.trunc + 1, np.int64)
+        return TruncSeries._canonical(f.ring, f.coeffs[b::a][:new_trunc + 1].copy(), new_trunc)
+    out = np.zeros(f.trunc + 1, np.int32)
     out[b::a] = f.coeffs[b::a]
-    return TruncSeries(f.ring, out, f.trunc)
+    return TruncSeries._canonical(f.ring, out, f.trunc)
 
 
 def _crc_blocks(count: int) -> int:
@@ -927,4 +927,4 @@ def load_series(path, modulus: int | None = None,
     blocks holding them are read and checked against their CRCs.  Every
     residue kept must lie in [0, modulus).  Any mismatch is a ValueError."""
     ring, residues = read_residues(path, modulus, trunc)
-    return TruncSeries._canonical(ring, residues.astype(np.int64), len(residues) - 1)
+    return TruncSeries._canonical(ring, residues, len(residues) - 1)

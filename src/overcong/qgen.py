@@ -182,7 +182,7 @@ def overpartition_series(trunc: int, ring: ResidueRing) -> TruncSeries:
     """
     out = np.zeros(trunc + 1, np.int32)
     overpartition_residues(out, 0, ring)
-    return TruncSeries._canonical(ring, out.astype(np.int64), trunc)
+    return TruncSeries._canonical(ring, out, trunc)
 
 
 def overpartition_residues(out: np.ndarray, start: int, ring: ResidueRing) -> None:

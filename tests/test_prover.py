@@ -1,6 +1,7 @@
 """Proof pipelines, direct claim checks, and the congruence scanner."""
 
 import json
+import math
 import tempfile
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -447,21 +448,42 @@ def test_the_cache_file_never_shrinks(tmp_path):
                           _fresh(11, 6000))
 
 
+def _r6_signed(trunc, p):
+    """(-1)^n r_6(n) mod p for 0 <= n <= trunc, the coefficients of
+    phi(-q)^6, from r_6(n) = 16 sum_{d | n} chi(n/d) d^2
+    - 4 sum_{d | n} chi(d) d^2, chi the character mod 4: one slice update
+    per s <= sqrt(trunc) over the divisor pairs (s, k), k >= s."""
+    n = np.arange(trunc + 1, dtype=np.int64)
+    chi = ((n & 1) * (2 - (n & 3))).astype(np.int32)
+    sq = (n * n % p).astype(np.int32)
+    # A divisor pair adds at most 240 in magnitude: int32 holds every sum.
+    out = np.zeros(trunc + 1, np.int32)
+    for s in range(1, math.isqrt(trunc) + 1):
+        k = slice(s, trunc // s + 1)
+        out[s * s::s] += (16 * (chi[k] * sq[s] + chi[s] * sq[k])
+                          - 4 * (chi[s] * sq[s] + chi[k] * sq[k]))
+        out[s * s] -= 12 * chi[s] * sq[s]  # d = n/d = s, counted twice
+    out[0] = 1
+    out[1::2] *= -1
+    return out % p
+
+
 def test_the_stream_passes_a_sampled_frobenius_audit():
     # An audit of the production stream that shares no code with the
     # solver.  P = 1/phi(-q) and phi(-q)^p = phi(-q^p) mod p give
     # P(q) = phi(-q)^(p-1) * P(q^p) mod p, so
     # pbar(n) = sum_k a_p(n - p*k) * pbar(k) mod p, a_p(n) the coefficients
-    # of phi(-q)^(p-1): from the two- and four-square theorems for p = 3
-    # and 5, with no FFT.  Mod 2, phi(-q) = 1, so pbar(n) is even for every
-    # n >= 1.  The 23# stream through 2^20 spans four solver segments at
-    # the production constants.
+    # of phi(-q)^(p-1): from the two-, four- and six-square theorems for
+    # p = 3, 5 and 7, with no FFT.  Mod 2, phi(-q) = 1, so pbar(n) is even
+    # for every n >= 1.  The 23# stream through 2^20 spans four solver
+    # segments at the production constants.
     trunc = 1 << 20
     stream = _pbar_stream(PRIMORIAL_23, trunc)
     assert not (stream[1:] % 2).any()
     rng = np.random.default_rng(2026)
-    for p, phi_power in ((3, theta_phi2), (5, theta_phi4)):
-        a_p = transform(phi_power(trunc, ResidueRing(p)), 1, -1).coeffs
+    for p, a_p in ((3, transform(theta_phi2(trunc, ResidueRing(3)), 1, -1).coeffs),
+                   (5, transform(theta_phi4(trunc, ResidueRing(5)), 1, -1).coeffs),
+                   (7, _r6_signed(trunc, 7))):
         pbar = stream % p
         for n in rng.integers(trunc // 2, trunc + 1, 200):
             assert a_p[n::-p] @ pbar[:n // p + 1] % p == pbar[n], (p, n)
