@@ -32,7 +32,8 @@ segment: through q^T the accumulator stays below T * 2^31 < 2^63 for any
 T < 2^32, and a leaf reduces it once, when it reads it.
 invert_taps_residues writes into the caller's array (the coefficient
 store's own buffer).  Residues are int32 (m < 2^31), in a solve and in a
-TruncSeries; sums and products of them are taken in int64, then reduced.
+TruncSeries; sums and products of them are taken in int64 and handed to
+the TruncSeries constructor, whose one reduction writes the int32 residues.
 
 Every FFT product follows one plan, chosen once per modulus and length:
 CRT groups when every group fits one product, limbs otherwise.  m is
@@ -58,7 +59,8 @@ product that fails its check is redone in narrower limbs within its own
 task.  ring_mul stays on the calling thread.
 
 Values are immutable after construction and safe to share across threads.
-Reading a coefficient past the truncation is an error, never a zero.
+A series' coeffs holds exactly trunc + 1 entries, so reading a coefficient
+past the truncation is an IndexError, never a zero.
 """
 
 from __future__ import annotations
@@ -182,7 +184,15 @@ class ResidueRing:
         self.modulus = modulus
 
     def reduce(self, values) -> np.ndarray:
-        return (np.asarray(values, dtype=np.int64) % self.modulus).astype(np.int32)
+        """values mod m as a new int32 array.  An int32 input is reduced in
+        int32; anything else is read as int64 and reduced in numpy's
+        buffered blocks, so no whole-length int64 temporary is made."""
+        values = np.asarray(values)
+        if values.dtype != np.int32:
+            values = values.astype(np.int64, copy=False)
+        out = np.empty(values.shape, np.int32)
+        np.remainder(values, self.modulus, out=out, casting="unsafe")
+        return out
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse of a mod m; ValueError if a is not a unit."""
@@ -242,15 +252,6 @@ class TruncSeries:
         else:
             self.support = None
 
-    def coefficient_at(self, n: int) -> int:
-        """Coefficient of q^n.  Indices beyond the truncation are an error."""
-        n = int(n)
-        if n < 0 or n > self.trunc:
-            raise IndexError(f"coefficient {n} is beyond truncation {self.trunc}")
-        return int(self.coeffs[n])
-
-    __getitem__ = coefficient_at
-
     def is_zero(self) -> bool:
         return self.support is not None and len(self.support) == 0
 
@@ -283,17 +284,12 @@ def _check_rings(f: TruncSeries, g: TruncSeries):
 def ring_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     _check_rings(f, g)
     t = min(f.trunc, g.trunc)
-    m = f.ring.modulus
-    out = np.add(f.coeffs[:t + 1], g.coeffs[:t + 1], dtype=np.int64)
-    out %= m
-    return TruncSeries._canonical(f.ring, out.astype(np.int32), t)
+    return TruncSeries(f.ring, np.add(f.coeffs[:t + 1], g.coeffs[:t + 1], dtype=np.int64), t)
 
 
 def scalar_mul(c: int, f: TruncSeries) -> TruncSeries:
     c = int(c) % f.ring.modulus
-    out = np.multiply(f.coeffs, c, dtype=np.int64)
-    out %= f.ring.modulus
-    return TruncSeries._canonical(f.ring, out.astype(np.int32), f.trunc)
+    return TruncSeries(f.ring, np.multiply(f.coeffs, c, dtype=np.int64), f.trunc)
 
 
 def _fft_size(n: int) -> int:
@@ -540,9 +536,7 @@ def ring_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     for const, other in ((a, b), (b, a)):
         if not const[1:].any():
             # Both factors lie in [0, m), so the product stays below 2^62.
-            out = np.multiply(other, const[0], dtype=np.int64)
-            out %= m
-            return TruncSeries._canonical(ring, out.astype(np.int32), t)
+            return TruncSeries(ring, np.multiply(other, const[0], dtype=np.int64), t)
     return TruncSeries._canonical(ring, _fft_mul(a, b, t + 1, m).astype(np.int32), t)
 
 

@@ -14,6 +14,7 @@ timings are kept out of the serialised form.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import mmap
 import os
 import threading
@@ -198,6 +199,15 @@ class ProofReport:
     claim: str
     steps: list[ProofStep] = field(default_factory=list)
     limits: dict = field(default_factory=dict)
+    # When the step being timed began: at construction, then at each add.
+    _start: float = field(init=False, default_factory=time.perf_counter,
+                          repr=False, compare=False)
+
+    def add(self, name: str, anchor: str, witness, passed: bool) -> None:
+        """Append a step, timed from the previous step (or construction)."""
+        now = time.perf_counter()
+        self.steps.append(ProofStep(name, anchor, witness, bool(passed), now - self._start))
+        self._start = now
 
     @property
     def passed(self) -> bool:
@@ -214,19 +224,6 @@ class ProofReport:
     def timing_summary(self) -> str:
         total = sum(s.seconds for s in self.steps)
         return " ".join(f"{s.name}={s.seconds:.2f}s" for s in self.steps) + f" total={total:.2f}s"
-
-
-class _StepTimer:
-    def __init__(self, report: ProofReport):
-        self.report = report
-        self._t0 = time.perf_counter()
-
-    def add(self, name: str, anchor: str, witness, passed: bool) -> bool:
-        now = time.perf_counter()
-        self.report.steps.append(ProofStep(name, anchor, witness, bool(passed),
-                                           now - self._t0))
-        self._t0 = now
-        return bool(passed)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +377,13 @@ def _prove_theorem(modulus: int, u_chain: int, progression_b: int,
     k2 = modulus - 1
     t_work = 300
     report = ProofReport(claim_text)
-    timer = _StepTimer(report)
 
     # phi^(k2), its head pinned to the known representation counts.
     r_series = r_m_series(k2, modulus * t_work, ring)
     expected_head = _EXPECTED_THETA_HEAD[modulus]
     head = [int(c) for c in r_series.coeffs[:len(expected_head)]]
-    timer.add("expand-theta-power", f"mod{modulus}.theta-power", head,
-              head == expected_head)
+    report.add("expand-theta-power", f"mod{modulus}.theta-power", head,
+               head == expected_head)
 
     # U(modulus) compaction, cross-checked against the Hecke action, whose
     # second term vanishes in the ring because ell = modulus there.
@@ -397,13 +393,13 @@ def _prove_theorem(modulus: int, u_chain: int, progression_b: int,
     u_image = extract_progression(r_series, modulus, 0, compact=True)
     hecke_image = hecke_T(r_series, k2, modulus, chi)
     agree = u_image == hecke_image
-    timer.add("hecke-vs-u", f"mod{modulus}.hecke-reduction",
-              {"trunc": u_image.trunc, "agree": agree}, agree)
+    report.add("hecke-vs-u", f"mod{modulus}.hecke-reduction",
+               {"trunc": u_image.trunc, "agree": agree}, agree)
 
     dec = decompose(u_image, k2)
     expected = _EXPECTED_DECOMPOSITION[modulus]
-    timer.add("decompose", f"mod{modulus}.basis-coordinates",
-              list(dec.coeffs), dec.coeffs == expected)
+    report.add("decompose", f"mod{modulus}.basis-coordinates",
+               list(dec.coeffs), dec.coeffs == expected)
 
     # Cancel phi: divide by it (phi has unit constant term and the
     # coefficient-stream ring has no zero divisors), then confirm the result
@@ -411,16 +407,16 @@ def _prove_theorem(modulus: int, u_chain: int, progression_b: int,
     dec_low = dec.cancel_phi()
     comb = ring_div(u_image, theta_phi(t_work, ring))
     recombines = comb == dec_low.recombine(t_work)
-    timer.add("cancel-phi", f"mod{modulus}.weight-drop",
-              {"coefficients": list(dec_low.coeffs), "recombines": recombines},
-              recombines)
+    report.add("cancel-phi", f"mod{modulus}.weight-drop",
+               {"coefficients": list(dec_low.coeffs), "recombines": recombines},
+               recombines)
 
     # The combination must reproduce the signed, compacted overpartition
     # stream: both sides of the congruence computed independently.
     lhs = _signed_compacted_pbar(modulus, modulus, t_work)
     consistent = lhs == comb
-    timer.add("overpartition-consistency", f"mod{modulus}.generating-function",
-              {"trunc": t_work, "equal": consistent}, consistent)
+    report.add("overpartition-consistency", f"mod{modulus}.generating-function",
+               {"trunc": t_work, "equal": consistent}, consistent)
 
     # Label chain: the combination lives at weight k2-1 over Gamma0(4) with
     # trivial character; run the U(2) chain, then the progression sieve.
@@ -438,9 +434,9 @@ def _prove_theorem(modulus: int, u_chain: int, progression_b: int,
             total_u *= 2
     else:
         series = comb
-    timer.add("u-chain", f"mod{modulus}.u-steps",
-              {"levels": chain_levels, "multiplier": total_u, "trunc": series.trunc},
-              True)
+    report.add("u-chain", f"mod{modulus}.u-steps",
+               {"levels": chain_levels, "multiplier": total_u, "trunc": series.trunc},
+               True)
 
     sieved, sieve_label = sieve_progression(series, label, 1, 8, progression_b)
     asserted_label = SpaceLabel(sieve_label.twice_weight, sieve_label.level,
@@ -456,12 +452,12 @@ def _prove_theorem(modulus: int, u_chain: int, progression_b: int,
                "index": budget.index, "bound": budget.bound, "max_n": limit,
                "indices_checked": len(idx),
                "first_nonzero": None if ok else int(idx[nonzero[0]])}
-    timer.add("sturm-progression-check", f"mod{modulus}.vanishing", witness, ok)
+    report.add("sturm-progression-check", f"mod{modulus}.vanishing", witness, ok)
 
     # Direct cross-check straight from the generating function.
     value = int(_pbar_stream(modulus, crosscheck_index)[crosscheck_index]) % modulus
-    timer.add("direct-crosscheck", f"mod{modulus}.first-instance",
-              {"index": crosscheck_index, "value": value}, value == 0)
+    report.add("direct-crosscheck", f"mod{modulus}.first-instance",
+               {"index": crosscheck_index, "value": value}, value == 0)
 
     report.limits = {"bound": budget.bound, "max_n": limit,
                      "indices_checked": int(len(idx)),
@@ -518,25 +514,24 @@ def verify_identity(modulus: int, trunc: int = 2000) -> ProofReport:
                          f"trunc <= {INDEX_HARD_CAP // modulus} stays within it")
     report = ProofReport(
         f"sum pbar({modulus}n)(-q)^n matches its weight-{k2 - 1}/2 combination mod {modulus}")
-    timer = _StepTimer(report)
 
     lhs = _signed_compacted_pbar(modulus, modulus, trunc)
-    timer.add("generating-function-side", f"mod{modulus}.lhs", {"trunc": trunc}, True)
+    report.add("generating-function-side", f"mod{modulus}.lhs", {"trunc": trunc}, True)
 
     rhs = Decomposition(k2 - 1, ring, expected_low).recombine(trunc)
     diff = np.flatnonzero((lhs.coeffs - rhs.coeffs) % modulus)
     equal = len(diff) == 0
-    timer.add("coefficientwise-compare", f"mod{modulus}.identity",
-              {"trunc": trunc, "first_mismatch": None if equal else int(diff[0])},
-              equal)
+    report.add("coefficientwise-compare", f"mod{modulus}.identity",
+               {"trunc": trunc, "first_mismatch": None if equal else int(diff[0])},
+               equal)
 
     t_dec = 300
     r_series = r_m_series(k2, modulus * t_dec, ring)
     u_image = extract_progression(r_series, modulus, 0, compact=True)
     dec = decompose(u_image, k2)
     derived = dec.cancel_phi().coeffs
-    timer.add("independent-derivation", f"mod{modulus}.re-derivation",
-              list(derived), derived == expected_low)
+    report.add("independent-derivation", f"mod{modulus}.re-derivation",
+               list(derived), derived == expected_low)
 
     report.limits = {"trunc": trunc}
     return report
@@ -626,23 +621,15 @@ def _compress_residues(hits: list[int], a: int) -> tuple[tuple, ...]:
         return ()
     r = residues.pop()
     base = [x for x in range(a) if x % 8 == r]
-    if base == hits:
-        return (("residue", 8, (r,)),)
     odd_primes = sorted(p for p in chars.factorize(a) if p % 2 == 1)
-    for p in odd_primes:
-        for sign in (-1, 1):
-            cand = [x for x in base if chars.kronecker(x, p) == sign]
-            if cand == hits:
-                return (("residue", 8, (r,)), ("kronecker", p, sign))
-    for i, p1 in enumerate(odd_primes):
-        for p2 in odd_primes[i + 1:]:
-            for s1 in (-1, 1):
-                for s2 in (-1, 1):
-                    cand = [x for x in base if chars.kronecker(x, p1) == s1
-                            and chars.kronecker(x, p2) == s2]
-                    if cand == hits:
-                        return (("residue", 8, (r,)),
-                                ("kronecker", p1, s1), ("kronecker", p2, s2))
+    # Fewest conditions first: no prime, then each prime, then each pair.
+    for count in range(3):
+        for primes in itertools.combinations(odd_primes, count):
+            for signs in itertools.product((-1, 1), repeat=count):
+                conds = tuple(zip(primes, signs))
+                if hits == [x for x in base
+                            if all(chars.kronecker(x, p) == s for p, s in conds)]:
+                    return (("residue", 8, (r,)),) + tuple(("kronecker",) + c for c in conds)
     return ()
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, invert_taps_residues,
+from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, _crt_join, invert_taps_residues,
                         one_series, ring_invert, ring_mul, ring_pow)
 
 R_M_BRUTE_MAX_N = 50
@@ -157,15 +157,9 @@ def r_m_bruteforce(n: int, m_exp: int) -> int:
 def r_m_exact(m_exp: int, trunc: int) -> list[int]:
     """Exact integer coefficients of phi^m_exp, composed from two coprime
     word-size moduli by the Chinese remainder theorem."""
-    m1, m2 = 65521, 65519
-    a = r_m_series(m_exp, trunc, ResidueRing(m1)).coeffs
-    b = r_m_series(m_exp, trunc, ResidueRing(m2)).coeffs
-    inv = pow(m1, -1, m2)
-    out = []
-    for x, y in zip(a.tolist(), b.tolist()):
-        k = (y - x) * inv % m2
-        out.append(x + m1 * k)
-    return out
+    groups = (65521, 65519)
+    parts = [r_m_series(m_exp, trunc, ResidueRing(g)).coeffs.astype(np.int64) for g in groups]
+    return _crt_join(parts, groups).tolist()
 
 
 def _phi_minus_q_taps(trunc: int) -> tuple[np.ndarray, np.ndarray]:

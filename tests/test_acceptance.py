@@ -173,12 +173,12 @@ def test_criterion_8_oracle_suites():
     for k2 in range(1, 25):
         for a, b in basis_monomials(k2).monomials:
             series = expand_monomial(a, b, 64, ring)
-            ok = ok and not series.coeffs[:b].any() and series[b] == 1
+            ok = ok and not series.coeffs[:b].any() and series.coeffs[b] == 1
     # Sieve support contract.
     sample = TruncSeries(ring, rng.integers(0, 13, 1001), 1000)
     sieved, _ = sieve_progression(sample, SpaceLabel(9, 4), 3, 8, 5)
     ok = ok and all(
-        sieved[n] == (sample[3 * n] if n % 8 == 5 else 0)
+        sieved.coeffs[n] == (sample.coeffs[3 * n] if n % 8 == 5 else 0)
         for n in range(sieved.trunc + 1))
     report(8, "oracle suites: representation counts, inversion, ring laws, "
               "Hecke-vs-extraction, triangularity, sieve support", ok)

@@ -1,6 +1,6 @@
 """Kronecker symbols and real characters, checked against brute force."""
 
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -24,6 +24,24 @@ def legendre_bruteforce(a, p):
     if a == 0:
         return 0
     return 1 if any(x * x % p == a for x in range(1, p)) else -1
+
+
+def test_is_prime_matches_a_sieve_of_eratosthenes():
+    n = 20_000
+    sieve = np.ones(n, bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    assert [k for k in range(n) if is_prime(k)] == np.flatnonzero(sieve).tolist()
+
+
+def test_is_prime_edges():
+    assert not any(is_prime(n) for n in (0, 1, -7))
+    assert is_prime(2**31 - 1)
+    # A prime square below 2^31: trial division must reach its root.
+    assert is_prime(46337) and 46337**2 < 2**31
+    assert not is_prime(46337**2)
 
 
 def test_kronecker_literals():

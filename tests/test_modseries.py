@@ -441,7 +441,7 @@ def test_pow_theta_square_counts_lattice_points():
     ring = ResidueRing(65521)
     sq = ring_pow(theta_phi(5, ring), 2)
     for n in range(6):
-        assert sq[n] == count_ordered_square_pairs(n)
+        assert sq.coeffs[n] == count_ordered_square_pairs(n)
 
 
 def test_invert_geometric_series():
@@ -604,7 +604,7 @@ def test_extract_compact_theta_power_head():
     ring = ResidueRing(11)
     tenth = ring_pow(theta_phi(44, ring), 10)
     compact = extract_progression(tenth, 11, 0, compact=True)
-    assert compact[0] == 1
+    assert compact.coeffs[0] == 1
 
 
 def test_extract_validation():
@@ -619,12 +619,10 @@ def test_extract_validation():
 def test_coefficient_access():
     ring = ResidueRing(101)
     phi = theta_phi(10, ring)
-    assert phi.coefficient_at(4) == 2
-    assert phi[3] == 0
+    assert phi.coeffs[4] == 2
+    assert phi.coeffs[3] == 0
     with pytest.raises(IndexError):
-        phi.coefficient_at(11)
-    with pytest.raises(IndexError):
-        phi.coefficient_at(-1)
+        phi.coeffs[11]
 
 
 def test_scalar_and_sub_helpers():
@@ -743,11 +741,10 @@ def test_cache_prefix_load_checks_its_whole_last_block(tmp_path):
 
 def test_cache_io_holds_one_copy_of_the_residues(tmp_path):
     # write_residues writes an int32 array's own buffer, as the store holds
-    # it, and allocates little beyond the CRC list.  save_series checksums
-    # and writes the buffer of its one u32 copy of an int64 series, and
-    # read_residues reads the file straight into the int32 array it
-    # returns: 4 bytes per coefficient each, where a bytes copy beside the
-    # array would make 8.
+    # it, and allocates little beyond the CRC list; so does save_series,
+    # with the series' own int32 buffer.  read_residues reads the file
+    # straight into the int32 array it returns: 4 bytes per coefficient,
+    # where a bytes copy beside the array would make 8.
     trunc = 1 << 18
     m = 223_092_870
     f = random_series(np.random.default_rng(67), ResidueRing(m), trunc)
@@ -765,12 +762,30 @@ def test_cache_io_holds_one_copy_of_the_residues(tmp_path):
 
     assert peak(lambda: modseries.write_residues(path, m, residues)) < 64 << 10
     written = path.read_bytes()
-    assert peak(lambda: save_series(f, path)) < 4 * (trunc + 1) + (64 << 10)
+    assert peak(lambda: save_series(f, path)) < 64 << 10
     assert path.read_bytes() == written
     assert peak(lambda: modseries.read_residues(path)) < 4 * (trunc + 1) + (64 << 10)
     ring, residues = modseries.read_residues(path, m, trunc - 3)
     assert residues.dtype == np.int32 and ring == f.ring
     assert residues.tolist() == f.coeffs[:trunc - 2].tolist()
+
+
+def test_constructor_reduces_int32_input_without_a_wide_copy():
+    # An int32 input is reduced in int32 straight into the series' own
+    # array: 4 bytes per coefficient and numpy's buffers, where an int64
+    # copy beside an int64 remainder takes 16.
+    n = 1 << 18
+    a = np.random.default_rng(76).integers(-(1 << 31), 1 << 31, n, dtype=np.int32)
+    ring = ResidueRing(17)
+    tracemalloc.start()
+    try:
+        f = TruncSeries(ring, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n + (64 << 10)
+    assert f.coeffs.dtype == np.int32
+    assert f.coeffs.tolist() == (a.astype(np.int64) % 17).tolist()
 
 
 def test_cache_rejects_forged_and_foreign_files(tmp_path):

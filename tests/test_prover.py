@@ -601,6 +601,33 @@ def test_compression_prefers_fewer_conditions():
     assert _compress_residues([], 40) == ()
 
 
+@st.composite
+def compressible_offsets(draw):
+    """(a, hits, conds): a = 8k <= 1000, and hits the offsets of one class
+    r mod 8 cut by the Kronecker signs conds at <= 2 of a's odd primes."""
+    a = 8 * draw(st.integers(1, 125))
+    r = draw(st.integers(0, 7))
+    primes = sorted(p for p in factorize(a) if p % 2 == 1)
+    chosen = draw(st.lists(st.sampled_from(primes), max_size=2, unique=True)) if primes else []
+    conds = [(p, draw(st.sampled_from((-1, 1)))) for p in sorted(chosen)]
+    hits = [x for x in range(r, a, 8) if all(kronecker(x, p) == s for p, s in conds)]
+    return a, hits, conds
+
+
+@settings(max_examples=100, deadline=None)
+@given(compressible_offsets())
+def test_compression_round_trips_a_drawn_description(drawn):
+    a, hits, conds = drawn
+    conditions = _compress_residues(hits, a)
+    assert conditions, (a, conds)
+    (kind, eight, (r,)), *signs = conditions
+    assert (kind, eight) == ("residue", 8)
+    assert all(kind == "kronecker" for kind, _, _ in signs)
+    assert len(signs) <= len(conds)
+    assert [x for x in range(r, a, 8)
+            if all(kronecker(x, p) == s for _, p, s in signs)] == hits
+
+
 def test_compression_candidates_hold_a_sixtieth_of_the_offsets():
     # _compress_residues gives up on fewer than a/60 hits: no candidate is smaller.
     for a in range(8, 1000, 8):
