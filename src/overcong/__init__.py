@@ -1,7 +1,7 @@
 """Truncated q-series arithmetic over Z/mZ and congruence pipelines for the
 overpartition function."""
 
-from .chars import DirichletChar, kronecker
+from .chars import kronecker
 from .halfint import (GAMMA0, GAMMA1, Decomposition, MonomialBasis, SpaceLabel,
                       apply_U, basis_monomials, decompose, expand_monomial,
                       hecke_T, sieve_progression)
@@ -18,7 +18,7 @@ from .qgen import (EtaQuotient, QExpansion, eta_quotient, overpartition_series,
 from .sturm import SturmBudget, index_sl2, progression_limit, sturm_bound
 
 __all__ = [
-    "CongruenceClaim", "Decomposition", "DirichletChar", "EtaQuotient",
+    "CongruenceClaim", "Decomposition", "EtaQuotient",
     "GAMMA0", "GAMMA1", "MonomialBasis", "ProofReport", "ProofStep",
     "QExpansion", "ResidueRing", "SpaceLabel", "SturmBudget", "TruncSeries",
     "apply_U", "basis_monomials", "check_claim_direct", "decompose",

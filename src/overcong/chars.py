@@ -1,11 +1,10 @@
-"""Kronecker symbols, primality and factorisation, and the real Dirichlet
-characters the Hecke operator takes, tabulated as integers in {-1, 0, +1}.
+"""Kronecker symbols, primality and factorisation.
+
+A character is held in one form only: the Kronecker tag (c/.) on a space
+label, recorded by its top argument c and read at n by kronecker(c, n).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -64,30 +63,3 @@ def kronecker(a: int, n: int) -> int:
         a %= n
     return sign if n == 1 else 0
 
-
-@dataclass(frozen=True)
-class DirichletChar:
-    """A real Dirichlet character mod `modulus`: values[n] is its value at n,
-    in {-1, 0, +1}, for n in [0, modulus)."""
-
-    modulus: int
-    values: tuple[int, ...]
-
-    @classmethod
-    def principal(cls, modulus: int) -> "DirichletChar":
-        return cls(modulus, tuple(int(gcd(n, modulus) == 1) for n in range(modulus)))
-
-    @classmethod
-    def from_kronecker(cls, numer: int, modulus: int) -> "DirichletChar":
-        """The real character n -> (numer/n) read mod `modulus`; the symbol must
-        actually be periodic with that period."""
-        table = tuple(kronecker(numer, n) for n in range(modulus))
-        for n in range(modulus):
-            if (gcd(n, modulus) == 1) != (table[n] != 0):
-                raise ValueError(f"({numer}/.) is not a character mod {modulus}")
-            if kronecker(numer, n + modulus) != table[n]:
-                raise ValueError(f"({numer}/.) is not periodic mod {modulus}")
-        return cls(modulus, table)
-
-    def value_int(self, n: int) -> int:
-        return self.values[n % self.modulus]

@@ -23,7 +23,7 @@ from . import chars
 from .modseries import (ResidueRing, TruncSeries, extract_progression,
                         one_series, ring_add, ring_mul, ring_pow, scalar_mul,
                         zero_series)
-from .qgen import theta_phi, theta_phi2, theta_phi4, weight2_form
+from .qgen import r_m_series, theta_phi4, weight2_form
 
 GAMMA0 = "Gamma0"
 GAMMA1 = "Gamma1"
@@ -84,23 +84,12 @@ def basis_monomials(k2: int) -> MonomialBasis:
     return MonomialBasis(k2, mons)
 
 
-def _phi_power(e: int, trunc: int, ring: ResidueRing) -> TruncSeries:
-    """phi^e for 0 <= e < 4: phi^2 from its closed form, so phi^3 costs
-    one product."""
-    if e < 2:
-        return ring_pow(theta_phi(trunc, ring), e)
-    phi2 = theta_phi2(trunc, ring)
-    return phi2 if e == 2 else ring_mul(phi2, theta_phi(trunc, ring))
-
-
 def expand_monomial(a: int, b: int, trunc: int, ring: ResidueRing) -> TruncSeries:
-    """F^b * phi^a through q^trunc; leading term is q^b.  Built as
-    F^b * (phi^4)^(a//4) * phi^(a%4) from the closed-form blocks."""
+    """F^b * phi^a through q^trunc; leading term is q^b."""
     if a < 0 or b < 0:
         raise ValueError("exponents must be >= 0")
-    out = ring_mul(ring_pow(weight2_form(trunc, ring), b),
-                   ring_pow(theta_phi4(trunc, ring), a // 4))
-    return ring_mul(out, _phi_power(a % 4, trunc, ring))
+    out = ring_pow(weight2_form(trunc, ring), b)
+    return ring_mul(out, r_m_series(a, trunc, ring)) if a else out
 
 
 @dataclass(frozen=True)
@@ -130,7 +119,8 @@ class Decomposition:
                 power = ring_mul(power, f)
             if c:
                 acc = ring_add(acc, scalar_mul(c, power))
-        return ring_mul(_phi_power(self.k2 % 4, trunc, ring), acc)
+        e = self.k2 % 4
+        return ring_mul(r_m_series(e, trunc, ring), acc) if e else acc
 
     def cancel_phi(self) -> "Decomposition":
         """Divide every monomial by phi, dropping the weight by 1/2.  Exact
@@ -164,24 +154,27 @@ def decompose(f: TruncSeries, k2: int) -> Decomposition:
     return Decomposition(k2, f.ring, tuple(coeffs))
 
 
-def hecke_T(f: TruncSeries, k2even: int, ell: int,
-            chi: chars.DirichletChar) -> TruncSeries:
-    """Integral-weight Hecke operator on coefficients:
+def hecke_T(f: TruncSeries, label: SpaceLabel, ell: int) -> TruncSeries:
+    """Integral-weight Hecke operator on the coefficients of f in `label`:
 
         (f | T(ell))[n] = a(ell*n) + chi(ell) * ell^(k-1) * a(n/ell)
 
-    with a(n/ell) = 0 unless ell divides n.  k = k2even/2; ell must be a
-    prime not dividing the character modulus.  Exact in the series ring.
+    with a(n/ell) = 0 unless ell divides n, k = label.twice_weight/2 and
+    chi(ell) = (label.char_numer/ell), the label's Kronecker tag read at
+    ell.  The label must be a Gamma0 one, the only kind with a character,
+    and ell a prime not dividing its level.  Exact in the series ring.
     """
-    if k2even % 2 != 0:
+    if label.group != GAMMA0:
+        raise ValueError(f"a {label.group} label carries no character")
+    if label.twice_weight % 2 != 0:
         raise ValueError("Hecke action implemented for integral weight only")
     if not chars.is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    if gcd(ell, chi.modulus) != 1:
-        raise ValueError(f"{ell} divides the level {chi.modulus}")
-    k = k2even // 2
+    if label.level % ell == 0:
+        raise ValueError(f"{ell} divides the level {label.level}")
+    k = label.twice_weight // 2
     m = f.ring.modulus
-    factor = chi.value_int(ell) * pow(ell, k - 1, m) % m
+    factor = chars.kronecker(label.char_numer, ell) * pow(ell, k - 1, m) % m
     out = f.coeffs[::ell].astype(np.int64)  # a(ell*n) for n <= f.trunc // ell
     low = out[::ell]  # the n divisible by ell, a view into out
     low += np.multiply(f.coeffs[:len(low)], factor, dtype=np.int64)

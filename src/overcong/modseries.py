@@ -464,7 +464,8 @@ def _product_plan(m: int, terms: int, bound: int) -> tuple[tuple[int, ...], int]
 
 def _crt_join(parts: list[np.ndarray], groups: tuple[int, ...]) -> np.ndarray:
     """The residues mod prod(groups) with residues parts[i] mod groups[i],
-    by Garner's method in int64; parts[1:] are overwritten."""
+    by Garner's method in int64.  Every part is overwritten: the result is
+    accumulated into parts[0], which is returned."""
     x, mod = parts[0], groups[0]
     for r, g in zip(parts[1:], groups[1:]):
         # 0 <= x < mod and 0 <= r < g, both below 2^31, so |r - x| times

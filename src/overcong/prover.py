@@ -388,10 +388,8 @@ def _prove_theorem(modulus: int, u_chain: int, progression_b: int,
     # U(modulus) compaction, cross-checked against the Hecke action, whose
     # second term vanishes in the ring because ell = modulus there.
     basis = basis_monomials(k2)
-    chi = (chars.DirichletChar.from_kronecker(-4, 4) if basis.char_numer == -4
-           else chars.DirichletChar.principal(4))
     u_image = extract_progression(r_series, modulus, 0, compact=True)
-    hecke_image = hecke_T(r_series, k2, modulus, chi)
+    hecke_image = hecke_T(r_series, SpaceLabel(k2, 4, GAMMA0, basis.char_numer), modulus)
     agree = u_image == hecke_image
     report.add("hecke-vs-u", f"mod{modulus}.hecke-reduction",
                {"trunc": u_image.trunc, "agree": agree}, agree)

@@ -2,11 +2,11 @@
 
 Everything here produces a TruncSeries in a caller-supplied residue ring:
 Euler products (q^d; q^d)_inf, eta quotients with their q-power prefactor,
-the theta series phi(q) = sum q^(n^2), its powers, the weight-2 block
+the theta series phi(q) = sum q^(n^2), the weight-2 block
 F = eta(4z)^8/eta(2z)^4, phi^2 and phi^4, each read from a divisor-sum
-sieve by its closed form, and the overpartition generating function
-1/phi(-q), inverted from phi(-q)'s taps without building phi(-q) as a
-dense series.
+sieve by its closed form, every power of phi as a product of those
+blocks, and the overpartition generating function 1/phi(-q), inverted
+from phi(-q)'s taps without building phi(-q) as a dense series.
 
 The Euler products are written straight from their pentagonal-number
 exponents rather than by multiplying out the product, so one costs a
@@ -15,6 +15,7 @@ single pass over its O(sqrt(T)) nonzero terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,10 +120,18 @@ def theta_phi(trunc: int, ring: ResidueRing) -> TruncSeries:
 
 def r_m_series(m_exp: int, trunc: int, ring: ResidueRing) -> TruncSeries:
     """phi(q)^m_exp, whose coefficient of q^n counts representations of n as
-    an ordered sum of m_exp integer squares."""
+    an ordered sum of m_exp integer squares, built as (phi^4)^(m_exp//4) *
+    phi^2 * phi from the closed forms, each factor only where it occurs."""
     if m_exp < 1:
         raise ValueError("exponent must be >= 1")
-    return ring_pow(theta_phi(trunc, ring), m_exp)
+    factors = []
+    if m_exp >= 4:
+        factors.append(ring_pow(theta_phi4(trunc, ring), m_exp // 4))
+    if m_exp % 4 >= 2:
+        factors.append(theta_phi2(trunc, ring))
+    if m_exp % 2:
+        factors.append(theta_phi(trunc, ring))
+    return functools.reduce(ring_mul, factors)
 
 
 def r_m_bruteforce(n: int, m_exp: int) -> int:

@@ -16,7 +16,6 @@ from overcong import (CongruenceClaim, GAMMA0, GAMMA1, ResidueRing,
                       progression_limit, r_m_bruteforce, r_m_exact,
                       ring_invert, ring_mul, ring_pow, scan, sturm_bound,
                       theta_phi, verify_identity, verify_lemma1)
-from overcong.chars import DirichletChar
 from overcong.cli import main as cli_main
 from overcong.halfint import basis_monomials, hecke_T, sieve_progression
 
@@ -164,10 +163,9 @@ def test_criterion_8_oracle_suites():
     # Hecke action reduces to coefficient extraction mod ell.
     for ell, k2 in ((11, 10), (13, 12)):
         ring_l = ResidueRing(ell)
-        chi = (DirichletChar.from_kronecker(-4, 4) if k2 % 4 == 2
-               else DirichletChar.principal(4))
+        label = SpaceLabel(k2, 4, GAMMA0, -4 if k2 % 4 == 2 else 1)
         power = ring_pow(theta_phi(ell * 500, ring_l), k2)
-        ok = ok and (hecke_T(power, k2, ell, chi)
+        ok = ok and (hecke_T(power, label, ell)
                      == extract_progression(power, ell, 0, compact=True))
     # Triangularity of the monomial basis.
     for k2 in range(1, 25):

@@ -1,21 +1,12 @@
-"""Kronecker symbols and real characters, checked against brute force."""
+"""Kronecker symbols, primality and factorisation, checked against brute force."""
 
 from math import gcd, isqrt
 
 import numpy as np
-import pytest
 
-from overcong import (GAMMA0, DirichletChar, ResidueRing, SpaceLabel,
-                      TruncSeries, kronecker, sieve_progression)
+from overcong import (GAMMA0, ResidueRing, SpaceLabel, TruncSeries, kronecker,
+                      sieve_progression)
 from overcong.chars import factorize, is_prime
-
-
-def real_chars():
-    # The characters the Hecke operator takes: principal ones and real
-    # Kronecker characters (c/.) with their period.
-    return ([DirichletChar.principal(a) for a in (1, 4, 8, 11, 12, 24)]
-            + [DirichletChar.from_kronecker(c, a) for c, a in
-               ((-4, 4), (2, 8), (-2, 8), (12, 12), (-3, 3), (5, 5))])
 
 
 def legendre_bruteforce(a, p):
@@ -99,30 +90,6 @@ def test_all_real_characters_exactly_for_divisors_of_24():
         assert real == (24 % a == 0)
         _, label = sieve_progression(f, SpaceLabel(9, 4), 1, a, 1 % a)
         assert (label.group == GAMMA0) == real
-
-
-def test_characters_are_completely_multiplicative():
-    for ch in real_chars():
-        a = ch.modulus
-        for x in range(a):
-            for y in range(a):
-                assert ch.value_int(x * y) == ch.value_int(x) * ch.value_int(y)
-
-
-def test_character_zero_exactly_off_units():
-    for ch in real_chars():
-        a = ch.modulus
-        for n in range(3 * a):
-            assert (ch.value_int(n) == 0) == (gcd(n, a) != 1)
-            assert ch.value_int(n) in (-1, 0, 1)
-    for c, a in ((-4, 4), (2, 8), (12, 12)):
-        ch = DirichletChar.from_kronecker(c, a)
-        assert all(ch.value_int(n) == kronecker(c, n) for n in range(1, 5 * a))
-
-
-def test_from_kronecker_rejects_wrong_period():
-    with pytest.raises(ValueError):
-        DirichletChar.from_kronecker(2, 4)  # (2/.) needs period 8
 
 
 def test_factorize_and_phi():

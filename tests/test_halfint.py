@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overcong import (GAMMA0, GAMMA1, Decomposition, DirichletChar,
+from overcong import (GAMMA0, GAMMA1, Decomposition,
                       ResidueRing, SpaceLabel, TruncSeries, apply_U,
                       basis_monomials, decompose, expand_monomial,
                       extract_progression, hecke_T, r_m_series, ring_add,
@@ -36,16 +36,6 @@ def test_expand_monomial_pinned_heads():
     assert expand_monomial(0, 0, 5, BIG).coeffs[0] == 1
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from((2, 13, 223092870, 2**31 - 1)), st.integers(0, 11),
-       st.integers(0, 3), st.integers(0, 300))
-def test_expand_monomial_matches_the_theta_powers(m, a, b, trunc):
-    # The closed-form blocks against F and phi multiplied out by ring_pow.
-    ring = ResidueRing(m)
-    want = ring_mul(ring_pow(weight2_form(trunc, ring), b), ring_pow(theta_phi(trunc, ring), a))
-    assert expand_monomial(a, b, trunc, ring) == want
-
-
 def test_monomials_are_triangular():
     ring = ResidueRing(11)
     for k2 in range(1, 25):
@@ -71,12 +61,12 @@ def test_recombine_matches_the_per_monomial_sum(m, k2, trunc, data):
     assert Decomposition(k2, ring, coeffs).recombine(trunc) == want
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from(BASIS_MODULI), st.integers(0, 23), st.integers(0, 5),
        st.integers(0, 300))
 def test_expand_monomial_matches_sparse_theta_powers(m, a, b, trunc):
     # phi^a multiplied out by ring_pow, one product at a time: the oracle for
-    # the phi^4 blocks expand_monomial is built from.
+    # the closed-form blocks r_m_series builds expand_monomial's phi^a from.
     ring = ResidueRing(m)
     want = ring_mul(ring_pow(weight2_form(trunc, ring), b),
                     ring_pow(theta_phi(trunc, ring), a))
@@ -125,37 +115,40 @@ def test_decomposition_cancel_phi():
 def test_hecke_constant_term_witness():
     # On phi^10 at weight 5 with the conductor-4 character:
     # output[0] = r(0) + (-4/11) * 11^4 * r(0) = 1 - 14641.
-    chi = DirichletChar.from_kronecker(-4, 4)
     f = r_m_series(10, 11, BIG)
-    out = hecke_T(f, 10, 11, chi)
+    out = hecke_T(f, SpaceLabel(10, 4, GAMMA0, -4), 11)
     assert out.coeffs[0] == (1 - 11 ** 4) % BIG.modulus
 
 
 def test_hecke_reduces_to_u_mod_ell():
     for ell, k2 in ((11, 10), (13, 12)):
         ring = ResidueRing(ell)
-        chi = (DirichletChar.from_kronecker(-4, 4) if k2 % 4 == 2
-               else DirichletChar.principal(4))
         f = r_m_series(k2, ell * 500, ring)
-        hecke = hecke_T(f, k2, ell, chi)
+        hecke = hecke_T(f, SpaceLabel(k2, 4, GAMMA0, -4 if k2 % 4 == 2 else 1), ell)
         u_image = extract_progression(f, ell, 0, compact=True)
         assert hecke == u_image
 
 
 def test_hecke_on_zero_series():
-    chi = DirichletChar.principal(4)
-    assert hecke_T(zero_series(BIG, 100), 6, 13, chi) == zero_series(BIG, 7)
+    assert hecke_T(zero_series(BIG, 100), SpaceLabel(6, 4), 13) == zero_series(BIG, 7)
 
 
 def test_hecke_validation():
-    chi = DirichletChar.principal(4)
     f = r_m_series(2, 50, BIG)
     with pytest.raises(ValueError, match="not prime"):
-        hecke_T(f, 2, 15, chi)
+        hecke_T(f, SpaceLabel(2, 4), 15)
     with pytest.raises(ValueError, match="divides the level"):
-        hecke_T(f, 2, 2, chi)
+        hecke_T(f, SpaceLabel(2, 4), 2)
     with pytest.raises(ValueError, match="integral weight"):
-        hecke_T(f, 9, 11, chi)
+        hecke_T(f, SpaceLabel(9, 4), 11)
+
+
+def test_hecke_rejects_a_gamma1_label_and_a_prime_of_the_level():
+    f = r_m_series(2, 50, BIG)
+    with pytest.raises(ValueError, match="carries no character"):
+        hecke_T(f, SpaceLabel(2, 4, GAMMA1), 3)
+    with pytest.raises(ValueError, match="divides the level 512"):
+        hecke_T(f, SpaceLabel(2, 512, GAMMA0, 2), 2)
 
 
 def test_u_after_v_is_identity():

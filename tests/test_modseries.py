@@ -355,6 +355,25 @@ def test_the_plan_takes_groups_when_they_fit_and_limbs_otherwise():
     assert modseries._prime_powers((1 << 31) - 1) == ((1 << 31) - 1,)
 
 
+@pytest.mark.parametrize("groups", [(7, 11), (482885, 462), (52003, 4290), (65521, 65519)])
+def test_crt_join_matches_the_integer_crt(groups):
+    # (7, 11) is the smallest case; 23#'s two leaf splits; and the two word
+    # moduli r_m_exact joins.  Random residues plus both extremes per group.
+    rng = np.random.default_rng(sum(groups))
+    parts = [np.concatenate([[0, g - 1], rng.integers(0, g, 500)]).astype(np.int64)
+             for g in groups]
+    n = len(parts[0])
+    mod = math.prod(groups)
+    want = []
+    for i in range(n):
+        x = sum(int(p[i]) * (mod // g) * pow(mod // g, -1, g) for p, g in zip(parts, groups))
+        want.append(x % mod)
+    first = parts[0]
+    got = modseries._crt_join(parts, groups)
+    assert got.tolist() == want
+    assert got is first  # the join accumulates into parts[0]
+
+
 def test_a_group_product_that_fails_its_check_is_redone_in_limbs(monkeypatch):
     # With the bound lifted to 2^67, 2 * 1073741789 splits into the groups
     # 1073741789 and 2.  The first group's one float product reaches ~2^66

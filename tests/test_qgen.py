@@ -189,6 +189,16 @@ def test_r_m_series_matches_bruteforce_counts():
             assert exact[n] == r_m_bruteforce(n, m_exp)
 
 
+@pytest.mark.parametrize("k2, ell", [(10, 11), (12, 13), (16, 17), (22, 23)])
+def test_r_m_series_matches_the_theta_power_at_the_pipeline_truncation(k2, ell):
+    # phi^(ell-1) through q^(300*ell), as the proof and identity pipelines
+    # expand it, against phi multiplied out by ring_pow.
+    trunc = 300 * ell
+    for m in (ell, 223092870, 2**31 - 1):
+        ring = ResidueRing(m)
+        assert r_m_series(k2, trunc, ring) == ring_pow(theta_phi(trunc, ring), k2), m
+
+
 def test_r_m_bruteforce_literals_and_budget():
     assert r_m_bruteforce(4, 1) == 2
     assert r_m_bruteforce(1, 10) == 20

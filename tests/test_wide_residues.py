@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overcong import (Decomposition, DirichletChar, EtaQuotient, ResidueRing,
+from overcong import (GAMMA0, Decomposition, EtaQuotient, ResidueRing, SpaceLabel,
                       TruncSeries, decompose, eta_quotient, extract_progression,
                       hecke_T, pochhammer, r_m_series, ring_add, ring_mul,
                       ring_pow, scalar_mul, theta_phi, transform, weight2_form)
@@ -160,12 +160,12 @@ def test_decompose_and_recombine(m, data, k2, t):
        ell=st.sampled_from([3, 5, 7, 11, 13]), kronecker=st.booleans())
 def test_hecke_operator(m, data, k2even, ell, kronecker):
     a = residues(data, m, 1, 200)
-    chi = DirichletChar.from_kronecker(-4, 4) if kronecker else DirichletChar.principal(4)
     chi_ell = (-1) ** (ell // 2) if kronecker else 1
     top = (len(a) - 1) // ell
     want = [a[ell * n] + (chi_ell * ell ** (k2even // 2 - 1) * a[n // ell] if n % ell == 0
                           else 0) for n in range(top + 1)]
-    assert ints(hecke_T(series(m, a), k2even, ell, chi)) == mod(want, m)
+    label = SpaceLabel(k2even, 4, GAMMA0, -4 if kronecker else 1)
+    assert ints(hecke_T(series(m, a), label, ell)) == mod(want, m)
 
 
 @pytest.mark.parametrize("m", WIDE_MODULI)
