@@ -1,6 +1,14 @@
 """Truncated q-series arithmetic over Z/mZ and congruence pipelines for the
 overpartition function."""
 
+import os
+
+# numpy's OpenBLAS starts a spinning worker thread per extra core when it
+# loads, and overcong calls no BLAS routine, so one thread unless the
+# caller chose otherwise.  Set before any submodule imports numpy; it has
+# no effect if numpy was imported first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .chars import kronecker
 from .halfint import (GAMMA0, GAMMA1, Decomposition, MonomialBasis, SpaceLabel,
                       apply_U, basis_monomials, decompose, expand_monomial,

@@ -50,7 +50,9 @@ leaf length, so each leaf transforms only its right-hand side.
 A solve spreads the independent work inside each step over its own thread
 and, when the process may run on two or more CPUs and its thread limit
 allows a second thread, one pool thread (only two cores could be measured);
-with one CPU, or a limit of one thread, there is no pool.  A push over
+with one CPU, or a limit of one thread, there is no pool.  The pool is
+made by the first step that shares work, not at import, so a process
+that never gets that far never imports concurrent.futures.  A push over
 at least 2 * _PUSH_CHUNK positions is cut into chunks that each loop over
 only the taps reaching them and write only their own slice, and a leaf
 runs its group products as such tasks.  numpy releases the interpreter
@@ -70,8 +72,8 @@ import functools
 import os
 import struct
 import tempfile
+import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -122,38 +124,65 @@ _HEADER_SIZE = 21
 _CRC_BLOCK = 1 << 16
 
 
-def _worker_pool(limit: int | None = None) -> ThreadPoolExecutor | None:
-    """One thread to work beside the caller when this process may run on
-    two or more CPUs and `limit`, the most threads a solve may use, the
-    caller's included, is 2 or more (None: no limit); else None.  Only two
-    cores could be measured, so never more threads.  The thread starts on
-    first use, not when the pool is made."""
+def _two_threads(limit: int | None) -> bool:
+    """Whether a solve may use a pool thread: this process may run on two
+    or more CPUs and `limit`, the most threads a solve may use, the
+    caller's included, is 2 or more (None: no limit)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
     if limit is not None:
         cpus = min(cpus, limit)
-    return ThreadPoolExecutor(1, thread_name_prefix="modseries") if cpus > 1 else None
+    return cpus > 1
+
+
+def _worker_pool(limit: int | None = None):
+    """One thread to work beside the caller when _two_threads(limit); else
+    None.  Only two cores could be measured, so never more threads.  The
+    thread starts on first use, not when the pool is made."""
+    if not _two_threads(limit):
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="modseries")
 
 
 # Shared by every solve in the process.  Pool tasks never submit to the
-# pool, so no worker waits on another.
-_POOL = _worker_pool()
+# pool, so no worker waits on another.  _UNSET until the first step with
+# work to share makes it (_pool), so a process that shares none never
+# imports concurrent.futures; None when there is no pool.
+_UNSET = object()
+_POOL = _UNSET
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The shared pool, made on first call if still _UNSET, or None."""
+    global _POOL
+    if _POOL is _UNSET:
+        with _POOL_LOCK:
+            if _POOL is _UNSET:
+                _POOL = _worker_pool()
+    return _POOL
 
 
 def _limit_threads(limit: int | None) -> None:
-    """Size the shared pool for `limit` as _worker_pool reads it.  A pool
-    that still fits is kept; one that is replaced is shut down, so setting
-    the limit again and again leaves no idle thread behind.  Not to be
-    called while a solve runs."""
+    """Size the shared pool for `limit` as _two_threads reads it.  A pool
+    that still fits is kept, and one not made yet stays unmade when it
+    would fit (it has at most one thread, whatever the limit); one that
+    is replaced is shut down, so setting the limit again and again leaves
+    no idle thread behind.  Not to be called while a solve runs."""
     global _POOL
-    pool = _worker_pool(limit)
-    if (pool is None) == (_POOL is None):
-        return  # the pool held fits; the new one never started a thread
+    wanted = _two_threads(limit)
+    if _POOL is _UNSET:
+        if not wanted:
+            _POOL = None
+        return
+    if wanted == (_POOL is not None):
+        return  # the pool held fits
     if _POOL is not None:
         _POOL.shutdown()
-    _POOL = pool
+    _POOL = _worker_pool(limit)
 
 
 def _pool_map(fn, items) -> list:
@@ -161,9 +190,10 @@ def _pool_map(fn, items) -> list:
     one.  The pool takes items from the front while the caller takes them
     from the back, so the caller waits only for items already running,
     never for a worker that has yet to wake."""
-    if _POOL is None or len(items) < 2:
+    pool = _pool() if len(items) >= 2 else None
+    if pool is None:
         return [fn(x) for x in items]
-    futures = [_POOL.submit(fn, x) for x in items]
+    futures = [pool.submit(fn, x) for x in items]
     out = [None] * len(items)
     for i in reversed(range(len(items))):
         out[i] = fn(items[i]) if futures[i].cancel() else futures[i].result()

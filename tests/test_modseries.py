@@ -6,6 +6,7 @@ import gc
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -1481,6 +1482,71 @@ def test_one_cpu_means_no_pool_and_the_same_stream():
     with pool_for({0, 1}) as pool, mock.patch.object(modseries, "_POOL", pool):
         pooled = overpartition_series(trunc, ring)
     assert np.array_equal(serial.coeffs, pooled.coeffs)
+
+
+def counting_worker_pool(made, delay=0.0):
+    real = modseries._worker_pool
+
+    def worker_pool(limit=None):
+        time.sleep(delay)
+        made.append(real(limit))
+        return made[-1]
+    return worker_pool
+
+
+def test_the_first_pooled_solve_makes_the_one_pool():
+    # No pool is made at import; the first solve whose steps are shared
+    # makes it, and later solves reuse it.
+    ring = ResidueRing(223_092_870)
+    trunc = 3 * modseries._PUSH_CHUNK
+    with mock.patch.object(modseries, "_POOL", None):
+        serial = overpartition_series(trunc, ring)
+    made = []
+    with mock.patch.object(modseries.os, "sched_getaffinity", return_value={0, 1}, create=True), \
+            mock.patch.object(modseries, "_worker_pool", counting_worker_pool(made)), \
+            mock.patch.object(modseries, "_POOL", modseries._UNSET):
+        try:
+            pooled = overpartition_series(trunc, ring)
+            again = overpartition_series(trunc // 2, ring)
+            assert len(made) == 1 and made[0] is modseries._POOL
+            assert made[0]._max_workers == 1
+        finally:
+            for pool in made:
+                pool.shutdown()
+    assert np.array_equal(serial.coeffs, pooled.coeffs)
+    assert np.array_equal(serial.coeffs[:trunc // 2 + 1], again.coeffs)
+
+
+def test_callers_racing_to_the_first_pooled_step_share_one_pool():
+    # More callers than cores reach an unmade pool at once, with a short
+    # switch interval, and making the pool takes a while; the lock lets
+    # exactly one of them make it.
+    made = []
+    barrier = threading.Barrier(6)
+    got = []
+
+    def first_step():
+        barrier.wait(timeout=30)
+        got.append(modseries._pool())
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(modseries.os, "sched_getaffinity", return_value={0, 1},
+                               create=True), \
+                mock.patch.object(modseries, "_worker_pool", counting_worker_pool(made, 0.01)), \
+                mock.patch.object(modseries, "_POOL", modseries._UNSET):
+            threads = [threading.Thread(target=first_step) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+        for pool in made:
+            pool.shutdown()
+    assert len(made) == 1 and len(got) == 6 and all(p is made[0] for p in got)
 
 
 def test_concurrent_streams_match_serial_runs():
