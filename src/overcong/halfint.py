@@ -53,10 +53,9 @@ class SpaceLabel:
         return f"{k2 // 2}" if k2 % 2 == 0 else f"{k2}/2"
 
     def describe(self) -> str:
-        g = "Gamma0" if self.group == GAMMA0 else "Gamma1"
         if self.group == GAMMA0 and self.char_numer != 1:
-            return f"M_{self.weight_str}({g}({self.level}), ({self.char_numer}/.))"
-        return f"M_{self.weight_str}({g}({self.level}))"
+            return f"M_{self.weight_str}({self.group}({self.level}), ({self.char_numer}/.))"
+        return f"M_{self.weight_str}({self.group}({self.level}))"
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,14 @@ walks the range in segments of max(2 * _PUSH_CHUNK, _SOLVE_BLOCK)
 coefficients, so its one int64 accumulator spans a segment however long
 the solve.  It holds no reference cycle: its arrays are freed as soon as
 it returns or raises.
-A push adds its taps in int32 runs into a scratch array over the push
-chunk, each run short enough that no sum can overflow, and adds each run
-into the accumulator once.  A tap whose unit is too large for a run, and
-every tap when no run could hold two taps of one sign (m > 2^30), goes
-into the accumulator straight away, its product reduced mod m unless its
-unit is +-1.  So every update of the accumulator is below 2^31 in
-magnitude, and a position takes at most one update per tap in a
-segment: through q^T the accumulator stays below T * 2^31 < 2^63 for any
-T < 2^32, and a leaf reduces it once, when it reads it.
+A push adds every tap into an int32 run, a scratch array over the push
+chunk: -c for the unit -1, +c for +1, and u*c mod m for any other unit u.
+A run holds at most cap = (2^31 - 1) // (m - 1) taps of each kind, so no
+sum can overflow, and is added into the accumulator once.  So every
+update of the accumulator is below 2^31 in magnitude, and a position
+takes at most one update per tap in a segment: through q^T the
+accumulator stays below T * 2^31 < 2^63 for any T < 2^32, and a leaf
+reduces it once, when it reads it.
 invert_taps_residues writes into the caller's array (the coefficient
 store's own buffer).  Residues are int32 (m < 2^31), in a solve and in a
 TruncSeries; sums and products of them are taken in int64 and handed to
@@ -622,24 +621,22 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     shared with the worker pool when there is one.  Chunks write disjoint
     slices of acc; the output does not depend on how a push is cut.
 
-    Within a chunk, taps are summed in runs: each tap's slice of c is added
-    in int32 into a scratch array over the chunk, and a run ends when its
-    next tap would bring the units of either sign past
-    cap = (2^31 - 1) // (m - 1).  The scratch is then added into the int64
-    acc over the hull of the run's slices and cleared there.  A tap whose
-    unit alone exceeds cap is added into acc straight away, and so is every
-    tap when cap is 1 (m > 2^30), where a run would hold at most one tap of
-    each sign; such a tap adds u*c mod m unless u is +-1.
+    Within a chunk, every tap is summed into a run: its slice of c is
+    added in int32 into a scratch array over the chunk, as -c for the unit
+    -1, +c for +1 and u*c mod m, in [0, m), for any other unit u.  A run
+    ends just before its next tap would bring the taps of either kind (-c,
+    or nonnegative) past cap = (2^31 - 1) // (m - 1); the scratch is then
+    added into the int64 acc over the hull of the run's slices and cleared
+    there.
 
-    Exact for every m < 2^31.  c holds residues 0 <= c < m.  At any
-    position, a run's partial sum lies between -(negative units)*(m-1) and
-    (positive units)*(m-1), so within cap*(m-1) <= 2^31 - 1 of zero: the
-    int32 scratch never overflows.  So every update of acc is below 2^31 in
-    magnitude: a run's by cap*(m-1), a unit tap's and a reduced product's
-    by m.  An update covers at least one tap, and acc starts each segment
-    at 0, so a position takes at most t updates and |acc| < t * 2^31 < 2^63
-    for t < 2^32 (c alone would then take 16 GiB).  A leaf reduces acc
-    first, so g*(acc mod m) < 2^61.
+    Exact for every m < 2^31.  c holds residues 0 <= c < m, so each tap
+    adds a value in (-m, 0] or in [0, m) at a position.  A run's partial
+    sum there lies between -cap*(m-1) and cap*(m-1), so within 2^31 - 1 of
+    zero: the int32 scratch never overflows, and every update of acc is
+    below 2^31 in magnitude.  An update covers at least one tap, and acc
+    starts each segment at 0, so a position takes at most t updates and
+    |acc| < t * 2^31 < 2^63 for t < 2^32 (c alone would then take 16 GiB).
+    A leaf reduces acc first, so g*(acc mod m) < 2^61.
     """
     exps = taps_exp.tolist()
     vals = taps_val.tolist()
@@ -648,54 +645,38 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     units = [v // g for v in vals]
     cap = ((1 << 31) - 1) // (m - 1)
 
-    def add_into(dst, off, t0, t1, values, u):
-        # dst[t0 - off:t1 - off] += u * values, reduced mod m unless u = +-1.
-        out = dst[t0 - off:t1 - off]
-        if u == 1:
-            np.add(out, values, out=out)
-        elif u == -1:
-            np.subtract(out, values, out=out)
-        else:
-            prod = np.multiply(values, u, dtype=np.int64)
-            prod %= m
-            out += prod
-
     def push_part(src, dst, off, lo, mid, a, b):
         # Contributions of the solved src[lo:mid] to positions [a, b) within
         # [mid, hi), held at dst[pos - off].  Only taps a - mid < j < b - lo
-        # reach them.
-        run = np.zeros(b - a, np.int32) if cap > 1 else None
+        # reach them, and each reaches a nonempty [t0, t1).
+        run = np.zeros(b - a, np.int32)
         r0, r1 = b, a  # hull of the run's slices
-        plus = minus = 0  # the run's units of each sign
+        minus = plus = 0  # the run's taps of each kind: -c, and [0, m)
         for idx in range(bisect.bisect_right(exps, a - mid), bisect.bisect_left(exps, b - lo)):
             j = exps[idx]
+            u = units[idx]
+            if (minus if u == -1 else plus) == cap:
+                out = dst[r0 - off:r1 - off]
+                np.add(out, run[r0 - a:r1 - a], out=out)
+                run[r0 - a:r1 - a] = 0
+                r0, r1, minus, plus = b, a, 0, 0
             t0 = max(a, lo + j)
             t1 = min(b, mid + j)
-            if t0 >= t1:
-                continue
             part = src[t0 - j:t1 - j]
-            u = units[idx]
-            if run is None or abs(u) > cap:
-                add_into(dst, off, t0, t1, part, u)
-                continue
-            if (plus + u if u > 0 else minus - u) > cap:
-                add_into(dst, off, r0, r1, run[r0 - a:r1 - a], 1)
-                run[r0 - a:r1 - a] = 0
-                r0, r1, plus, minus = b, a, 0, 0
             out = run[t0 - a:t1 - a]
-            if u == 1:
-                np.add(out, part, out=out)
-            elif u == -1:
+            if u == -1:
                 np.subtract(out, part, out=out)
+                minus += 1
             else:
-                out += u * part
-            if u > 0:
-                plus += u
-            else:
-                minus -= u
+                if u != 1:
+                    part = np.multiply(part, u, dtype=np.int64)
+                    part %= m
+                np.add(out, part, out=out, casting="unsafe")
+                plus += 1
             r0, r1 = min(r0, t0), max(r1, t1)
         if r0 < r1:
-            add_into(dst, off, r0, r1, run[r0 - a:r1 - a], 1)
+            out = dst[r0 - off:r1 - off]
+            np.add(out, run[r0 - a:r1 - a], out=out)
 
     def push(src, dst, off, lo, mid, hi):
         # push_part over [mid, hi).  A range of two or more _PUSH_CHUNKs is

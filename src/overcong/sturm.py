@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from .chars import factorize
 from .halfint import GAMMA0, GAMMA1, SpaceLabel
 
-# SL2 index of Gamma1(N) for N too small for the product formula's derivation.
-_GAMMA1_SMALL = {1: 1, 2: 3}
-
 
 def index_sl2(group: str, level: int) -> int:
     """[SL2(Z) : Gamma] for Gamma = Gamma0(level) or Gamma1(level), exactly.
@@ -33,8 +30,6 @@ def index_sl2(group: str, level: int) -> int:
             idx = idx // p * (p + 1)
         return idx
     if group == GAMMA1:
-        if n in _GAMMA1_SMALL:
-            return _GAMMA1_SMALL[n]
         idx = n * n
         for p in primes:
             idx = idx // (p * p) * (p * p - 1)

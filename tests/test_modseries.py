@@ -965,9 +965,8 @@ def test_invert_matches_schoolbook_oracle(m):
              for density in (1.0, 0.3, 0.02)]
     # Taps at the extremes of the signed range, m//2 and m//2 + 1, and m - 1:
     # all equal (one magnitude g), and with every third tap set to 1.  For
-    # m//2 and m//2 + 1 that mix takes the multiply path; those units pass
-    # the int32 run cap, so each such tap goes straight into the int64
-    # accumulator, its product reduced mod m.
+    # m//2 and m//2 + 1 that mix takes the multiply path: each such tap
+    # enters its int32 run as its product reduced mod m.
     for value in (m // 2, m // 2 + 1, m - 1):
         coeffs = np.full(trunc + 1, value)
         coeffs[0] = m - 1
@@ -1051,8 +1050,8 @@ def test_div_by_sparse_and_dense_divisors_across_leaves(m):
                 assert ring_div(num, g).coeffs.tolist() == want
 
 
-# Moduli whose int32 runs hold cap = (2^31 - 1) // (m - 1) units of each
-# sign: 1 at 2^31 - 1 and 2^30 + 1, 2 at 2^30 - 1, 9 at 23#.  (At a power of
+# Moduli whose int32 runs hold cap = (2^31 - 1) // (m - 1) taps of each
+# kind: 1 at 2^31 - 1 and 2^30 + 1, 2 at 2^30 - 1, 9 at 23#.  (At a power of
 # two such as 2^30 an int32 overflow would change nothing mod m.)
 _RUN_CAPS = {(1 << 31) - 1: 1, (1 << 30) + 1: 1, (1 << 30) - 1: 2, 223_092_870: 9}
 
@@ -1068,6 +1067,12 @@ def run_taps(kind, cap, rng):
         vals = [-3] * count  # g = 3, every unit -1
     elif kind == "alternating":
         vals = [2 if j % 2 else -2 for j in exps]  # g = 2, as in phi(-q)
+    elif kind == "products":
+        # Every unit positive in [2, cap + 3] (two magnitudes at least, so
+        # g = 1): each tap enters its run as u*c mod m, near m against the
+        # residues m - 1.
+        vals = rng.integers(2, cap + 4, count).tolist()
+        vals[:2] = [2, cap + 3]
     else:
         top = cap if kind == "mixed-to-cap" else cap + 3
         units = rng.integers(1, top + 1, count) * rng.choice([-1, 1], count)
@@ -1089,12 +1094,12 @@ def run_residues(kind, m, trunc, rng):
     return rng.integers(0, m, trunc + 1)
 
 
-@pytest.mark.parametrize("units", ["plus", "minus", "alternating", "mixed-to-cap",
-                                   "mixed-past-cap"])
+@pytest.mark.parametrize("units", ["plus", "minus", "alternating", "products",
+                                   "mixed-to-cap", "mixed-past-cap"])
 @pytest.mark.parametrize("m", sorted(_RUN_CAPS))
 def test_int32_runs_match_the_schoolbook(m, units):
-    # The solver sums taps in int32 runs of at most cap units of each sign
-    # and sends any larger unit straight to its int64 accumulator.  Each
+    # The solver sums every tap into int32 runs of at most cap taps of each
+    # kind: -c for the unit -1, and +c or u*c mod m for any other unit.  Each
     # known prefix c[:split] is chosen with many residues of m - 1 past its
     # first `block` entries, which are the inverse's own, as every leaf
     # reads them as its head; the solve, cut into short leaves and short
@@ -1126,7 +1131,7 @@ def test_int32_runs_match_the_schoolbook(m, units):
 
 
 # Moduli for the segment oracle, with their int32 run caps: 23# (9),
-# 2^30 - 1 (2) and 2^31 - 1 (1, every tap added straight to acc).
+# 2^30 - 1 (2) and 2^31 - 1 (1, one tap of each kind per run).
 _SEGMENT_MODULI = (223_092_870, (1 << 30) - 1, (1 << 31) - 1)
 
 
@@ -1416,9 +1421,9 @@ _PUSH_CHUNKS = (1, 2, 8, 64)
 
 def extreme_tap_series(ring, trunc, taps=30):
     # Taps at 1..taps, each m//2 but every third 1: mixed magnitudes take
-    # the multiply path with umax = m//2, which passes the int32 run cap
-    # mod 23# and near 2^31, so those taps go straight into the accumulator,
-    # each product reduced mod m on the way.
+    # the multiply path with umax = m//2, past the int32 run cap mod 23#
+    # and near 2^31; each such tap enters its run as its product reduced
+    # mod m.
     m = ring.modulus
     coeffs = np.zeros(trunc + 1, np.int64)
     coeffs[1:taps + 1] = m // 2
