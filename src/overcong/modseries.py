@@ -62,6 +62,10 @@ task.  ring_mul stays on the calling thread.
 Values are immutable after construction and safe to share across threads.
 A series' coeffs holds exactly trunc + 1 entries, so reading a coefficient
 past the truncation is an IndexError, never a zero.
+
+save_series and load_series write and read the cache file from and into
+a series' own int32 array, with no second copy of the residues;
+read_header is the one parser of its header.
 """
 
 from __future__ import annotations
@@ -251,8 +255,11 @@ class TruncSeries:
 
     @classmethod
     def _canonical(cls, ring: ResidueRing, arr: np.ndarray, trunc: int) -> TruncSeries:
-        """A series over `arr`, an int32 array whose entries already lie in
-        [0, m): it is taken over (made read-only), not reduced or copied."""
+        """A series over `arr`, an int32 array of trunc + 1 entries that
+        already lie in [0, m): it is taken over (made read-only), not
+        reduced, copied or padded."""
+        if len(arr) != trunc + 1:
+            raise ValueError(f"{len(arr)} coefficients for truncation {trunc}")
         self = cls.__new__(cls)
         self._adopt(ring, arr, trunc)
         return self
@@ -829,32 +836,20 @@ def save_series(f: TruncSeries, path) -> None:
     """Write the cache format: magic, version byte, modulus and truncation as
     little-endian u64, then trunc+1 little-endian u32 residues, then one
     little-endian u32 zlib.crc32 per block of _CRC_BLOCK residues (the last
-    block may be short); see write_residues."""
-    write_residues(path, f.ring.modulus, f.coeffs)
-
-
-def write_residues(path, modulus: int, residues: np.ndarray) -> None:
-    """Write residues in [0, modulus) as a cache file of truncation
-    len(residues) - 1, the counterpart of read_residues.  An array whose
-    buffer already holds the little-endian u32 words (contiguous 4-byte
-    integers on a little-endian host, as the store holds them) is written
-    from that buffer; any other is copied once to u32.
+    block may be short).  On a little-endian host the residues are written
+    from the series' own int32 buffer, as the coefficient store holds it.
 
     The bytes go to a temporary file in the same directory, which then
     replaces `path`, so a reader never sees a partly written file."""
     path = os.fspath(path)
-    words = residues
-    if not (residues.dtype in (np.dtype("<i4"), np.dtype("<u4"))
-            and residues.flags.c_contiguous):
-        words = residues.astype("<u4")
-    data = memoryview(words).cast("B")
+    data = memoryview(np.ascontiguousarray(f.coeffs, "<i4")).cast("B")
     step = 4 * _CRC_BLOCK
     crcs = [zlib.crc32(data[i:i + step]) for i in range(0, len(data), step)]
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<BQQ", _FORMAT_VERSION, modulus, len(residues) - 1))
+            fh.write(struct.pack("<BQQ", _FORMAT_VERSION, f.ring.modulus, f.trunc))
             fh.write(data)
             fh.write(struct.pack(f"<{len(crcs)}I", *crcs))
         os.replace(tmp, path)
@@ -889,11 +884,18 @@ def read_header(fh, modulus: int | None = None) -> tuple[int, int]:
     return stored_modulus, stored_trunc
 
 
-def read_residues(path, modulus: int | None = None,
-                  trunc: int | None = None) -> tuple[ResidueRing, np.ndarray]:
-    """The ring and the residues of a cache file, as load_series checks and
-    keeps them, in one int32 array (every residue lies below 2^31): they
-    are read straight into it, with no other copy."""
+def load_series(path, modulus: int | None = None,
+                trunc: int | None = None) -> TruncSeries:
+    """Read a cache file, checking it before any residue is read: magic,
+    version, the modulus (against `modulus` when given), a truncation within
+    TRUNC_CAP and a file size that matches it.  With `trunc` (>= 0), only
+    the residues through q^min(trunc, stored truncation) are kept, and only
+    the blocks holding them are read and checked against their CRCs.  Every
+    residue kept must lie in [0, modulus).  Any mismatch is a ValueError.
+    The residues are read straight into the series' int32 array, with no
+    other copy."""
+    if trunc is not None and int(trunc) < 0:
+        raise ValueError(f"truncation must be >= 0, got {trunc}")
     with open(path, "rb") as fh:
         stored_modulus, stored_trunc = read_header(fh, modulus)
         count = stored_trunc + 1
@@ -921,16 +923,4 @@ def read_residues(path, modulus: int | None = None,
     residues = residues.astype(np.int32, copy=False)
     if residues.min() < 0 or residues.max() >= stored_modulus:
         raise ValueError(f"cache file holds a residue >= {stored_modulus}")
-    return ring, residues
-
-
-def load_series(path, modulus: int | None = None,
-                trunc: int | None = None) -> TruncSeries:
-    """Read a cache file, checking it before any residue is read: magic,
-    version, the modulus (against `modulus` when given), a truncation within
-    TRUNC_CAP and a file size that matches it.  With `trunc`, only the
-    residues through q^min(trunc, stored truncation) are kept, and only the
-    blocks holding them are read and checked against their CRCs.  Every
-    residue kept must lie in [0, modulus).  Any mismatch is a ValueError."""
-    ring, residues = read_residues(path, modulus, trunc)
-    return TruncSeries._canonical(ring, residues, len(residues) - 1)
+    return TruncSeries._canonical(ring, residues, keep)

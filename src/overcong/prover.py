@@ -26,14 +26,12 @@ import numpy as np
 from . import chars
 from .halfint import (GAMMA0, Decomposition, SpaceLabel, apply_U,
                       basis_monomials, decompose, hecke_T, sieve_progression)
-from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, extract_progression, read_header,
-                        read_residues, ring_div, ring_pow, transform, write_residues)
-# Bound here although prover does not call them: perfbench's tracer
-# self-test checks that the tracer rebinds them at every import site, this
-# one included.
+from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, extract_progression, load_series,
+                        read_header, ring_div, ring_pow, save_series, transform)
+# Bound here although prover does not call it: perfbench's tracer self-test
+# checks that the tracer rebinds it at every import site, this one included.
 from .modseries import ring_mul  # noqa: F401
-from .qgen import overpartition_series  # noqa: F401
-from .qgen import overpartition_residues, pochhammer, r_m_series, theta_phi
+from .qgen import overpartition_series, pochhammer, r_m_series, theta_phi
 from .sturm import progression_limit, sturm_bound
 
 # Largest coefficient index any scan or direct check may demand.
@@ -264,11 +262,14 @@ class CoefficientStore:
     before the builder runs.  A view returned earlier keeps the buffer it
     was cut from, and its entries never change.
 
-    The build contract: build(out, start, ring) writes the stream's
-    residues in [0, ring.modulus) into out[start:], where `out` is a
-    writable int32 array of trunc + 1 entries whose first `start` entries
-    already hold the stream's known prefix.  If build raises, the held
-    length and values are unchanged.
+    The build contract: build(trunc, ring, out, start) writes the stream's
+    residues in [0, ring.modulus) into out[start:] and returns the series
+    over `out`, where `out` is a writable int32 array of trunc + 1 entries
+    whose first `start` entries already hold the stream's known prefix;
+    overpartition_series is such a builder.  The store writes the cache
+    file from that series with save_series and reads it back with
+    load_series.  If build raises, the held length and values are
+    unchanged.
     """
 
     def __init__(self, cache_dir: str | None = None):
@@ -299,7 +300,7 @@ class CoefficientStore:
             damaged = False
             if count <= trunc and path and os.path.exists(path):
                 try:
-                    stored = read_residues(path, ring.modulus, trunc)[1]
+                    stored = load_series(path, ring.modulus, trunc).coeffs
                 except (OSError, ValueError):  # a miss, overwritten below
                     stored, damaged = None, True
                 if stored is not None and len(stored) > count:
@@ -318,18 +319,16 @@ class CoefficientStore:
                     grown[:count] = buf[:count]
                 buf = grown
                 self._held[key] = buf, count
-            out = buf[:trunc + 1]
-            build(out, count, ring)
-            out.setflags(write=False)
+            series = build(trunc, ring, buf[:trunc + 1], count)
             if path:
                 os.makedirs(self.cache_dir, exist_ok=True)
                 on_disk = -1  # a valid file as long or longer is kept
                 with contextlib.suppress(OSError, ValueError), open(path, "rb") as fh:
                     on_disk = read_header(fh, key)[1]
                 if damaged or on_disk < trunc:
-                    write_residues(path, ring.modulus, out)
+                    save_series(series, path)
             self._held[key] = buf, trunc + 1
-            return out
+            return series.coeffs
 
 
 STORE = CoefficientStore()
@@ -348,7 +347,7 @@ def _pbar_stream(modulus: int, trunc: int) -> np.ndarray:
     other modulus keeps its own stream."""
     modulus = ResidueRing(modulus).modulus
     stream = PRIMORIAL_23 if PRIMORIAL_23 % modulus == 0 else modulus
-    return STORE.coefficients(ResidueRing(stream), trunc, overpartition_residues)
+    return STORE.coefficients(ResidueRing(stream), trunc, overpartition_series)
 
 
 def _signed_compacted_pbar(modulus: int, d: int, trunc: int) -> TruncSeries:

@@ -6,7 +6,8 @@ the theta series phi(q) = sum q^(n^2), the weight-2 block
 F = eta(4z)^8/eta(2z)^4, phi^2 and phi^4, each read from a divisor-sum
 sieve by its closed form, every power of phi as a product of those
 blocks, and the overpartition generating function 1/phi(-q), inverted
-from phi(-q)'s taps without building phi(-q) as a dense series.
+from phi(-q)'s taps without building phi(-q) as a dense series; the
+coefficient store grows that stream in its own buffer through it.
 
 The Euler products are written straight from their pentagonal-number
 exponents rather than by multiplying out the product, so one costs a
@@ -177,22 +178,21 @@ def _phi_minus_q_taps(trunc: int) -> tuple[np.ndarray, np.ndarray]:
     return k * k, np.where(k % 2 == 1, -2, 2)
 
 
-def overpartition_series(trunc: int, ring: ResidueRing) -> TruncSeries:
+def overpartition_series(trunc: int, ring: ResidueRing, out: np.ndarray | None = None,
+                         start: int = 0) -> TruncSeries:
     """The overpartition generating function 1/phi(-q) through q^trunc.
 
     phi(-q) reaches the solver as its sqrt(trunc) taps, never as a dense
-    series, and the inversion runs in O(trunc^1.5).
+    series, and the inversion runs in O(trunc^1.5).  With `out`, a writable
+    int32 array of trunc + 1 entries whose first `start` hold the stream's
+    known prefix (the coefficient store's buffer), the solve writes the
+    residues of out[start:] in place and the series is taken over `out`;
+    an `out` of any other length is a ValueError.
     """
-    out = np.zeros(trunc + 1, np.int32)
-    overpartition_residues(out, 0, ring)
+    if out is None:
+        out = np.zeros(trunc + 1, np.int32)
+    invert_taps_residues(*_phi_minus_q_taps(trunc), out, start, ring)
     return TruncSeries._canonical(ring, out, trunc)
-
-
-def overpartition_residues(out: np.ndarray, start: int, ring: ResidueRing) -> None:
-    """The coefficient store's builder for overpartition_series: writes the
-    int32 residues of out[start:], out[:start] being the stream's known
-    prefix, in place."""
-    invert_taps_residues(*_phi_minus_q_taps(len(out) - 1), out, start, ring)
 
 
 def _divisor_sums(trunc: int, weight: np.ndarray | None = None) -> np.ndarray:

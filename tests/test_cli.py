@@ -359,8 +359,9 @@ def test_scan_reuses_disk_cache(capsys, tmp_path, monkeypatch):
     # A fresh process starts with an empty store; the stream must come back
     # from disk without being recomputed.
     prover.STORE.reset(cache)
-    monkeypatch.setattr(prover, "overpartition_residues",
-                        lambda out, start, ring: (_ for _ in ()).throw(AssertionError("recomputed")))
+    monkeypatch.setattr(prover, "overpartition_series",
+                        lambda trunc, ring, out, start:
+                        (_ for _ in ()).throw(AssertionError("recomputed")))
     code, out2, _ = run(capsys, *argv)
     assert code == 0 and out2 == out1
     # A shorter budget is a prefix of the file; a longer one must compute.

@@ -23,7 +23,7 @@ from overcong import (ResidueRing, TruncSeries, extract_progression,
                       scalar_mul, theta_phi, transform, zero_series)
 from overcong import modseries, prover
 from overcong.modseries import TRUNC_CAP, _fft_mul, _fft_size
-from overcong.qgen import overpartition_residues, theta_phi4
+from overcong.qgen import theta_phi4
 
 
 def random_series(rng, ring, trunc, density=1.0, unit_constant=False):
@@ -728,6 +728,14 @@ def test_cache_load_reads_only_the_requested_prefix(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["series.qser"]
 
 
+@pytest.mark.parametrize("trunc", [-1, -5])
+def test_cache_load_refuses_a_negative_truncation(tmp_path, trunc):
+    path = tmp_path / "series.qser"
+    save_series(one_series(ResidueRing(7), 3), path)
+    with pytest.raises(ValueError, match=f"truncation must be >= 0, got {trunc}"):
+        load_series(path, 7, trunc)
+
+
 def test_cache_prefix_load_checks_only_its_blocks(tmp_path):
     block = 1 << 16
     f = random_series(np.random.default_rng(59), ResidueRing(65521), 3 * block - 5)
@@ -760,15 +768,13 @@ def test_cache_prefix_load_checks_its_whole_last_block(tmp_path):
 
 
 def test_cache_io_holds_one_copy_of_the_residues(tmp_path):
-    # write_residues writes an int32 array's own buffer, as the store holds
-    # it, and allocates little beyond the CRC list; so does save_series,
-    # with the series' own int32 buffer.  read_residues reads the file
-    # straight into the int32 array it returns: 4 bytes per coefficient,
-    # where a bytes copy beside the array would make 8.
+    # save_series writes the series' own int32 buffer, as the store holds
+    # it, and allocates little beyond the CRC list.  load_series reads the
+    # file straight into the int32 array of the series it returns: 4 bytes
+    # per coefficient, where a bytes copy beside the array would make 8.
     trunc = 1 << 18
     m = 223_092_870
     f = random_series(np.random.default_rng(67), ResidueRing(m), trunc)
-    residues = f.coeffs.astype(np.int32)
     path = tmp_path / "series.qser"
 
     def peak(io):
@@ -780,14 +786,11 @@ def test_cache_io_holds_one_copy_of_the_residues(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: modseries.write_residues(path, m, residues)) < 64 << 10
-    written = path.read_bytes()
     assert peak(lambda: save_series(f, path)) < 64 << 10
-    assert path.read_bytes() == written
-    assert peak(lambda: modseries.read_residues(path)) < 4 * (trunc + 1) + (64 << 10)
-    ring, residues = modseries.read_residues(path, m, trunc - 3)
-    assert residues.dtype == np.int32 and ring == f.ring
-    assert residues.tolist() == f.coeffs[:trunc - 2].tolist()
+    assert peak(lambda: load_series(path)) < 4 * (trunc + 1) + (64 << 10)
+    head = load_series(path, m, trunc - 3)
+    assert head.coeffs.dtype == np.int32 and head.ring == f.ring
+    assert head.coeffs.tolist() == f.coeffs[:trunc - 2].tolist()
 
 
 def test_constructor_reduces_int32_input_without_a_wide_copy():
@@ -868,8 +871,7 @@ def grown_stream(trunc, ring, known):
     out = np.zeros(trunc + 1, np.int32)
     start = min(len(known), trunc + 1)
     out[:start] = known[:start]
-    overpartition_residues(out, start, ring)
-    return TruncSeries(ring, out, trunc)
+    return overpartition_series(trunc, ring, out, start)
 
 
 @st.composite
@@ -1614,7 +1616,7 @@ def test_dense_mul_holds_one_spectrum_pair_at_a_time(m):
 
 
 # Peak bytes of the 23# stream to 2^18 from scratch through the production
-# store path (the store's builder, overpartition_residues) with no pool,
+# store path (the store's builder, overpartition_series) with no pool,
 # numpy 2.4.6, in a fresh process: the tracemalloc peak of the solve, which
 # holds the accumulator acc (int64, 8 bytes per coefficient up to one
 # segment), one leaf's transforms and the head's cached spectra, plus the
@@ -1661,7 +1663,7 @@ def _overpartition_case(draw):
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_overpartition_case())
 def test_overpartition_taps_match_the_dense_divisor(case):
-    # overpartition_residues hands phi(-q)'s taps to the solver; the dense
+    # overpartition_series hands phi(-q)'s taps to the solver; the dense
     # entry finds them in the dense series.  Both must give the same stream
     # after the same known prefix.
     ring, block, trunc, split = case

@@ -19,7 +19,7 @@ from overcong import (CongruenceClaim, ResidueRing, modseries, prover,
                       verify_identity, verify_lemma1)
 from overcong.chars import factorize
 from overcong.modseries import TRUNC_CAP, transform
-from overcong.qgen import overpartition_residues, theta_phi2, theta_phi4
+from overcong.qgen import theta_phi2, theta_phi4
 from overcong.prover import (INDEX_HARD_CAP, PRIMORIAL_23, STORE, CoefficientStore,
                              _compress_residues, _pbar_stream, cache_filename)
 
@@ -274,9 +274,9 @@ def test_divisors_of_the_primorial_share_one_stream(tmp_path):
 def test_store_extends_the_held_prefix():
     calls = []
 
-    def build(out, start, ring):
-        calls.append((len(out) - 1, start or None))
-        overpartition_residues(out, start, ring)
+    def build(trunc, ring, out, start):
+        calls.append((trunc, start or None))
+        return overpartition_series(trunc, ring, out, start)
 
     store = CoefficientStore()
     ring = ResidueRing(7)
@@ -294,10 +294,10 @@ def test_views_survive_growth_in_place_and_past_capacity():
     # out before either stay read-only and keep their values.
     store = CoefficientStore()
     ring = ResidueRing(PRIMORIAL_23)
-    first = store.coefficients(ring, 300, overpartition_residues)
-    within = store.coefficients(ring, 500, overpartition_residues)
+    first = store.coefficients(ring, 300, overpartition_series)
+    within = store.coefficients(ring, 500, overpartition_series)
     assert np.shares_memory(first, within)
-    past = store.coefficients(ring, 5000, overpartition_residues)
+    past = store.coefficients(ring, 5000, overpartition_series)
     assert not np.shares_memory(first, past)
     want = _fresh(PRIMORIAL_23, 5000)
     for view in (first, within, past):
@@ -305,7 +305,7 @@ def test_views_survive_growth_in_place_and_past_capacity():
         with pytest.raises(ValueError):
             view[0] = 0
         assert np.array_equal(view, want[:len(view)])
-    beyond = store.coefficients(ring, 20_000, overpartition_residues)
+    beyond = store.coefficients(ring, 20_000, overpartition_series)
     assert np.array_equal(beyond, _fresh(PRIMORIAL_23, 20_000))
     for view in (first, within, past):
         assert np.array_equal(view, want[:len(view)])
@@ -318,7 +318,7 @@ def test_a_failed_build_leaves_the_held_stream_intact(trunc):
     # length and values, and the next request grows it as a fresh solve.
     store = CoefficientStore()
     ring = ResidueRing(PRIMORIAL_23)
-    held = store.coefficients(ring, 300, overpartition_residues)
+    held = store.coefficients(ring, 300, overpartition_series)
     kept = held.copy()
     leaves = []
     real_mul = modseries._fft_mul
@@ -330,20 +330,20 @@ def test_a_failed_build_leaves_the_held_stream_intact(trunc):
                 raise ArithmeticError("leaf failed its rounding check")
         return real_mul(a, b, n, m, spectra)
 
-    def unexpected(out, start, ring):
+    def unexpected(trunc, ring, out, start):
         raise AssertionError(f"rebuilt from {start}")
 
     with mock.patch.object(modseries, "_SOLVE_BLOCK", 16), \
             mock.patch.object(modseries, "_fft_mul", failing_leaf):
         with pytest.raises(ArithmeticError):
-            store.coefficients(ring, trunc, overpartition_residues)
+            store.coefficients(ring, trunc, overpartition_series)
     assert len(leaves) == 4
     assert np.array_equal(held, kept)
     again = store.coefficients(ring, 300, unexpected)
     assert np.array_equal(again, kept)
     with pytest.raises(AssertionError, match="rebuilt from 301"):
         store.coefficients(ring, 301, unexpected)
-    grown = store.coefficients(ring, trunc, overpartition_residues)
+    grown = store.coefficients(ring, trunc, overpartition_series)
     assert np.array_equal(grown, _fresh(PRIMORIAL_23, trunc))
 
 
@@ -415,17 +415,17 @@ def _damage(raw: bytes, how: str) -> bytes:
                                  "crc", "format-v1", "other-modulus"])
 def test_store_recomputes_a_damaged_cache_file(tmp_path, how):
     ring = ResidueRing(11)
-    CoefficientStore(str(tmp_path)).coefficients(ring, 600, overpartition_residues)
+    CoefficientStore(str(tmp_path)).coefficients(ring, 600, overpartition_series)
     path = tmp_path / cache_filename(11)
     if how == "other-modulus":
         CoefficientStore(str(tmp_path)).coefficients(ResidueRing(13), 600,
-                                                     overpartition_residues)
+                                                     overpartition_series)
         (tmp_path / cache_filename(13)).replace(path)
     else:
         path.write_bytes(_damage(path.read_bytes(), how))
     with pytest.raises(ValueError):
         load_series(path, 11)
-    got = CoefficientStore(str(tmp_path)).coefficients(ring, 300, overpartition_residues)
+    got = CoefficientStore(str(tmp_path)).coefficients(ring, 300, overpartition_series)
     assert np.array_equal(got, _fresh(11, 300))
     # The damaged file was overwritten with a valid one.
     assert np.array_equal(load_series(path, 11).coeffs, _fresh(11, 300))
@@ -437,9 +437,9 @@ def test_the_cache_file_never_shrinks(tmp_path):
     # longer file.
     ring = ResidueRing(11)
 
-    def build_while_another_store_grows(out, start, ring):
-        CoefficientStore(str(tmp_path)).coefficients(ring, 6000, overpartition_residues)
-        overpartition_residues(out, start, ring)
+    def build_while_another_store_grows(trunc, ring, out, start):
+        CoefficientStore(str(tmp_path)).coefficients(ring, 6000, overpartition_series)
+        return overpartition_series(trunc, ring, out, start)
 
     got = CoefficientStore(str(tmp_path)).coefficients(ring, 2000,
                                                        build_while_another_store_grows)

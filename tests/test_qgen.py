@@ -248,6 +248,13 @@ def test_overpartition_head_mod13():
     assert list(series.coeffs) == [1, 2, 4, 8]
 
 
+@pytest.mark.parametrize("length", [0, 100, 200, 202])
+def test_overpartition_series_refuses_an_out_of_another_length(length):
+    # A short out must not read as a stream of zeros past its end.
+    with pytest.raises(ValueError, match="truncation 200"):
+        overpartition_series(200, ResidueRing(13), np.zeros(length, np.int32))
+
+
 def test_overpartition_inverts_alternating_theta():
     ring = ResidueRing(11)
     series = overpartition_series(300, ring)

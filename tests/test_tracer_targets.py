@@ -51,10 +51,9 @@ def test_import_sites_the_tracer_self_test_reads_exist():
     assert callable(prover.default_scan_index)
 
 
-def test_proofs_path_feeds_the_per_layer_spans():
-    # The benchmark's per-layer metrics for the proofs workload are read
-    # from these spans; a refactor that stops the proofs path from calling
-    # one of them would empty its metric.
+def traced_names(body: str, *argv: str) -> set:
+    """Span names from `body` run in a fresh process with the tracer
+    installed; argv reaches it as sys.argv[2:]."""
     code = (
         "import importlib.util, json, sys\n"
         "spec = importlib.util.spec_from_file_location('perfbench_tracer', sys.argv[1])\n"
@@ -62,9 +61,7 @@ def test_proofs_path_feeds_the_per_layer_spans():
         "spec.loader.exec_module(tracer)\n"
         "t = tracer.Tracer('t')\n"
         "tracer.install(t)\n"
-        "from overcong import prover\n"
-        "assert prover.prove_theorem_mod13().passed\n"
-        "assert prover.verify_identity(17, 120).passed\n"
+        f"{body}"
         "names = {s['name'] for s in t.spans}\n"
         "names |= {s['name'] + '.' + s['path'] for s in t.spans if 'path' in s}\n"
         "print(json.dumps(sorted(names)))\n"
@@ -72,11 +69,36 @@ def test_proofs_path_feeds_the_per_layer_spans():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("OVERCONG_CACHE_DIR", None)
-    done = subprocess.run([sys.executable, "-c", code, str(TRACER)], env=env,
+    done = subprocess.run([sys.executable, "-c", code, str(TRACER), *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    names = set(json.loads(done.stdout))
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_proofs_path_feeds_the_per_layer_spans():
+    # The benchmark's per-layer metrics for the proofs workload are read
+    # from these spans; a refactor that stops the proofs path from calling
+    # one of them would empty its metric.
+    names = traced_names(
+        "from overcong import prover\n"
+        "assert prover.prove_theorem_mod13().passed\n"
+        "assert prover.verify_identity(17, 120).passed\n")
     for name in ("halfint.expand_monomial", "halfint.recombine", "halfint.decompose",
                  "qgen.weight2_form", "qgen.r_m_series",
                  "modseries.ring_mul.sparse", "modseries.ring_mul.dense"):
         assert name in names, name
+
+
+def test_store_path_feeds_the_stream_and_cache_spans(tmp_path):
+    # A cold scan with a cache directory builds the stream and writes its
+    # file; a warm rerun reads the file and builds nothing.  The store's
+    # per-layer metrics (qgen.overpartition_series.*, modseries.load_series.*,
+    # modseries.save_series.*, store.hit_ratio) are read from these spans.
+    body = ("from overcong import cli\n"
+            "assert cli.main(['--cache-dir', sys.argv[2], 'scan', '--mod', '5', '--d', '1',\n"
+            "                 '--A', '8', '--nmax', '200', '--max-index', '3000']) == 0\n")
+    cold = traced_names(body, str(tmp_path))
+    warm = traced_names(body, str(tmp_path))
+    assert {"qgen.overpartition_series", "modseries.save_series"} <= cold
+    assert "modseries.load_series" in warm
+    assert "qgen.overpartition_series" not in warm
