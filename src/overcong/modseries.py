@@ -49,15 +49,16 @@ leaf length, so each leaf transforms only its right-hand side.
 A solve spreads the independent work inside each step over its own thread
 and, when the process may run on two or more CPUs and its thread limit
 allows a second thread, one pool thread (only two cores could be measured);
-with one CPU, or a limit of one thread, there is no pool.  The pool is
-made by the first step that shares work, not at import, so a process
-that never gets that far never imports concurrent.futures.  A push over
-at least 2 * _PUSH_CHUNK positions is cut into chunks that each loop over
-only the taps reaching them and write only their own slice, and a leaf
-runs its group products as such tasks.  numpy releases the interpreter
-lock for long arrays.  Pool tasks never submit to the pool: a group
-product that fails its check is redone in narrower limbs within its own
-task.  ring_mul stays on the calling thread.
+with one CPU, or a limit of one thread, it shares nothing.  One flag,
+_SHARE, holds that choice, and _limit_threads is its one writer.  The
+pool thread is made once, by the first step that shares work, and never
+shut down or replaced; a process that never gets that far never imports
+concurrent.futures.  A push over at least 2 * _PUSH_CHUNK positions is
+cut into chunks that each loop over only the taps reaching them and write
+only their own slice, and a leaf runs its group products as such tasks.
+numpy releases the interpreter lock for long arrays.  Pool tasks never
+submit to the pool: a group product that fails its check is redone in
+narrower limbs within its own task.  ring_mul stays on the calling thread.
 
 Values are immutable after construction and safe to share across threads.
 A series' coeffs holds exactly trunc + 1 entries, so reading a coefficient
@@ -97,7 +98,7 @@ TRUNC_CAP = 1 << 27
 _SOLVE_BLOCK = 16384
 
 # A solver push over at least two chunks of this many positions is cut into
-# chunks shared with the worker pool.  Each tap's int32 add over a chunk
+# chunks shared with the pool thread.  Each tap's int32 add over a chunk
 # releases the GIL once, so a shorter chunk hands the GIL over more often
 # for the same work.  With an int64 output, inverting phi(-q) mod 23# to
 # 1.8e6 on two cores took 1.76 s at 2^14, 1.18 s at 2^15, 1.05 s at 2^16
@@ -127,76 +128,49 @@ _HEADER_SIZE = 21
 _CRC_BLOCK = 1 << 16
 
 
-def _two_threads(limit: int | None) -> bool:
-    """Whether a solve may use a pool thread: this process may run on two
-    or more CPUs and `limit`, the most threads a solve may use, the
-    caller's included, is 2 or more (None: no limit)."""
+# Whether a solve shares its steps with the pool thread.  _limit_threads is
+# its one writer: at import, and for each command's --threads.
+_SHARE = False
+# The one pool thread beside the caller, shared by every solve in the
+# process.  Pool tasks never submit to the pool, so no worker waits on
+# another.  None until the first step that shares work makes it, so a
+# process that shares none never imports concurrent.futures; never shut
+# down or replaced after that.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _limit_threads(limit: int | None) -> None:
+    """Let a solve share its steps with the pool thread when this process
+    may run on two or more CPUs and `limit`, the most threads a solve may
+    use, the caller's included, is 2 or more (None: no limit).  Only two
+    cores could be measured, so there is one pool thread whatever the
+    limit."""
+    global _SHARE
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    if limit is not None:
-        cpus = min(cpus, limit)
-    return cpus > 1
+    _SHARE = min(cpus, limit or cpus) > 1
 
 
-def _worker_pool(limit: int | None = None):
-    """One thread to work beside the caller when _two_threads(limit); else
-    None.  Only two cores could be measured, so never more threads.  The
-    thread starts on first use, not when the pool is made."""
-    if not _two_threads(limit):
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(1, thread_name_prefix="modseries")
-
-
-# Shared by every solve in the process.  Pool tasks never submit to the
-# pool, so no worker waits on another.  _UNSET until the first step with
-# work to share makes it (_pool), so a process that shares none never
-# imports concurrent.futures; None when there is no pool.
-_UNSET = object()
-_POOL = _UNSET
-_POOL_LOCK = threading.Lock()
-
-
-def _pool():
-    """The shared pool, made on first call if still _UNSET, or None."""
-    global _POOL
-    if _POOL is _UNSET:
-        with _POOL_LOCK:
-            if _POOL is _UNSET:
-                _POOL = _worker_pool()
-    return _POOL
-
-
-def _limit_threads(limit: int | None) -> None:
-    """Size the shared pool for `limit` as _two_threads reads it.  A pool
-    that still fits is kept, and one not made yet stays unmade when it
-    would fit (it has at most one thread, whatever the limit); one that
-    is replaced is shut down, so setting the limit again and again leaves
-    no idle thread behind.  Not to be called while a solve runs."""
-    global _POOL
-    wanted = _two_threads(limit)
-    if _POOL is _UNSET:
-        if not wanted:
-            _POOL = None
-        return
-    if wanted == (_POOL is not None):
-        return  # the pool held fits
-    if _POOL is not None:
-        _POOL.shutdown()
-    _POOL = _worker_pool(limit)
+_limit_threads(None)
 
 
 def _pool_map(fn, items) -> list:
-    """[fn(x) for x in items], shared with the worker pool when there is
-    one.  The pool takes items from the front while the caller takes them
-    from the back, so the caller waits only for items already running,
-    never for a worker that has yet to wake."""
-    pool = _pool() if len(items) >= 2 else None
-    if pool is None:
+    """[fn(x) for x in items], shared with the pool thread when _SHARE.
+    The pool takes items from the front while the caller takes them from
+    the back, so the caller waits only for items already running, never
+    for a worker that has yet to wake."""
+    global _POOL
+    if len(items) < 2 or not _SHARE:
         return [fn(x) for x in items]
-    futures = [pool.submit(fn, x) for x in items]
+    if _POOL is None:
+        with _POOL_LOCK:
+            if _POOL is None:
+                from concurrent.futures import ThreadPoolExecutor
+                _POOL = ThreadPoolExecutor(1, thread_name_prefix="modseries")
+    futures = [_POOL.submit(fn, x) for x in items]
     out = [None] * len(items)
     for i in reversed(range(len(items))):
         out[i] = fn(items[i]) if futures[i].cancel() else futures[i].result()
@@ -257,9 +231,7 @@ class TruncSeries:
     def _canonical(cls, ring: ResidueRing, arr: np.ndarray, trunc: int) -> TruncSeries:
         """A series over `arr`, an int32 array of trunc + 1 entries that
         already lie in [0, m): it is taken over (made read-only), not
-        reduced, copied or padded."""
-        if len(arr) != trunc + 1:
-            raise ValueError(f"{len(arr)} coefficients for truncation {trunc}")
+        reduced or copied."""
         self = cls.__new__(cls)
         self._adopt(ring, arr, trunc)
         return self
@@ -272,10 +244,9 @@ class TruncSeries:
         trunc = int(trunc)
         if trunc < 0:
             raise ValueError("truncation must be >= 0")
-        if len(arr) > trunc + 1:
-            raise ValueError(f"{len(arr)} coefficients exceed truncation {trunc}")
-        if len(arr) < trunc + 1:
-            arr = np.concatenate([arr, np.zeros(trunc + 1 - len(arr), np.int32)])
+        # Never padded: a short array would read as zeros past its end.
+        if len(arr) != trunc + 1:
+            raise ValueError(f"{len(arr)} coefficients for truncation {trunc}")
         arr.setflags(write=False)
         self.ring = ring
         self.trunc = trunc
@@ -535,7 +506,7 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
     without `spectra` at most one spectrum pair is alive.  With it, a's
     limb spectra are kept in `spectra` under (group, len(a), w, size), and
     a mod each group under (group, len(a)), so only b is transformed and
-    reduced per call, and the groups are shared with the worker pool.
+    reduced per call, and the groups are shared with the pool thread.
     Every call sharing one `spectra` must pass a prefix of the same series
     as a.  a and b may be int32: only each limb's temporary is int64.
     """
@@ -625,7 +596,7 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     than one segment's entries, however long the growth.
 
     A push over two or more _PUSH_CHUNKs of positions runs as chunks,
-    shared with the worker pool when there is one.  Chunks write disjoint
+    shared with the pool thread when _SHARE.  Chunks write disjoint
     slices of acc; the output does not depend on how a push is cut.
 
     Within a chunk, every tap is summed into a run: its slice of c is

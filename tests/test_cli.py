@@ -8,7 +8,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -217,38 +216,22 @@ def test_scan_with_a_step_past_the_budget_prints_the_reference_claims(capsys):
     assert out == "\n".join(f"{c.describe()}  [support {c.support}]" for c in want)
 
 
-@pytest.fixture
-def solver_pool(monkeypatch):
-    # The test starts with no solver pool and may size one through --threads;
-    # whatever pool it leaves is shut down, then the module's own returns.
-    monkeypatch.setattr(modseries, "_POOL", None)
-    yield
-    modseries._limit_threads(1)
-
-
-def test_one_thread_starts_no_pool_thread(capsys, monkeypatch, solver_pool):
-    # A pool as on a two-CPU host, and a cold solve mod 23# whose top push
-    # spans more than two push chunks: without the limit it would start
-    # the pool's thread.
-    monkeypatch.setattr(modseries, "_POOL",
-                        ThreadPoolExecutor(1, thread_name_prefix="modseries"))
-    started = []
-    real_start = threading.Thread.start
-
-    def start(thread):
-        started.append(thread.name)
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
+def test_one_thread_starts_no_pool_thread(capsys, monkeypatch, pool_tasks):
+    # Two usable CPUs and a cold solve mod 23# whose top push spans more
+    # than two push chunks: without the limit it would share its steps with
+    # the pool thread, and start this pool's thread, not started yet.
+    monkeypatch.setattr(modseries.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     trunc = 3 * modseries._PUSH_CHUNK
-    code, out, _ = run(capsys, "--threads", "1", "expand", "overpartition",
-                       "--mod", "223092870", "--trunc", str(trunc))
+    with ThreadPoolExecutor(1, thread_name_prefix="modseries") as pool:
+        monkeypatch.setattr(modseries, "_POOL", pool)
+        code, out, _ = run(capsys, "--threads", "1", "expand", "overpartition",
+                           "--mod", "223092870", "--trunc", str(trunc))
     assert code == 0 and len(out.split()) == trunc + 1
-    assert not [name for name in started if name.startswith("modseries")]
-    assert modseries._POOL is None
+    assert not pool_tasks and not pool._threads
+    assert modseries._POOL is pool and not modseries._SHARE
 
 
-def test_scan_stdout_is_the_same_for_every_thread_count(capsys, monkeypatch, solver_pool):
+def test_scan_stdout_is_the_same_for_every_thread_count(capsys, monkeypatch):
     # Two usable CPUs, so --threads 2 and 3 and the default solve with the
     # pool; every run starts from a cold store.
     monkeypatch.setattr(modseries.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -263,21 +246,19 @@ def test_scan_stdout_is_the_same_for_every_thread_count(capsys, monkeypatch, sol
     assert json.loads(outputs.pop())["claims"]
 
 
-def test_threads_caps_the_solver_pool_at_one_thread(capsys, monkeypatch, solver_pool):
-    # Pool sizes are read, not tried: `bound` solves nothing, so no thread
-    # starts.
+def test_threads_caps_the_solver_pool_at_one_thread(capsys, monkeypatch):
+    # `bound` solves nothing: the limit is only read.  Any limit of two or
+    # more, or none, shares with the one pool thread; a limit of one
+    # shares nothing.
     monkeypatch.setattr(modseries.os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
     bound = ("bound", "--weight2", "9", "--level", "4", "--group", "g0")
-    assert run(capsys, "--threads", "1000000", *bound)[0] == 0
-    pool = modseries._POOL
-    assert pool._max_workers == 1
-    # Another call that allows a second thread keeps the pool; one that
-    # allows none shuts it down.
-    assert run(capsys, *bound)[0] == 0
-    assert modseries._POOL is pool
-    assert run(capsys, "--threads", "1", *bound)[0] == 0
-    assert modseries._POOL is None and pool._shutdown
+    for threads, shares in ((["--threads", "1000000"], True), ([], True),
+                            (["--threads", "1"], False), (["--threads", "2"], True)):
+        assert run(capsys, *threads, *bound)[0] == 0
+        assert modseries._SHARE is shares
+    assert modseries._pool_map(abs, [-1, -2]) == [1, 2]
+    assert modseries._POOL._max_workers == 1
 
 
 def test_prove_thm11_json(capsys):

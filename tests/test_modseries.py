@@ -6,7 +6,6 @@ import gc
 import math
 import sys
 import threading
-import time
 import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +23,7 @@ from overcong import (ResidueRing, TruncSeries, extract_progression,
 from overcong import modseries, prover
 from overcong.modseries import TRUNC_CAP, _fft_mul, _fft_size
 from overcong.qgen import theta_phi4
+from test_process import python
 
 
 def random_series(rng, ring, trunc, density=1.0, unit_constant=False):
@@ -59,8 +59,12 @@ def test_ring_construction_validation():
 
 def test_series_length_contract():
     ring = ResidueRing(7)
-    s = TruncSeries(ring, [1, 2], trunc=4)
-    assert len(s.coeffs) == 5
+    assert len(TruncSeries(ring, [1, 2, 0, 0, 0], trunc=4).coeffs) == 5
+    assert TruncSeries(ring, [1, 2]).trunc == 1
+    # Too few coefficients are refused, never padded: a short slice would
+    # read as zeros, and zeros are what "verifies" a vanishing claim.
+    with pytest.raises(ValueError):
+        TruncSeries(ring, [1, 2], trunc=4)
     with pytest.raises(ValueError):
         TruncSeries(ring, [1, 2, 3], trunc=1)
 
@@ -183,7 +187,9 @@ def test_a_product_is_one_fft_product_unless_an_operand_is_constant(monkeypatch)
     phi = theta_phi(t, ring)
     assert phi.support is not None
     dense = random_series(rng, ring, t)
-    monomial = TruncSeries(ring, [0] * 5 + [7], t)  # 7q^5
+    coeffs = np.zeros(t + 1, np.int32)
+    coeffs[5] = 7
+    monomial = TruncSeries(ring, coeffs, t)  # 7q^5
     for f, g in ((phi, phi), (phi, dense), (dense, phi), (dense, dense),
                  (monomial, phi), (dense, monomial)):
         calls.clear()
@@ -195,7 +201,7 @@ def test_a_product_is_one_fft_product_unless_an_operand_is_constant(monkeypatch)
     assert len(calls) == 2
     for c, const in ((1, one_series(ring, t)), (0, zero_series(ring, t)),
                      (5, scalar_mul(5, one_series(ring, t))),
-                     (m - 3, TruncSeries(ring, [m - 3], t + 9))):
+                     (m - 3, scalar_mul(m - 3, one_series(ring, t + 9)))):
         for other in (phi, dense, monomial, const):
             calls.clear()
             want = scalar_mul(c, other).coeffs[:min(const.trunc, other.trunc) + 1].tolist()
@@ -1414,7 +1420,9 @@ def test_leaves_transform_only_their_right_hand_side(monkeypatch):
 def worker_pool():
     # A two-thread pool in place of the module's, which a one-CPU host
     # lacks, so three threads share the work.
-    with ThreadPoolExecutor(2) as pool, mock.patch.object(modseries, "_POOL", pool):
+    with ThreadPoolExecutor(2, thread_name_prefix="modseries") as pool, \
+            mock.patch.object(modseries, "_POOL", pool), \
+            mock.patch.object(modseries, "_SHARE", True):
         yield pool
 
 
@@ -1435,10 +1443,11 @@ def extreme_tap_series(ring, trunc, taps=30):
 
 
 @pytest.mark.parametrize("m", [2, 13, 223_092_870, (1 << 31) - 1])
-def test_chunked_pushes_and_pooled_leaves_match_the_oracle(m):
+def test_chunked_pushes_and_pooled_leaves_match_the_oracle(m, pool_tasks):
     # Every leaf length and push chunk small, so that pushes are cut into
     # many chunks and every leaf runs on the pool; the result must equal
-    # the oracle, and the serial solve with no pool, array for array.
+    # the oracle, and the serial solve that shares nothing, array for
+    # array.  Only the pooled solves run tasks on a pool thread.
     rng = np.random.default_rng(m % 1013)
     ring = ResidueRing(m)
     if m == (1 << 31) - 1:
@@ -1455,8 +1464,10 @@ def test_chunked_pushes_and_pooled_leaves_match_the_oracle(m):
         for chunk in _PUSH_CHUNKS:
             with mock.patch.object(modseries, "_SOLVE_BLOCK", block), \
                     mock.patch.object(modseries, "_PUSH_CHUNK", chunk):
-                with mock.patch.object(modseries, "_POOL", None):
+                pool_tasks.clear()
+                with mock.patch.object(modseries, "_SHARE", False):
                     serial = [(ring_invert(f), ring_div(num, f)) for f in dens]
+                assert not pool_tasks
                 with worker_pool():
                     pooled = [(ring_invert(f), ring_div(num, f)) for f in dens]
             for (inv, quo), want_inv, want_quo in zip(pooled, inverses, quotients):
@@ -1465,98 +1476,106 @@ def test_chunked_pushes_and_pooled_leaves_match_the_oracle(m):
             for (inv, quo), (inv1, quo1) in zip(pooled, serial):
                 assert np.array_equal(inv.coeffs, inv1.coeffs)
                 assert np.array_equal(quo.coeffs, quo1.coeffs)
+    assert pool_tasks
 
 
-def pool_for(cpus, limit=None):
-    with mock.patch.object(modseries.os, "sched_getaffinity", return_value=cpus, create=True):
-        return modseries._worker_pool(limit)
+def test_one_cpu_means_no_pool_and_the_same_stream(monkeypatch, pool_tasks):
+    def shares(cpus, limit=None):
+        monkeypatch.setattr(modseries.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        modseries._limit_threads(limit)
+        return modseries._SHARE
 
-
-def test_one_cpu_means_no_pool_and_the_same_stream():
-    assert pool_for({0}) is None
-    assert pool_for(set(range(8)), limit=1) is None
+    assert not shares({0})
+    assert not shares(set(range(8)), limit=1)
     # The caller works too, so two CPUs or more get one pool thread.
-    for cpus in ({0, 1}, set(range(8))):
-        pool = pool_for(cpus)
-        assert pool._max_workers == 1
-        pool.shutdown()
+    assert shares({0, 1}) and shares(set(range(8))) and shares(set(range(8)), limit=2)
     # The top pushes span more than two production push chunks and the
     # leaves have production length, so both parts use the pool.
     ring = ResidueRing(223_092_870)
     trunc = 5 * modseries._PUSH_CHUNK
-    with mock.patch.object(modseries, "_POOL", pool_for({0})):
-        serial = overpartition_series(trunc, ring)
-    with pool_for({0, 1}) as pool, mock.patch.object(modseries, "_POOL", pool):
-        pooled = overpartition_series(trunc, ring)
+    shares({0})
+    serial = overpartition_series(trunc, ring)
+    assert not pool_tasks
+    shares({0, 1})
+    pooled = overpartition_series(trunc, ring)
+    assert pool_tasks and modseries._POOL._max_workers == 1
     assert np.array_equal(serial.coeffs, pooled.coeffs)
 
 
-def counting_worker_pool(made, delay=0.0):
-    real = modseries._worker_pool
-
-    def worker_pool(limit=None):
-        time.sleep(delay)
-        made.append(real(limit))
-        return made[-1]
-    return worker_pool
+# Run in a fresh process, where no solve has made the pool yet: two usable
+# CPUs, every ThreadPoolExecutor made and every task submitted counted, and
+# leaves and push chunks of 64 positions, so a solve to q^3000 shares its
+# pushes and its leaves' CRT group products.
+POOL_PROBE = (
+    "import os, sys, threading, time\n"
+    "from concurrent import futures\n"
+    "from overcong import ResidueRing, modseries, overpartition_series\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "modseries._limit_threads(None)\n"
+    "modseries._SOLVE_BLOCK = modseries._PUSH_CHUNK = 64\n"
+    "made, submitted = [], []\n"
+    "class Counted(futures.ThreadPoolExecutor):\n"
+    "    def __init__(self, *args, **kwargs):\n"
+    "        time.sleep(0.01)\n"
+    "        made.append(self)\n"
+    "        super().__init__(*args, **kwargs)\n"
+    "    def submit(self, *args, **kwargs):\n"
+    "        submitted.append(1)\n"
+    "        return super().submit(*args, **kwargs)\n"
+    "futures.ThreadPoolExecutor = Counted\n"
+    "ring = ResidueRing(223092870)\n"
+    "def solve():\n"
+    "    return overpartition_series(3000, ring).coeffs.tolist()\n"
+)
 
 
 def test_the_first_pooled_solve_makes_the_one_pool():
-    # No pool is made at import; the first solve whose steps are shared
-    # makes it, and later solves reuse it.
-    ring = ResidueRing(223_092_870)
-    trunc = 3 * modseries._PUSH_CHUNK
-    with mock.patch.object(modseries, "_POOL", None):
-        serial = overpartition_series(trunc, ring)
-    made = []
-    with mock.patch.object(modseries.os, "sched_getaffinity", return_value={0, 1}, create=True), \
-            mock.patch.object(modseries, "_worker_pool", counting_worker_pool(made)), \
-            mock.patch.object(modseries, "_POOL", modseries._UNSET):
-        try:
-            pooled = overpartition_series(trunc, ring)
-            again = overpartition_series(trunc // 2, ring)
-            assert len(made) == 1 and made[0] is modseries._POOL
-            assert made[0]._max_workers == 1
-        finally:
-            for pool in made:
-                pool.shutdown()
-    assert np.array_equal(serial.coeffs, pooled.coeffs)
-    assert np.array_equal(serial.coeffs[:trunc // 2 + 1], again.coeffs)
+    # The first solve that shares work makes the pool, with one thread;
+    # later limits only say whether a solve shares its steps with it, so
+    # the pool is never shut down or replaced, and a solve under a limit
+    # of one submits nothing.
+    code = POOL_PROBE + (
+        "outputs, pools = [], []\n"
+        "for limit in (1, 2, None, 1, 2):\n"
+        "    modseries._limit_threads(limit)\n"
+        "    before = len(submitted)\n"
+        "    outputs.append(solve())\n"
+        "    assert (len(submitted) > before) == (limit != 1), limit\n"
+        "    pools.append(modseries._POOL)\n"
+        "assert all(out == outputs[0] for out in outputs)\n"
+        "assert pools[0] is None and len(made) == 1, made\n"
+        "assert all(pool is made[0] for pool in pools[1:])\n"
+        "assert made[0]._max_workers == 1 and not made[0]._shutdown\n"
+    )
+    done = python(["-c", code])
+    assert done.returncode == 0, done.stderr
 
 
 def test_callers_racing_to_the_first_pooled_step_share_one_pool():
     # More callers than cores reach an unmade pool at once, with a short
     # switch interval, and making the pool takes a while; the lock lets
     # exactly one of them make it.
-    made = []
-    barrier = threading.Barrier(6)
-    got = []
-
-    def first_step():
-        barrier.wait(timeout=30)
-        got.append(modseries._pool())
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(modseries.os, "sched_getaffinity", return_value={0, 1},
-                               create=True), \
-                mock.patch.object(modseries, "_worker_pool", counting_worker_pool(made, 0.01)), \
-                mock.patch.object(modseries, "_POOL", modseries._UNSET):
-            threads = [threading.Thread(target=first_step) for _ in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(switch)
-        for pool in made:
-            pool.shutdown()
-    assert len(made) == 1 and len(got) == 6 and all(p is made[0] for p in got)
+    code = POOL_PROBE + (
+        "barrier = threading.Barrier(6)\n"
+        "got = []\n"
+        "def first_step():\n"
+        "    barrier.wait(timeout=30)\n"
+        "    got.append(modseries._pool_map(abs, [-1, -2, -3]))\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "threads = [threading.Thread(target=first_step) for _ in range(6)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=30)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "assert got == [[1, 2, 3]] * 6, got\n"
+        "assert made == [modseries._POOL], made\n"
+    )
+    done = python(["-c", code])
+    assert done.returncode == 0, done.stderr
 
 
-def test_concurrent_streams_match_serial_runs():
+def test_concurrent_streams_match_serial_runs(pool_tasks):
     # Four callers (more than the host's cores) grow streams for different
     # moduli at once; their chunked pushes and pooled leaves interleave on
     # one pool.  A short switch interval makes the threads trade often.
@@ -1564,8 +1583,9 @@ def test_concurrent_streams_match_serial_runs():
     trunc, known_at = 3000, 700
     with mock.patch.object(modseries, "_SOLVE_BLOCK", 64), \
             mock.patch.object(modseries, "_PUSH_CHUNK", 64):
-        with mock.patch.object(modseries, "_POOL", None):
+        with mock.patch.object(modseries, "_SHARE", False):
             expected = [overpartition_series(trunc, ResidueRing(m)).coeffs for m in moduli]
+        assert not pool_tasks
         got = {}
 
         def grow(m):
@@ -1585,6 +1605,7 @@ def test_concurrent_streams_match_serial_runs():
                 assert not any(thread.is_alive() for thread in threads)
         finally:
             sys.setswitchinterval(interval)
+    assert pool_tasks
     for m, want in zip(moduli, expected):
         assert np.array_equal(got[m], want)
 
@@ -1628,7 +1649,7 @@ _OVERPARTITION_PEAK_BYTES = 5_671_959
 
 
 def test_overpartition_solve_holds_no_dense_divisor(solver_outputs):
-    with mock.patch.object(modseries, "_POOL", None):
+    with mock.patch.object(modseries, "_SHARE", False):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1727,7 +1748,8 @@ def test_a_solve_leaves_nothing_behind(name, raises, pooled):
         return real_mul(a, b, n, m)
 
     with ThreadPoolExecutor(1) as pool, \
-            mock.patch.object(modseries, "_POOL", pool if pooled else None), \
+            mock.patch.object(modseries, "_POOL", pool), \
+            mock.patch.object(modseries, "_SHARE", pooled), \
             mock.patch.object(modseries, "_SOLVE_BLOCK", 1024), \
             mock.patch.object(modseries, "_PUSH_CHUNK", 2048):
         solve()  # numpy's FFT caches are filled before tracing starts

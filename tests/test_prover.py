@@ -349,10 +349,10 @@ def test_a_failed_build_leaves_the_held_stream_intact(trunc):
 
 def _traced_growth(top_exp):
     # tracemalloc peak, in bytes, of growing the 23# stream from 2^17 to
-    # 2^top_exp through the production store path with no pool, and the
-    # stream grown.
+    # 2^top_exp through the production store path on the calling thread
+    # alone, and the stream grown.
     STORE.reset()
-    with mock.patch.object(modseries, "_POOL", None):
+    with mock.patch.object(modseries, "_SHARE", False):
         _pbar_stream(PRIMORIAL_23, 1 << 17)
         tracemalloc.start()
         try:
@@ -522,16 +522,20 @@ def test_scan_min_support_filters():
     assert claims == []
 
 
-def test_scan_deterministic_order_and_threads():
+def test_scan_deterministic_order_and_threads(pool_tasks):
     # Each scan solves its stream cold: once with the solver's pool, once
     # on the calling thread alone.
     kwargs = dict(n_max=10 ** 5, min_support=20, max_index=120_000)
-    with mock.patch.object(modseries, "_POOL", ThreadPoolExecutor(1)) as pool:
+    with ThreadPoolExecutor(1, thread_name_prefix="modseries") as pool, \
+            mock.patch.object(modseries, "_POOL", pool), \
+            mock.patch.object(modseries, "_SHARE", True):
         pooled = scan(5, [1, 5], [40, 8], **kwargs)
-    pool.shutdown()
+    assert pool_tasks
+    pool_tasks.clear()
     STORE.reset()
-    with mock.patch.object(modseries, "_POOL", None):
+    with mock.patch.object(modseries, "_SHARE", False):
         serial = scan(5, [1, 5], [40, 8], **kwargs)
+    assert not pool_tasks
     assert pooled == serial
     keys = [(c.multiplier, c.progression) for c in serial]
     assert keys == sorted(keys)
