@@ -53,9 +53,12 @@ with one CPU, or a limit of one thread, it shares nothing.  One flag,
 _SHARE, holds that choice, and _limit_threads is its one writer.  The
 pool thread is made once, by the first step that shares work, and never
 shut down or replaced; a process that never gets that far never imports
-concurrent.futures.  A push over at least 2 * _PUSH_CHUNK positions is
-cut into chunks that each loop over only the taps reaching them and write
-only their own slice, and a leaf runs its group products as such tasks.
+concurrent.futures.  Only a solve over a segment or more shares work, so
+a process whose solves are all shorter (prove, and verify-identity at its
+default truncation) never makes the pool; _solve_linear_core states the
+rule.  A push over at least 2 * _PUSH_CHUNK positions is cut into chunks
+that each loop over only the taps reaching them and write only their own
+slice, and a leaf runs its group products as such tasks.
 numpy releases the interpreter lock for long arrays.  Pool tasks never
 submit to the pool: a group product that fails its check is redone in
 narrower limbs within its own task.  ring_mul stays on the calling thread.
@@ -128,8 +131,9 @@ _HEADER_SIZE = 21
 _CRC_BLOCK = 1 << 16
 
 
-# Whether a solve shares its steps with the pool thread.  _limit_threads is
-# its one writer: at import, and for each command's --threads.
+# Whether a solve may share its steps with the pool thread; each solve
+# reads it once (see _solve_linear_core).  _limit_threads is its one
+# writer: at import, and for each command's --threads.
 _SHARE = False
 # The one pool thread beside the caller, shared by every solve in the
 # process.  Pool tasks never submit to the pool, so no worker waits on
@@ -158,12 +162,13 @@ _limit_threads(None)
 
 
 def _pool_map(fn, items) -> list:
-    """[fn(x) for x in items], shared with the pool thread when _SHARE.
-    The pool takes items from the front while the caller takes them from
-    the back, so the caller waits only for items already running, never
-    for a worker that has yet to wake."""
+    """[fn(x) for x in items], shared with the pool thread; a solve calls
+    it only for the steps it shares (see _solve_linear_core).  The pool
+    takes items from the front while the caller takes them from the back,
+    so the caller waits only for items already running, never for a
+    worker that has yet to wake."""
     global _POOL
-    if len(items) < 2 or not _SHARE:
+    if len(items) < 2:
         return [fn(x) for x in items]
     if _POOL is None:
         with _POOL_LOCK:
@@ -487,7 +492,7 @@ def _crt_join(parts: list[np.ndarray], groups: tuple[int, ...]) -> np.ndarray:
 
 
 def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
-             spectra: dict | None = None) -> np.ndarray:
+             spectra: dict | None = None, share: bool = False) -> np.ndarray:
     """(a*b)[:n] mod m for residue vectors a, b, exactly, by float FFTs.
 
     Residues are taken in balanced form (-g/2, g/2] for a modulus g.  The
@@ -506,9 +511,11 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
     without `spectra` at most one spectrum pair is alive.  With it, a's
     limb spectra are kept in `spectra` under (group, len(a), w, size), and
     a mod each group under (group, len(a)), so only b is transformed and
-    reduced per call, and the groups are shared with the pool thread.
-    Every call sharing one `spectra` must pass a prefix of the same series
-    as a.  a and b may be int32: only each limb's temporary is int64.
+    reduced per call.  Every call sharing one `spectra` must pass a prefix
+    of the same series as a.  With `share`, the groups are mapped through
+    _pool_map, shared with the pool thread; without it they all run on
+    the calling thread.  a and b may be int32: only each limb's temporary
+    is int64.
     """
     terms = min(len(a), len(b))
     size = _fft_size(len(a) + len(b) - 1)
@@ -526,8 +533,7 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, n: int, m: int,
             ag = spectra[g, len(a)] = a % g
         return _limb_mul(ag, b % g, n, g, size, spectra, (g // 2).bit_length() + 1)
 
-    parts = ([product(g) for g in groups] if spectra is None
-             else _pool_map(product, groups))
+    parts = _pool_map(product, groups) if share else [product(g) for g in groups]
     return _crt_join(parts, groups)
 
 
@@ -595,9 +601,14 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     covers one segment and is zeroed for the next, so it never holds more
     than one segment's entries, however long the growth.
 
-    A push over two or more _PUSH_CHUNKs of positions runs as chunks,
-    shared with the pool thread when _SHARE.  Chunks write disjoint
-    slices of acc; the output does not depend on how a push is cut.
+    A push over two or more _PUSH_CHUNKs of positions runs as chunks.
+    Chunks write disjoint slices of acc; the output does not depend on
+    how a push is cut.  A solve over a segment or more, [start, t] with
+    t + 1 - start >= max(2 * _PUSH_CHUNK, _SOLVE_BLOCK), shares its
+    chunked pushes and its leaves' CRT group products with the pool
+    thread when _SHARE.  A shorter solve shares nothing and runs every
+    step on the calling thread: there, handing its leaves of 1 to
+    _SOLVE_BLOCK terms to the pool cost more than it saved.
 
     Within a chunk, every tap is summed into a run: its slice of c is
     added in int32 into a scratch array over the chunk, as -c for the unit
@@ -658,18 +669,24 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
 
     def push(src, dst, off, lo, mid, hi):
         # push_part over [mid, hi).  A range of two or more _PUSH_CHUNKs is
-        # cut into chunks shared with the pool, each writing only its slice.
+        # cut into chunks, each writing only its slice, shared with the
+        # pool when the solve shares.
         cuts = max(1, (hi - mid) // _PUSH_CHUNK)
         bounds = [mid + (hi - mid) * i // cuts for i in range(cuts + 1)]
-        _pool_map(lambda ab: push_part(src, dst, off, lo, mid, *ab),
-                  list(zip(bounds, bounds[1:])))
+        chunks = list(zip(bounds, bounds[1:]))
+        if share:
+            _pool_map(lambda ab: push_part(src, dst, off, lo, mid, *ab), chunks)
+        else:
+            for a, b in chunks:
+                push_part(src, dst, off, lo, mid, a, b)
 
     t = len(c) - 1
     start = min(start, t + 1)
+    segment = max(2 * _PUSH_CHUNK, _SOLVE_BLOCK)
+    share = _SHARE and t + 1 - start >= segment
     if start == 0 < len(c):
         c[0] = f0inv % m
         start = 1
-    segment = max(2 * _PUSH_CHUNK, _SOLVE_BLOCK)
     acc = np.empty(min(segment, t + 1 - start), np.int64)
     # The head's residues mod each group and its limb spectra, built once
     # per (leaf length, width, FFT size) and shared by every leaf.
@@ -696,7 +713,7 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
             blk = acc[mid - s0:hi - s0] % m
             blk *= -g
             blk %= m
-            c[mid:hi] = _fft_mul(c[:hi - mid], blk, hi - mid, m, spectra)
+            c[mid:hi] = _fft_mul(c[:hi - mid], blk, hi - mid, m, spectra, share)
     return c
 
 

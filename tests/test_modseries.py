@@ -292,7 +292,7 @@ def test_planned_products_match_the_integer_product(m, len_f, len_g, kind_f, kin
     n = len_f + len_g - 1
     assert _fft_mul(a, b, n, m).tolist() == want
     with worker_pool():
-        assert _fft_mul(a, b, n, m, {}).tolist() == want
+        assert _fft_mul(a, b, n, m, {}, share=True).tolist() == want
     f = TruncSeries(ResidueRing(m), a, len_f - 1)
     g = TruncSeries(ResidueRing(m), b, len_g - 1)
     assert ring_mul(f, g).coeffs.tolist() == want[:min(len_f, len_g)]
@@ -313,7 +313,7 @@ def test_int32_operands_match_the_integer_product(m, len_f, len_g, kind_f, kind_
     n = len_f + len_g - 1
     assert _fft_mul(a, b, n, m).tolist() == want
     with worker_pool():
-        assert _fft_mul(a, b.astype(np.int64), n, m, {}).tolist() == want
+        assert _fft_mul(a, b.astype(np.int64), n, m, {}, share=True).tolist() == want
 
 
 @pytest.mark.parametrize("m", [223_092_870, 65521, _THREE_GROUP_MODULUS, (1 << 31) - 1])
@@ -1274,11 +1274,11 @@ def solve_leaves(solve, block, chunk):
     kept = []  # keeps each spectra alive, so ids stay unique
     real_mul = modseries._fft_mul
 
-    def recording_mul(a, b, n, m, spectra=None):
+    def recording_mul(a, b, n, m, spectra=None, share=False):
         if spectra is not None:
             solves.setdefault(id(spectra), []).append(n)
             kept.append(spectra)
-        return real_mul(a, b, n, m, spectra)
+        return real_mul(a, b, n, m, spectra, share)
 
     with mock.patch.object(modseries, "_fft_mul", recording_mul), \
             mock.patch.object(modseries, "_SOLVE_BLOCK", block), \
@@ -1575,6 +1575,35 @@ def test_callers_racing_to_the_first_pooled_step_share_one_pool():
     assert done.returncode == 0, done.stderr
 
 
+def test_a_solve_shorter_than_a_segment_submits_nothing():
+    # Here a segment is 128 positions.  A solve over fewer, cold or grown
+    # from a known prefix of 3000, keeps every step on the calling thread
+    # and makes no pool; a solve over one segment, cold or grown, shares
+    # its leaves' group products.  Each output equals the serial solve's.
+    code = POOL_PROBE + (
+        "import numpy as np\n"
+        "assert max(2 * modseries._PUSH_CHUNK, modseries._SOLVE_BLOCK) == 128\n"
+        "modseries._limit_threads(1)\n"
+        "known = overpartition_series(3000, ring).coeffs[:3000]\n"
+        "def grow(trunc, start, limit):\n"
+        "    modseries._limit_threads(limit)\n"
+        "    out = np.zeros(trunc + 1, np.int32)\n"
+        "    out[:start] = known[:start]\n"
+        "    before = len(submitted)\n"
+        "    got = overpartition_series(trunc, ring, out, start).coeffs.tolist()\n"
+        "    return got, len(submitted) > before\n"
+        "for trunc, start, shares in ((126, 0, False), (3126, 3000, False),\n"
+        "                             (127, 0, True), (3127, 3000, True)):\n"
+        "    serial, _ = grow(trunc, start, 1)\n"
+        "    got, submits = grow(trunc, start, None)\n"
+        "    assert submits == shares, (trunc, start)\n"
+        "    assert got == serial, (trunc, start)\n"
+        "    assert bool(made) == shares, (trunc, start)\n"
+    )
+    done = python(["-c", code])
+    assert done.returncode == 0, done.stderr
+
+
 def test_concurrent_streams_match_serial_runs(pool_tasks):
     # Four callers (more than the host's cores) grow streams for different
     # moduli at once; their chunked pushes and pooled leaves interleave on
@@ -1741,7 +1770,7 @@ def test_a_solve_leaves_nothing_behind(name, raises, pooled):
     solve = _solves(ring, 20_000)[name]
     real_mul = modseries._fft_mul
 
-    def failing_leaf(a, b, n, m, spectra=None):
+    def failing_leaf(a, b, n, m, spectra=None, share=False):
         # The first leaf fails, after c and acc are built.
         if spectra is not None:
             raise ArithmeticError("leaf failed its rounding check")

@@ -99,6 +99,35 @@ def test_commands_that_solve_nothing_import_no_executor(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_the_proof_commands_start_no_pool():
+    # With two usable CPUs a solve may share work, but every solve these
+    # commands make is shorter than a segment, so none makes the pool.
+    # Their stdout is the same under --threads 1.
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from overcong import modseries\n"
+        "from overcong.cli import main\n"
+        "def run(argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    return out.getvalue()\n"
+        "commands = json.loads(sys.argv[1])\n"
+        "shared = [run(argv) for argv in commands]\n"
+        "assert modseries._SHARE\n"
+        "assert modseries._POOL is None\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "for argv, out in zip(commands, shared):\n"
+        "    assert run(['--threads', '1', *argv]) == out, argv\n"
+    )
+    commands = [CORPUS[name]["argv"] for name in
+                ("prove-thm11-json", "prove-thm13-json", "verify-identity-17-json",
+                 "verify-identity-23-json")]
+    done = python(["-c", code, json.dumps(commands)])
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("name", ["prove-thm11-json", "bound-15-340736",
                                   "decompose-perturbed-mod-13"])
 def test_the_entry_point_prints_the_golden_stdout(name):

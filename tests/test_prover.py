@@ -323,12 +323,12 @@ def test_a_failed_build_leaves_the_held_stream_intact(trunc):
     leaves = []
     real_mul = modseries._fft_mul
 
-    def failing_leaf(a, b, n, m, spectra=None):
+    def failing_leaf(a, b, n, m, spectra=None, share=False):
         if spectra is not None:
             leaves.append(n)
             if len(leaves) == 4:
                 raise ArithmeticError("leaf failed its rounding check")
-        return real_mul(a, b, n, m, spectra)
+        return real_mul(a, b, n, m, spectra, share)
 
     def unexpected(trunc, ring, out, start):
         raise AssertionError(f"rebuilt from {start}")
@@ -524,17 +524,20 @@ def test_scan_min_support_filters():
 
 def test_scan_deterministic_order_and_threads(pool_tasks):
     # Each scan solves its stream cold: once with the solver's pool, once
-    # on the calling thread alone.
+    # on the calling thread alone.  Leaves and push chunks of 4096
+    # positions make the solve span segments, so the pooled one shares.
     kwargs = dict(n_max=10 ** 5, min_support=20, max_index=120_000)
-    with ThreadPoolExecutor(1, thread_name_prefix="modseries") as pool, \
-            mock.patch.object(modseries, "_POOL", pool), \
-            mock.patch.object(modseries, "_SHARE", True):
-        pooled = scan(5, [1, 5], [40, 8], **kwargs)
-    assert pool_tasks
-    pool_tasks.clear()
-    STORE.reset()
-    with mock.patch.object(modseries, "_SHARE", False):
-        serial = scan(5, [1, 5], [40, 8], **kwargs)
+    with mock.patch.object(modseries, "_SOLVE_BLOCK", 4096), \
+            mock.patch.object(modseries, "_PUSH_CHUNK", 4096):
+        with ThreadPoolExecutor(1, thread_name_prefix="modseries") as pool, \
+                mock.patch.object(modseries, "_POOL", pool), \
+                mock.patch.object(modseries, "_SHARE", True):
+            pooled = scan(5, [1, 5], [40, 8], **kwargs)
+        assert pool_tasks
+        pool_tasks.clear()
+        STORE.reset()
+        with mock.patch.object(modseries, "_SHARE", False):
+            serial = scan(5, [1, 5], [40, 8], **kwargs)
     assert not pool_tasks
     assert pooled == serial
     keys = [(c.multiplier, c.progression) for c in serial]
