@@ -12,15 +12,18 @@ them costs O(T^1.5) instead of O(T^2).  Inversion is a divide-and-conquer
 solver that pushes the divisor's nonzero terms (its taps) into an
 accumulator with one vectorised update each, down to leaves of at most
 _SOLVE_BLOCK coefficients; each leaf is one product with the divisor's
-truncated inverse, the head.  ring_invert finds a dense divisor's taps,
-and ring_div multiplies by that inverse; invert_taps_residues takes the
-taps as given, so a divisor such as phi(-q) is never built as a dense
-series.  A solve writes its output as int32 residues into an array its
-caller provides, past a known prefix it never copies or writes, and
-walks the range in segments of max(2 * _PUSH_CHUNK, _SOLVE_BLOCK)
-coefficients, so its one int64 accumulator spans a segment however long
-the solve.  It holds no reference cycle: its arrays are freed as soon as
-it returns or raises.
+truncated inverse, the head.  _solve_linear_core is the one entry: it
+takes a divisor as its taps (integers at their exponents), its constant
+term and its ring, and normalises them once per solve.  ring_invert and
+ring_div hand it a dense divisor's nonzero terms, and ring_div multiplies
+by the inverse; overpartition_series hands it phi(-q)'s taps, so that
+divisor is never built as a dense series.  A solve writes its output as
+int32 residues into an array its caller provides (for the stream, the
+coefficient store's own buffer), past a known prefix it never copies or
+writes, and walks the range in segments of max(2 * _PUSH_CHUNK,
+_SOLVE_BLOCK) coefficients, so its one int64 accumulator spans a segment
+however long the solve.  It holds no reference cycle: its arrays are
+freed as soon as it returns or raises.
 A push adds every tap into an int32 run, a scratch array over the push
 chunk: -c for the unit -1, +c for +1, and u*c mod m for any other unit u.
 A run holds at most cap = (2^31 - 1) // (m - 1) taps of each kind, so no
@@ -29,10 +32,9 @@ update of the accumulator is below 2^31 in magnitude, and a position
 takes at most one update per tap in a segment: through q^T the
 accumulator stays below T * 2^31 < 2^63 for any T < 2^32, and a leaf
 reduces it once, when it reads it.
-invert_taps_residues writes into the caller's array (the coefficient
-store's own buffer).  Residues are int32 (m < 2^31), in a solve and in a
-TruncSeries; sums and products of them are taken in int64 and handed to
-the TruncSeries constructor, whose one reduction writes the int32 residues.
+Residues are int32 (m < 2^31), in a solve and in a TruncSeries; sums and
+products of them are taken in int64 and handed to the TruncSeries
+constructor, whose one reduction writes the int32 residues.
 
 Every FFT product follows one plan, chosen once per modulus and length:
 CRT groups when every group fits one product, limbs otherwise.  m is
@@ -81,6 +83,7 @@ import struct
 import tempfile
 import threading
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,18 +185,19 @@ def _pool_map(fn, items) -> list:
     return out
 
 
+@dataclass(frozen=True)
 class ResidueRing:
     """The coefficient ring Z/mZ for a fixed modulus 2 <= m < 2^31."""
 
-    __slots__ = ("modulus",)
+    modulus: int
 
-    def __init__(self, modulus: int):
-        modulus = int(modulus)
+    def __post_init__(self):
+        modulus = int(self.modulus)
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         if modulus >= 1 << 31:
             raise ValueError(f"modulus must fit a 32-bit word, got {modulus}")
-        self.modulus = modulus
+        object.__setattr__(self, "modulus", modulus)
 
     def reduce(self, values) -> np.ndarray:
         """values mod m as a new int32 array.  An int32 input is reduced in
@@ -213,15 +217,6 @@ class ResidueRing:
             return pow(a, -1, self.modulus)
         except ValueError:
             raise ValueError(f"{a} is not a unit mod {self.modulus}") from None
-
-    def __eq__(self, other):
-        return isinstance(other, ResidueRing) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash(("ResidueRing", self.modulus))
-
-    def __repr__(self):
-        return f"ResidueRing({self.modulus})"
 
 
 class TruncSeries:
@@ -570,13 +565,20 @@ def ring_pow(f: TruncSeries, e: int) -> TruncSeries:
     return result
 
 
-def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
-                       m: int, c: np.ndarray, start: int = 0) -> np.ndarray:
-    """c = 1/den through q^t, t = len(c) - 1, where den has unit constant
-    term f0 and nonzero higher coefficients taps_val at exponents taps_exp
-    (sorted, >= 1).  c is the int32 output: its first `start` entries are
-    the known prefix, taken as solved and never copied, and c[start:] is
+def _solve_linear_core(taps_exp, taps_val, f0: int, ring: ResidueRing,
+                       c: np.ndarray, start: int = 0) -> np.ndarray:
+    """c = 1/den through q^t, t = len(c) - 1, mod m = ring.modulus, where
+    den = f0 + sum_j taps_val[j] * q^taps_exp[j]: f0 a unit mod m, and the
+    taps integers within int64 at distinct exponents >= 1, sorted
+    ascending.  c is the int32 output: its first `start` entries are the
+    known prefix, taken as solved and never copied, and c[start:] is
     written with residues in [0, m).  Returns c.
+
+    The one entry into the solver, and the one place its input is
+    normalised, once per solve: the taps are reduced mod m, those that
+    vanish mod m or lie past q^t are dropped, the rest are taken as their
+    balanced residues in (-m/2, m/2], and f0 is inverted mod m (a
+    ValueError if it is not a unit).
 
     Divide-and-conquer online convolution down to leaves of at most
     _SOLVE_BLOCK coefficients.  The taps are g*u_j, where g is the
@@ -588,7 +590,7 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
 
         c[mid:hi] = head * (-g*acc[mid:hi] mod m)  mod q^k,
 
-    where head = 1/den mod q^k.  A solve from 0 writes c[0] = f0inv and
+    where head = 1/den mod q^k.  A solve from 0 writes c[0] = 1/f0 and
     starts at 1, and no leaf [mid, hi) is longer than min(_SOLVE_BLOCK,
     mid), so the leaves double in length from c[0] and the head is c[:k]
     itself, already solved.  No entry of c[:start] is ever written.
@@ -627,8 +629,13 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     |acc| < t * 2^31 < 2^63 for t < 2^32 (c alone would then take 16 GiB).
     A leaf reduces acc first, so g*(acc mod m) < 2^61.
     """
-    exps = taps_exp.tolist()
-    vals = taps_val.tolist()
+    m = ring.modulus
+    exps = np.asarray(taps_exp, np.int64)
+    vals = np.asarray(taps_val, np.int64) % m
+    keep = (vals != 0) & (exps < len(c))
+    exps, vals = exps[keep].tolist(), vals[keep]
+    vals = np.where(vals > m // 2, vals - m, vals).tolist()
+    f0inv = ring.inverse(f0)
     mags = set(map(abs, vals))
     g = mags.pop() if len(mags) == 1 else 1
     units = [v // g for v in vals]
@@ -685,7 +692,7 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     segment = max(2 * _PUSH_CHUNK, _SOLVE_BLOCK)
     share = _SHARE and t + 1 - start >= segment
     if start == 0 < len(c):
-        c[0] = f0inv % m
+        c[0] = f0inv
         start = 1
     acc = np.empty(min(segment, t + 1 - start), np.int64)
     # The head's residues mod each group and its limb spectra, built once
@@ -717,36 +724,13 @@ def _solve_linear_core(taps_exp: np.ndarray, taps_val: np.ndarray, f0inv: int,
     return c
 
 
-def _balanced(vals: np.ndarray, m: int) -> np.ndarray:
-    """Residues in [0, m) as their balanced representatives (-m/2, m/2]."""
-    return np.where(vals > m // 2, vals - m, vals)
-
-
 def _solve_linear(den: TruncSeries, t: int) -> TruncSeries:
     """den^-1 through q^t from the dense divisor's taps; den needs a unit
     constant term."""
-    ring = den.ring
-    m = ring.modulus
     taps_exp = np.flatnonzero(den.coeffs[1:t + 1]) + 1
-    out = _solve_linear_core(taps_exp, _balanced(den.coeffs[taps_exp], m),
-                             ring.inverse(den.coeffs[0]), m, np.zeros(t + 1, np.int32))
-    return TruncSeries._canonical(ring, out, t)
-
-
-def invert_taps_residues(taps_exp: np.ndarray, taps_val: np.ndarray, out: np.ndarray,
-                         start: int, ring: ResidueRing) -> np.ndarray:
-    """1/(1 + sum_j taps_val[j] * q^taps_exp[j]) through q^trunc,
-    trunc = len(out) - 1, for a divisor given by its taps alone: integer
-    values at distinct exponents >= 1, sorted ascending.  The same solve as
-    ring_invert, without a dense divisor; taps past the truncation or
-    divisible by m are dropped.  out[:start] must already hold the first
-    coefficients of the inverse; the solve writes the int32 residues of
-    out[start:] in place, never copying or writing the prefix."""
-    m = ring.modulus
-    exps = np.asarray(taps_exp, np.int64)
-    vals = np.asarray(taps_val, np.int64) % m
-    keep = (vals != 0) & (exps < len(out))
-    return _solve_linear_core(exps[keep], _balanced(vals[keep], m), 1, m, out, start)
+    out = _solve_linear_core(taps_exp, den.coeffs[taps_exp], den.coeffs[0], den.ring,
+                             np.zeros(t + 1, np.int32))
+    return TruncSeries._canonical(den.ring, out, t)
 
 
 def ring_invert(f: TruncSeries) -> TruncSeries:

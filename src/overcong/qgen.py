@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, _crt_join, invert_taps_residues,
-                        one_series, ring_invert, ring_mul, ring_pow)
+from . import modseries
+from .modseries import (TRUNC_CAP, ResidueRing, TruncSeries, _crt_join, one_series,
+                        ring_invert, ring_mul, ring_pow)
 
 R_M_BRUTE_MAX_N = 50
 R_M_BRUTE_MAX_M = 12
@@ -191,7 +192,8 @@ def overpartition_series(trunc: int, ring: ResidueRing, out: np.ndarray | None =
     """
     if out is None:
         out = np.zeros(trunc + 1, np.int32)
-    invert_taps_residues(*_phi_minus_q_taps(trunc), out, start, ring)
+    # The module attribute, so that a solver core wrapped there sees this solve.
+    modseries._solve_linear_core(*_phi_minus_q_taps(trunc), 1, ring, out, start)
     return TruncSeries._canonical(ring, out, trunc)
 
 

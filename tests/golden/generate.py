@@ -10,6 +10,13 @@ that makes the replay fail has changed what overcong prints.  Regenerate
 only when a change is meant to alter the output (a new command, a fixed
 wrong answer), and say in CHANGES.md which files changed and why;
 regenerating is never a way to make a failing check pass.
+
+    PYTHONPATH=src python tests/golden/generate.py --deep
+
+writes nothing: it grows the shared 23# stream through the coefficient
+store to 5e6 and then to 2^24, with the production solver constants, and
+checks each against its pinned md5.  It takes about ten seconds, too long
+for the replay; run it for every change to the solver.
 """
 
 from __future__ import annotations
@@ -78,6 +85,14 @@ EXPLORE_WARM_SEED1 = {
 SHARED_STREAM_DEPTH = 1_800_000
 OWN_STREAM_DEPTH = 1 << 16
 OWN_STREAM_MODULI = (2, 5, 7, 11, 13, 17, 23, PRIMORIAL_23, MERSENNE_31)
+
+# The shared 23# stream grown through the store to the depths a scan
+# reaches, pinned by md5 of its residues as little-endian u32; only --deep
+# reads them.
+DEEP_STREAM_MD5 = {
+    5_000_000: "45a3acf333c30efae0eacf805c5ec575",
+    1 << 24: "d5d1cc1de559ce89ea9fd4760708c036",
+}
 
 
 def commands() -> list[dict]:
@@ -211,7 +226,26 @@ def stream_digests() -> list[dict]:
     return out
 
 
-def main() -> int:
+def deep_check() -> int:
+    """Grow the 23# stream through the store to each pinned depth in turn
+    and compare its md5; 0 when every digest matches, 1 otherwise."""
+    failed = False
+    for trunc, pinned in DEEP_STREAM_MD5.items():
+        residues = prover._pbar_stream(PRIMORIAL_23, trunc)
+        got = hashlib.md5(np.asarray(residues).astype("<u4").tobytes()).hexdigest()
+        print(f"23# stream through q^{trunc}: md5 {got}"
+              + ("" if got == pinned else f", pinned {pinned}: MISMATCH"))
+        failed |= got != pinned
+    prover.STORE.reset()
+    return int(failed)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--deep"]:
+        return deep_check()
+    if argv:
+        print("usage: generate.py [--deep]", file=sys.stderr)
+        return 2
     os.environ.pop("OVERCONG_CACHE_DIR", None)
     entries = commands()
     for old in HERE.glob("*.out"):
@@ -227,4 +261,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -352,6 +352,26 @@ def test_scan_reuses_disk_cache(capsys, tmp_path, monkeypatch):
         run(capsys, *argv[:-1], "60000")
 
 
+def test_a_cache_dir_that_cannot_be_made_is_a_warning(capsys, tmp_path, monkeypatch):
+    # A cache directory naming a regular file cannot hold the cache, from
+    # --cache-dir or from the environment: the command still answers as it
+    # does without a cache and exits 0, and stderr names the error.
+    argv = ("scan", "--mod", "5", "--d", "1", "--A", "8", "--nmax", "100",
+            "--max-index", "2000")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and plain
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "--cache-dir", str(blocker), *argv)
+    assert code == 0 and out == plain
+    assert err.startswith("warning: cache file not written:") and str(blocker) in err
+    monkeypatch.setenv(CACHE_ENV, str(blocker))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == plain
+    assert err.startswith("warning: cache file not written:") and str(blocker) in err
+    assert blocker.read_text() == ""
+
+
 def test_cache_file_serves_shorter_truncations_and_grows(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     expand = ("--cache-dir", cache, "expand", "overpartition", "--mod", "13", "--trunc")

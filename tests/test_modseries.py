@@ -860,14 +860,12 @@ def leaf_starts(lo, hi, block):
 def invert_after(f, known):
     # 1/f through its truncation with its first len(known) coefficients
     # taken as solved: the solver core's (out, start) contract, fed the
-    # dense divisor's taps as ring_invert finds them.
-    m = f.ring.modulus
+    # dense divisor's taps and constant term as ring_invert finds them.
     out = np.zeros(f.trunc + 1, np.int32)
     start = min(len(known), f.trunc + 1)
     out[:start] = known[:start]
     taps = np.flatnonzero(f.coeffs[1:]) + 1
-    modseries._solve_linear_core(taps, modseries._balanced(f.coeffs[taps], m),
-                                 f.ring.inverse(f.coeffs[0]), m, out, start)
+    modseries._solve_linear_core(taps, f.coeffs[taps], f.coeffs[0], f.ring, out, start)
     return TruncSeries(f.ring, out, f.trunc)
 
 
@@ -930,7 +928,7 @@ def test_the_solver_never_writes_the_known_prefix(m, block, data):
     out = np.zeros(trunc + 1, np.int32)
     out[:start] = m - 1
     with mock.patch.object(modseries, "_SOLVE_BLOCK", block):
-        modseries.invert_taps_residues(*phi_minus_q_taps(trunc), out, start, ResidueRing(m))
+        modseries._solve_linear_core(*phi_minus_q_taps(trunc), 1, ResidueRing(m), out, start)
     assert (out[:start] == m - 1).all()
 
 
@@ -939,8 +937,8 @@ def test_a_stream_grown_from_a_short_prefix_keeps_it():
     # one leaf, grown to 20000 mod 23#.
     out = np.zeros(20_001, np.int32)
     out[:301] = 7
-    modseries.invert_taps_residues(*phi_minus_q_taps(20_000), out, 301,
-                                   ResidueRing(223_092_870))
+    modseries._solve_linear_core(*phi_minus_q_taps(20_000), 1, ResidueRing(223_092_870),
+                                 out, 301)
     assert (out[:301] == 7).all()
 
 
@@ -1132,8 +1130,7 @@ def test_int32_runs_match_the_schoolbook(m, units):
             want = schoolbook_quotient([1], den, m, known=out[:split])
             with mock.patch.object(modseries, "_SOLVE_BLOCK", block), \
                     mock.patch.object(modseries, "_PUSH_CHUNK", chunk):
-                got = modseries._solve_linear_core(
-                    np.array(exps), np.array(vals), 1, m, out, split)
+                got = modseries._solve_linear_core(exps, vals, 1, ResidueRing(m), out, split)
             assert got.dtype == np.int32
             assert got.tolist() == want, (residues, block)
 
@@ -1201,10 +1198,56 @@ def test_segments_match_the_schoolbook(case):
     taps_exp = np.flatnonzero(den[1:]) + 1
     with mock.patch.object(modseries, "_PUSH_CHUNK", chunk), \
             mock.patch.object(modseries, "_SOLVE_BLOCK", block):
-        got = modseries._solve_linear_core(
-            taps_exp, modseries._balanced(den[taps_exp], m), pow(int(den[0]), -1, m),
-            m, out, start)
+        got = modseries._solve_linear_core(taps_exp, den[taps_exp], den[0], ResidueRing(m),
+                                           out, start)
     assert got is out
+    assert got.tolist() == want
+
+
+_ENTRY_MODULI = (2, 13, 223_092_870, (1 << 31) - 1)
+
+
+@st.composite
+def _raw_divisor_case(draw):
+    # A divisor as the solver's one entry takes it: taps as any integer
+    # representative within int64 (negative, >= m, = 0 mod m, past the
+    # truncation) and a unit constant term other than 1.
+    m = draw(st.sampled_from(_ENTRY_MODULI))
+    chunk = draw(st.sampled_from((2, 4, 8)))
+    block = draw(st.sampled_from((1, 2, 8, 64)))
+    trunc = draw(st.integers(0, 4 * max(2 * chunk, block) + 2))
+    exps = sorted(draw(st.sets(st.integers(1, trunc + 8), max_size=12)))
+    residues = st.sampled_from((0, 1, m // 2, m // 2 + 1, m - 1)) | st.integers(0, m - 1)
+    lifts = st.integers(-(1 << 31), 1 << 31)
+    vals = [draw(residues) + m * draw(lifts) for _ in exps]
+    unit = draw(st.integers(1, m - 1).filter(lambda u: math.gcd(u, m) == 1))
+    f0 = unit + m * draw(lifts.filter(lambda k: unit + m * k != 1))
+    start = draw(st.integers(0, trunc + 1))
+    prefix = draw(st.sampled_from(("inverse", "m-1")))
+    return m, chunk, block, trunc, exps, vals, f0, start, prefix
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_raw_divisor_case())
+def test_the_one_entry_normalises_any_representative_of_the_taps(case):
+    # The solver reduces the taps mod m, drops those = 0 mod m or past q^t,
+    # balances the rest and inverts the constant term: solved from a known
+    # prefix (the inverse's own, or m - 1 past the leaves' head), that is
+    # the schoolbook recurrence of the divisor mod m.
+    m, chunk, block, trunc, exps, vals, f0, start, prefix = case
+    den = np.zeros(trunc + 1, np.int64)
+    for e, v in zip(exps, vals):
+        if e <= trunc:
+            den[e] = v % m
+    den[0] = f0 % m
+    out = np.zeros(trunc + 1, np.int32)
+    out[:start] = schoolbook_inverse(den, m)[:start]
+    if prefix == "m-1":
+        out[block:start] = m - 1
+    want = schoolbook_quotient([1], den, m, known=out[:start])
+    with mock.patch.object(modseries, "_PUSH_CHUNK", chunk), \
+            mock.patch.object(modseries, "_SOLVE_BLOCK", block):
+        got = modseries._solve_linear_core(exps, vals, f0, ResidueRing(m), out, start)
     assert got.tolist() == want
 
 
